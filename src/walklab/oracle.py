@@ -1,11 +1,14 @@
 """Exact finite-horizon laws: path enumeration and dynamic programming.
 
-Ground truth comes in two tiers.  For tiny horizons every one of the 2^n
-paths is enumerated and weighted exactly.  For horizons into the
-thousands a forward DP over (position, counter tuple) computes the same
-law at machine precision.  A certified bridge connects the DP at a large
-enough horizon to the infinite-horizon laws: the probability of any
-tracked site being revisited after the horizon is bounded explicitly and
+Ground truth comes in two tiers.  For horizons up to ENUM_MAX_STEPS every
+one of the 2^n paths is walked and counted as an exact integer per
+(#ups, counter tuple); the law weights those counts by p^#ups q^#downs,
+so only the final sum is rounded.  For horizons into the thousands a
+forward DP over (position, counter tuple) computes the same law at
+machine precision, updating only positions that can still reach a
+tracked site.  A certified bridge connects the DP at a large enough
+horizon to the infinite-horizon laws: the probability of any tracked
+site being revisited after the horizon is bounded explicitly and
 returned as part of the result.
 """
 
@@ -31,6 +34,7 @@ __all__ = [
 ]
 
 ENUM_MAX_STEPS = 24
+ENUM_BLOCK_STEPS = 16
 DP_MAX_STEPS = 5000
 DP_STATE_BUDGET = 50_000_000
 MASS_TOL = 1e-12
@@ -127,33 +131,70 @@ def _validate_functionals(functionals) -> tuple[Functional, ...]:
     return fns
 
 
+def _path_counts(n: int, fns: tuple[Functional, ...]) -> np.ndarray:
+    """Exact number of n-step paths for each (#ups, counter tuple).
+
+    The int64 table has shape (n + 1, cap_1 + 1, ...); its entries sum to
+    2^n.  Paths are built by doubling: each step sends every path to its
+    up and down extensions, updating position and counters in O(1) work
+    per new path.  At most 2^ENUM_BLOCK_STEPS paths are held at once, so
+    beyond that many steps the prefixes are extended in chunks.
+    """
+    dims = tuple(f.cap + 1 for f in fns)
+    # position + n lies in [0, 2n] and ends at 2 * #ups; for n <= 24 it
+    # and the counters, clamped at min(cap, n), fit int8
+    hits = []
+    for f in fns:
+        hit = np.zeros(2 * n + 1, dtype=np.int8)
+        hit[[s + n for s in f.sites if abs(s) <= n]] = 1
+        hits.append(hit)
+    tops = [min(f.cap, n) for f in fns]
+
+    def extend(pos, counts, steps):
+        for _ in range(steps):
+            pos = np.concatenate((pos + 1, pos - 1))
+            counts = [
+                np.minimum(np.concatenate((c, c)) + hit[pos], top)
+                for c, hit, top in zip(counts, hits, tops)
+            ]
+        return pos, counts
+
+    head = min(n, ENUM_BLOCK_STEPS)
+    prefix_pos, prefix_counts = extend(
+        np.array([n], dtype=np.int8), [np.zeros(1, dtype=np.int8) for _ in fns], head
+    )
+    chunk = 1 << (ENUM_BLOCK_STEPS - (n - head))
+    size = (n + 1) * math.prod(dims)
+    table = np.zeros(size, dtype=np.int64)
+    for start in range(0, prefix_pos.size, chunk):
+        pos, counts = extend(
+            prefix_pos[start : start + chunk],
+            [c[start : start + chunk] for c in prefix_counts],
+            n - head,
+        )
+        index = pos.astype(np.intp) >> 1
+        for c, dim in zip(counts, dims):
+            index = index * dim + c
+        table += np.bincount(index, minlength=size)
+    return table.reshape((n + 1,) + dims)
+
+
 def enumerate_paths(params: WalkParams, n: int, functionals) -> JointLaw:
-    """Exact law by summing the weight p^#up q^#down of all 2^n paths."""
+    """Exact law from all 2^n paths, counted by #ups and counter tuple.
+
+    The path counts are exact integers and do not depend on p; each
+    entry of the law is then a sum over u = 0..n of p^u q^(n-u) times
+    the number of paths with u ups landing in that entry.
+    """
     if n < 1 or n > ENUM_MAX_STEPS:
         raise ValidationError(f"enumeration requires 1 <= n <= {ENUM_MAX_STEPS}, got {n}")
     fns = _validate_functionals(functionals)
     if len(fns) > 2:
         raise ValidationError("enumeration supports at most 2 functionals")
-    p, q = params.p, params.q
-    dims = tuple(f.cap + 1 for f in fns)
-    # accumulate in extended precision: the 2^n-term sums otherwise lose
-    # ~1e-13 to rounding at n=20 for lopsided p
-    table = np.zeros(dims, dtype=np.longdouble)
-    total_paths = 1 << n
-    chunk = min(total_paths, 1 << 16)
-    shifts = np.arange(n, dtype=np.uint32)
-    for start in range(0, total_paths, chunk):
-        ids = np.arange(start, min(start + chunk, total_paths), dtype=np.uint32)
-        bits = ((ids[:, None] >> shifts[None, :]) & 1).astype(np.int8)
-        positions = np.cumsum(2 * bits - 1, axis=1, dtype=np.int32)
-        ups = bits.sum(axis=1, dtype=np.int32)
-        weights = np.longdouble(p) ** ups * np.longdouble(q) ** (n - ups)
-        counts = []
-        for f in fns:
-            hit = np.isin(positions, np.array(f.sites, dtype=np.int32))
-            counts.append(np.minimum(hit.sum(axis=1), f.cap))
-        np.add.at(table, tuple(counts), weights)
-    return JointLaw(axes=fns, table=table.astype(np.float64), horizon=n)
+    ups = np.arange(n + 1)
+    weights = params.p**ups * params.q ** (n - ups)
+    table = np.tensordot(weights, _path_counts(n, fns), axes=1)
+    return JointLaw(axes=fns, table=table, horizon=n)
 
 
 def _apply_visit(row: np.ndarray, axis: int, cap: int) -> None:
@@ -168,9 +209,13 @@ def _apply_visit(row: np.ndarray, axis: int, cap: int) -> None:
 def dp_law(params: WalkParams, n: int, functionals) -> JointLaw:
     """Forward DP over (position, counter tuple) states.
 
-    Exactly reproduces path enumeration (same arithmetic, different
-    order) and scales to horizons in the thousands.  Positions are
-    restricted to the reachability cone |position| <= t.
+    Agrees with path enumeration up to rounding (the same products,
+    summed in a different order) and scales to horizons in the
+    thousands.  After step t only live positions are updated: those in
+    the reachability cone |position| <= t that can still reach a tracked
+    site, i.e. lie in [min(sites) - (n - t), max(sites) + (n - t)].  Mass
+    leaving that window visits no tracked site again, so its counters are
+    final and it moves straight into the output table.
     """
     if n < 1 or n > DP_MAX_STEPS:
         raise ValidationError(f"DP requires 1 <= n <= {DP_MAX_STEPS}, got {n}")
@@ -186,22 +231,29 @@ def dp_law(params: WalkParams, n: int, functionals) -> JointLaw:
         if any(abs(s) > n for s in f.sites):
             raise ValidationError(f"tracked sites {f.sites} unreachable within n={n}")
     p, q = params.p, params.q
-    offset = n
+    # array index = position + n
+    visits = [(axis, s + n, f.cap) for axis, f in enumerate(fns) for s in f.sites]
+    lowest = min(s for _, s, _ in visits)
+    highest = max(s for _, s, _ in visits)
     state = np.zeros((2 * n + 1,) + dims)
-    start_idx = (offset,) + (0,) * len(fns)
-    state[start_idx] = 1.0
+    state[(n,) + (0,) * len(fns)] = 1.0
     new = np.empty_like(state)
+    table = np.zeros(dims)
+    a = b = n  # live window of the previous step
     for t in range(1, n + 1):
-        # previous reachability cone [a, b], current cone [a-1, b+1]
-        a, b = offset - (t - 1), offset + (t - 1)
-        new[a - 1 : b + 2] = 0.0
+        # new[a-1 : b+2] = down-steps from [a, b] plus up-steps from [a, b]
+        np.multiply(state[a : b + 1], q, out=new[a - 1 : b])
+        new[b : b + 2] = 0.0
         new[a + 1 : b + 2] += p * state[a : b + 1]
-        new[a - 1 : b] += q * state[a : b + 1]
-        for axis, f in enumerate(fns):
-            for s in f.sites:
-                _apply_visit(new[s + offset], axis, f.cap)
+        for axis, s, cap in visits:
+            if a - 1 <= s <= b + 1:
+                _apply_visit(new[s], axis, cap)
+        live_a = max(a - 1, lowest - (n - t))
+        live_b = min(b + 1, highest + (n - t))
+        table += new[a - 1 : live_a].sum(axis=0) + new[live_b + 1 : b + 2].sum(axis=0)
+        a, b = live_a, live_b
         state, new = new, state
-    table = state.sum(axis=0)
+    table += state[a : b + 1].sum(axis=0)
     return JointLaw(axes=fns, table=table, horizon=n)
 
 

@@ -95,7 +95,7 @@ def _check_closedform_vs_dp(params: WalkParams, seed: int) -> tuple:
 
 def _check_dp_vs_enumeration(params: WalkParams, seed: int) -> tuple:
     worst = 0.0
-    for p in (0.6, 0.75, 0.9):
+    for p in sorted({0.6, 0.75, 0.9, params.p}):
         par = make_params(p)
         for n in range(1, 21):
             funcs = [

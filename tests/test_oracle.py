@@ -1,7 +1,11 @@
 """Exact finite-horizon oracles: path enumeration and the forward DP."""
 
+import itertools
+import math
+
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from walklab import closedform as cf
 from walklab import oracle
@@ -39,6 +43,63 @@ def test_dp_matches_enumeration(p, n):
     ]
     a = oracle.enumerate_paths(params, n, funcs)
     b = oracle.dp_law(params, n, funcs)
+    assert np.abs(a.table - b.table).max() < 1e-14
+
+
+# tracked sets away from the origin: the DP's live window is cut on both
+# sides, and a site at |s| = n sits at the edge of the reachability cone
+OFF_ORIGIN = [
+    (7, [oracle.local_time(3, 4)]),
+    (13, [oracle.set_occupation((-2, 4), 8)]),
+    (16, [oracle.local_time(3, 6), oracle.set_occupation((-2, 4), 8)]),
+    (10, [oracle.local_time(10, 2), oracle.local_time(-10, 2)]),
+    (9, [oracle.set_occupation((-9, 3), 5)]),
+]
+
+
+@pytest.mark.parametrize("n, funcs", OFF_ORIGIN)
+def test_dp_matches_enumeration_off_origin(n, funcs):
+    a = oracle.enumerate_paths(P75, n, funcs)
+    b = oracle.dp_law(P75, n, funcs)
+    assert np.abs(a.table - b.table).max() < 1e-14
+
+
+@given(st.floats(min_value=0.501, max_value=0.999), st.sampled_from(OFF_ORIGIN))
+@settings(max_examples=40, deadline=None)
+def test_dp_matches_enumeration_over_p(p, case):
+    n, funcs = case
+    params = make_params(p)
+    a = oracle.enumerate_paths(params, n, funcs)
+    b = oracle.dp_law(params, n, funcs)
+    assert np.abs(a.table - b.table).max() < 1e-14
+
+
+@pytest.mark.parametrize("n", [1, 2, 7, 16, 17, 20, oracle.ENUM_MAX_STEPS])
+def test_path_counts_are_exact_integers(n):
+    funcs = (oracle.local_time(0, 4), oracle.set_occupation((-1, 1), 30))
+    counts = oracle._path_counts(n, funcs)
+    assert counts.dtype == np.int64
+    assert counts.shape == (n + 1, 5, 31)
+    assert int(counts.sum()) == 2**n
+    assert counts.sum(axis=(1, 2)).tolist() == [math.comb(n, u) for u in range(n + 1)]
+
+
+def test_path_counts_match_path_by_path_loop():
+    n = 9
+    funcs = (oracle.local_time(1, 3), oracle.set_occupation((-2, 0, 2), 4))
+    expected = np.zeros((n + 1, 4, 5), dtype=np.int64)
+    for steps in itertools.product((1, -1), repeat=n):
+        positions = np.cumsum(steps)
+        counts = [min(int(np.isin(positions, f.sites).sum()), f.cap) for f in funcs]
+        expected[(steps.count(1), *counts)] += 1
+    assert np.array_equal(oracle._path_counts(n, funcs), expected)
+
+
+def test_enumeration_at_max_steps_matches_dp():
+    n = oracle.ENUM_MAX_STEPS
+    funcs = [oracle.local_time(0, 12), oracle.set_occupation((-1, 1), 12)]
+    a = oracle.enumerate_paths(P75, n, funcs)
+    b = oracle.dp_law(P75, n, funcs)
     assert np.abs(a.table - b.table).max() < 1e-14
 
 
