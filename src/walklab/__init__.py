@@ -61,12 +61,10 @@ from .montecarlo import (
     PathReport,
     SimConfig,
     ensemble,
-    escape_margin,
     heavy_point_profile,
     path_report,
     reversed_walk_check,
     simulate_path,
-    total_local_times,
 )
 from .oracle import (
     Functional,
@@ -105,8 +103,8 @@ __all__ = [
     "enumerate_paths", "dp_law", "escape_certificate", "infinite_law",
     # montecarlo
     "SimConfig", "HeavyPointConfig", "LocalTimeField", "PathReport",
-    "EnsembleReport", "escape_margin", "simulate_path", "total_local_times",
-    "path_report", "heavy_point_profile", "ensemble", "reversed_walk_check",
+    "EnsembleReport", "simulate_path", "path_report", "heavy_point_profile",
+    "ensemble", "reversed_walk_check",
     # verify
     "CriterionResult", "run_suite",
 ]

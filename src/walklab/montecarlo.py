@@ -3,14 +3,15 @@
 Single-path statistics (visit-count spectra, new-maximum counts, maximal
 local and occupation times, heavy-site profiles) come from one long
 trajectory; distributional checks come from ensembles of independent
-replicas.  "Infinite-time" quantities are truncated at the moment the
-walk exceeds all tracked sites by an escape margin m, after which any
-return has probability at most h^m -- a rigorous, parameterized
-certificate rather than an arbitrary cutoff.
+replicas.  "Infinite-time" quantities are exact: a walk that steps just
+above every tracked site returns to the highest one with probability
+exactly h, so one uniform decides between a return and escape for good,
+and no count is truncated.
 
-Every quantity is a pure function of (config, seed): replica streams are
-counter-based and keyed by replica index, chunks merge associatively, so
-results are identical under any parallel schedule.
+Every quantity is a pure function of (config, seed): step t of replica r
+is the same counter-based draw in every routine (see `rng`), chunks
+merge associatively, so results are identical under any parallel
+schedule.
 """
 
 from __future__ import annotations
@@ -24,7 +25,7 @@ import numpy as np
 from .errors import BudgetError, ValidationError
 from .model import WalkParams, derived_constants
 from .closedform import excursion_mean_visits
-from .rng import counter_steps
+from .rng import BLOCK_LANES, counter_steps
 
 __all__ = [
     "SimConfig",
@@ -33,17 +34,15 @@ __all__ = [
     "PathReport",
     "EnsembleReport",
     "simulate_path",
-    "total_local_times",
     "path_report",
     "heavy_point_profile",
     "ensemble",
     "reversed_walk_check",
-    "escape_margin",
 ]
 
-_BLOCK = 1 << 16
 _CHUNK_REPLICAS = 1 << 15
-_STEP_BUDGET = 1_000_000_000
+_ROUND = 8  # steps an alive replica draws per round of an escape walk
+_STEP_BUDGET = 1_000_000_000  # steps one replica may take to escape
 
 
 @dataclass(frozen=True)
@@ -77,7 +76,6 @@ class SimConfig:
     n: int
     replicas: int = 1
     seed: int = 0
-    escape_eps: float = 1e-9
     heavy: HeavyPointConfig | None = None
 
     def __post_init__(self):
@@ -85,10 +83,6 @@ class SimConfig:
             raise ValidationError(f"n must be >= 1, got {self.n}")
         if self.replicas < 1:
             raise ValidationError(f"replicas must be >= 1, got {self.replicas}")
-        if not 0.0 < self.escape_eps <= 1e-3:
-            raise ValidationError(
-                f"escape_eps must be in (0, 1e-3], got {self.escape_eps}"
-            )
 
 
 @dataclass(frozen=True)
@@ -123,7 +117,7 @@ class PathReport:
     qtilde: np.ndarray  # qtilde[k] = number of sites visited exactly k times
     nu_n: int  # strict new running maxima
     xi_max: int  # maximal single-site visit count within the horizon
-    eta_max: int  # maximal total (escape-truncated) visit count on the path
+    eta_max: int  # maximal total (infinite-time) visit count on the path
     xi_star: dict  # z -> maximal occupation of a translate of {0, z}
     cloud: np.ndarray  # (site local-time, sphere occupation) / log n pairs
     heavy: dict | None
@@ -144,18 +138,29 @@ class PathReport:
 
 @dataclass(frozen=True)
 class EnsembleReport:
+    """Summary of one statistic over a replica ensemble.
+
+    Named total-count statistics are exact samples of the infinite-time
+    counts: replicas are followed until they escape for good, so the
+    histogram carries no truncation bias, only sampling error.  `words`
+    is the number of RNG words the replicas drew, summed over chunks;
+    like every other field it does not depend on the thread count.
+    """
+
     statistic: str
     replicas: int
     mean: float
     variance: float
     sem: float
     ci95: tuple[float, float]
+    words: int
     histogram: np.ndarray | None = None
 
     def to_dict(self) -> dict:
         return {
             "statistic": self.statistic,
             "replicas": self.replicas,
+            "words": self.words,
             "mean": self.mean,
             "variance": self.variance,
             "sem": self.sem,
@@ -164,23 +169,15 @@ class EnsembleReport:
         }
 
 
-def escape_margin(params: WalkParams, escape_eps: float) -> int:
-    """Sites more than m above everything tracked are revisited with
-    probability at most h^m <= escape_eps."""
-    return int(math.ceil(math.log(escape_eps) / math.log(params.h)))
-
-
 def _positions(params: WalkParams, n: int, seed: int, replica: int = 0) -> np.ndarray:
     """The full trajectory S_1..S_n as int32, generated blockwise."""
     out = np.empty(n, dtype=np.int32)
     carry = np.int32(0)
-    block = 0
-    for start in range(0, n, _BLOCK):
-        width = min(_BLOCK, n - start)
-        steps = counter_steps(params.p, seed, replica, block, width)
+    for start in range(0, n, BLOCK_LANES):
+        width = min(BLOCK_LANES, n - start)
+        steps = counter_steps(params.p, seed, replica, 0, width, start)
         out[start : start + width] = carry + np.cumsum(steps, dtype=np.int32)
         carry = out[start + width - 1]
-        block += 1
     return out
 
 
@@ -203,87 +200,67 @@ def simulate_path(params: WalkParams, n: int, seed: int) -> LocalTimeField:
     return _field_from_positions(_positions(params, n, seed), n)
 
 
-def _continue_until_escape(
+def _escape_visits(
     params: WalkParams,
-    start_pos: int,
-    threshold: int,
+    seed: int,
+    replica_ids: np.ndarray,
+    start: int,
+    first_step: int,
     lo: int,
     hi: int,
-    seed: int,
-    replica: int,
-    first_block: int,
-) -> np.ndarray:
-    """Extra visit counts to sites lo..hi after the horizon, accumulated
-    until the walk first exceeds `threshold`."""
-    extra = np.zeros(hi - lo + 1, dtype=np.int64)
-    carry = start_pos
-    block = first_block
-    max_blocks = _STEP_BUDGET // _BLOCK
-    while block - first_block < max_blocks:
-        steps = counter_steps(params.p, seed, replica, block, _BLOCK)
-        pos = carry + np.cumsum(steps, dtype=np.int64)
-        exceeded = pos > threshold
-        if exceeded.any():
-            pos = pos[: int(np.argmax(exceeded))]
-            in_range = pos[(pos >= lo) & (pos <= hi)]
-            if len(in_range):
-                extra += np.bincount(in_range - lo, minlength=hi - lo + 1)
-            return extra
-        in_range = pos[(pos >= lo) & (pos <= hi)]
-        if len(in_range):
-            extra += np.bincount(in_range - lo, minlength=hi - lo + 1)
-        carry = int(pos[-1])
-        block += 1
-    raise BudgetError(f"escape not reached within {_STEP_BUDGET} steps")
+) -> tuple[np.ndarray, np.ndarray, int]:
+    """Every visit at steps >= first_step to the sites lo..hi, with each
+    walk run to the end of time.
 
+    Replica `replica_ids[i]` walks from `start`, reading its stream from
+    step `first_step` on.  Above hi the walk visits no site of lo..hi,
+    and from hi + d it ever returns to hi with probability exactly h^d.
+    So a replica that steps to hi + 1 decides with the uniform u of its
+    next step: if u < h it is counted at hi and walks on from there,
+    otherwise it is done.  The counts are exact, with no truncation.
 
-def _total_counts_batch(
-    params: WalkParams,
-    sites: np.ndarray,
-    seed: int,
-    escape_eps: float,
-    replica_ids: np.ndarray,
-) -> np.ndarray:
-    """Escape-truncated total visit counts, one row per replica.
-
-    Each replica walks from 0 until it first exceeds max(sites) by the
-    escape margin; visits to every tracked site up to that moment are its
-    sample of the infinite-time counts (correct up to probability
-    len(sites) * escape_eps).
+    Alive replicas draw `_ROUND` steps per round from their own offsets,
+    so each draws the words it uses plus at most `_ROUND - 1` after each
+    step to hi + 1.  Returns the row (index into `replica_ids`) and site of
+    every visit, in no fixed order, and the number of words drawn.
     """
-    sites = np.asarray(sites, dtype=np.int64)
-    threshold = int(sites.max()) + escape_margin(params, escape_eps)
-    n_rep = len(replica_ids)
-    counts = np.zeros((n_rep, len(sites)), dtype=np.int64)
-    carry = np.zeros(n_rep, dtype=np.int64)
-    alive = np.arange(n_rep)
-    block = 0
-    width = 128
-    max_blocks = _STEP_BUDGET // width
-    while len(alive):
-        if block >= max_blocks:
+    p, h = params.p, params.h
+    ids = np.asarray(replica_ids, dtype=np.uint64)
+    rows = np.arange(len(ids))
+    pos = np.full(len(ids), start, dtype=np.int64)
+    step = np.full(len(ids), first_step, dtype=np.int64)
+    gap = start - hi  # how far above hi the replicas waiting to decide stand
+    hit_rows, hit_sites = [rows[:0]], [pos[:0]]
+    words = 0
+    while len(rows):
+        above = pos > hi
+        if above.any():
+            back = counter_steps(h**gap, seed, ids[above], 0, 1, step[above])[:, 0] > 0
+            words += len(back)
+            hit_rows.append(rows[above][back])
+            hit_sites.append(np.full(int(back.sum()), hi, dtype=np.int64))
+            keep = ~above
+            keep[above] = back
+            pos[above] = hi
+            step[above] += 1
+            ids, rows, pos, step = ids[keep], rows[keep], pos[keep], step[keep]
+            if not len(rows):
+                break
+        gap = 1
+        steps = counter_steps(p, seed, ids, 0, _ROUND, step)
+        words += steps.size
+        path = pos[:, None] + np.cumsum(steps, axis=1, dtype=np.int64)
+        live = np.maximum.accumulate(path, axis=1) <= hi  # a prefix of each row
+        r, c = np.nonzero(live & (path >= lo))
+        hit_rows.append(rows[r])
+        hit_sites.append(path[r, c])
+        used = live.sum(axis=1)
+        out = used < _ROUND
+        step += used + out
+        pos = np.where(out, hi + 1, path[:, -1])
+        if step.max() - first_step > _STEP_BUDGET:
             raise BudgetError(f"escape not reached within {_STEP_BUDGET} steps")
-        steps = counter_steps(params.p, seed, replica_ids[alive], block, width)
-        pos = carry[alive, None] + np.cumsum(steps, axis=1, dtype=np.int64)
-        exceeded = pos > threshold
-        done = exceeded.any(axis=1)
-        first = np.argmax(exceeded, axis=1)
-        live_mask = np.arange(width)[None, :] < np.where(done, first, width)[:, None]
-        for j, s in enumerate(sites):
-            counts[alive, j] += ((pos == s) & live_mask).sum(axis=1)
-        carry[alive] = pos[:, -1]
-        alive = alive[~done]
-        block += 1
-    return counts
-
-
-def total_local_times(
-    params: WalkParams, sites, seed: int, escape_eps: float = 1e-9
-) -> dict[int, int]:
-    """One sample of the total (infinite-time) visit counts of `sites`."""
-    arr = np.asarray(sorted(sites), dtype=np.int64)
-    row = _total_counts_batch(params, arr, seed, escape_eps, np.array([0]))[0]
-    return {int(s): int(c) for s, c in zip(arr, row)}
+    return np.concatenate(hit_rows), np.concatenate(hit_sites), words
 
 
 def _xi_star(counts: np.ndarray, z: int) -> int:
@@ -345,18 +322,18 @@ def path_report(config: SimConfig, xi_star_z: tuple[int, ...] = (1,)) -> PathRep
 
     xi_max = int(counts.max())
 
-    margin = escape_margin(params, config.escape_eps)
-    extra = _continue_until_escape(
+    # the same walk after the horizon: steps n, n + 1, ... of its stream
+    _, later, _ = _escape_visits(
         params,
-        start_pos=field_.final_position,
-        threshold=field_.max_site + margin,
+        seed,
+        np.zeros(1, dtype=np.uint64),
+        start=field_.final_position,
+        first_step=n,
         lo=field_.min_site,
         hi=field_.max_site,
-        seed=seed,
-        replica=0,
-        first_block=(n + _BLOCK - 1) // _BLOCK,
     )
-    totals = counts + extra
+    totals = counts.copy()
+    np.add.at(totals, later - field_.min_site, 1)
     on_path = counts > 0
     if field_.min_site <= 0 <= field_.max_site:
         on_path = on_path.copy()
@@ -435,7 +412,8 @@ def ensemble(config: SimConfig, statistic, threads: int = 1) -> EnsembleReport:
     "two_point_neg:z", "no_return") or a callable LocalTimeField -> float
     evaluated on fixed-horizon paths.  Replicas use counter-based streams
     keyed by their index and chunks merge by addition, so the result does
-    not depend on `threads`.
+    not depend on `threads`.  Total-count statistics are exact (see
+    `_escape_visits`); "no_return" looks at the first n steps.
     """
     replicas = config.replicas
     if callable(statistic):
@@ -452,7 +430,7 @@ def ensemble(config: SimConfig, statistic, threads: int = 1) -> EnsembleReport:
                 for r in range(replicas)
             ]
         )
-        return _summarize("<callable>", values, histogram=None)
+        return _summarize("<callable>", values, histogram=None, words=replicas * config.n)
 
     name = str(statistic)
     if name == "no_return":
@@ -464,26 +442,28 @@ def ensemble(config: SimConfig, statistic, threads: int = 1) -> EnsembleReport:
                 axis=1,
                 dtype=np.int32,
             )
-            return (~(pos == 0).any(axis=1)).astype(np.int64)
-        if config.n > _BLOCK:
+            return (~(pos == 0).any(axis=1)).astype(np.int64), pos.size
+        if config.n > BLOCK_LANES:
             raise ValidationError(
-                f"no_return ensembles support n <= {_BLOCK}, got {config.n}"
+                f"no_return ensembles support n <= {BLOCK_LANES}, got {config.n}"
             )
     else:
         sites = np.asarray(_stat_sites(name), dtype=np.int64)
+        site_lo, site_hi = int(sites.min()), int(sites.max())
 
         def chunk_values(lo, hi):
             ids = np.arange(lo, hi, dtype=np.uint64)
-            counts = _total_counts_batch(
-                config.params, sites, config.seed, config.escape_eps, ids
+            rows, visited, words = _escape_visits(
+                config.params, config.seed, ids, 0, 0, site_lo, site_hi
             )
-            return counts.sum(axis=1)
+            tracked = np.isin(visited, sites)
+            return np.bincount(rows[tracked], minlength=hi - lo), words
 
     def run_chunk(bounds):
         lo, hi = bounds
-        vals = chunk_values(lo, hi)
+        vals, words = chunk_values(lo, hi)
         hist = np.bincount(vals)
-        return vals.sum(), np.square(vals, dtype=np.float64).sum(), hist, hi - lo
+        return vals.sum(), np.square(vals, dtype=np.float64).sum(), hist, words
 
     ranges = _chunk_ranges(replicas)
     if threads > 1:
@@ -509,10 +489,11 @@ def ensemble(config: SimConfig, statistic, threads: int = 1) -> EnsembleReport:
         sem=sem,
         ci95=(float(mean - 1.96 * sem), float(mean + 1.96 * sem)),
         histogram=hist,
+        words=int(sum(r[3] for r in results)),
     )
 
 
-def _summarize(name: str, values: np.ndarray, histogram) -> EnsembleReport:
+def _summarize(name: str, values: np.ndarray, histogram, words: int) -> EnsembleReport:
     mean = float(values.mean())
     variance = float(values.var())
     sem = math.sqrt(variance / len(values))
@@ -524,24 +505,16 @@ def _summarize(name: str, values: np.ndarray, histogram) -> EnsembleReport:
         sem=sem,
         ci95=(mean - 1.96 * sem, mean + 1.96 * sem),
         histogram=histogram,
+        words=words,
     )
 
 
-def reversed_walk_check(
-    params: WalkParams,
-    n: int,
-    seed: int,
-    z: int = 1,
-    replicas: int = 20_000,
-    escape_eps: float = 1e-9,
-) -> dict:
-    """Verify the time-reversal identities on simulated paths.
+def reversed_walk_check(params: WalkParams, n: int, seed: int) -> dict:
+    """Verify the time-reversal identities on one simulated path.
 
     Checks (a) the reversed path's increments are the negated original
-    increments in reverse order, (b) the reversed walk's step frequencies
-    match the swapped parameters, and (c) the empirical law of the
-    reversed walk's visit count at -z matches the forward law at +z
-    within 4-sigma multinomial bands.
+    increments in reverse order and (b) the reversed walk's up-step
+    frequency matches the swapped parameter q within 4 sigma.
     """
     positions = _positions(params, n, seed)
     incr = np.diff(np.concatenate(([0], positions)))
@@ -554,32 +527,8 @@ def reversed_walk_check(
     up_freq = float((rev_incr == 1).mean())
     freq_sigma = math.sqrt(params.p * params.q / n)
     freq_ok = abs(up_freq - params.q) <= 4.0 * freq_sigma + 1e-12
-
-    # forward xi(z, infinity) ensemble
-    ids = np.arange(replicas, dtype=np.uint64)
-    fwd = _total_counts_batch(
-        params, np.array([z]), seed + 1, escape_eps, ids
-    ).ravel()
-    # reversed walk = negated forward walk with an independent stream, so
-    # its visit count at -z is the negated-stream count at +z
-    bwd = _total_counts_batch(
-        params, np.array([z]), seed + 2, escape_eps, ids
-    ).ravel()
-    kmax = 8
-    law_ok = True
-    worst = 0.0
-    for k in range(kmax + 1):
-        f_hat = float((fwd == k).mean())
-        b_hat = float((bwd == k).mean())
-        sigma = math.sqrt(max(f_hat * (1 - f_hat), 1e-12) / replicas)
-        gap = abs(f_hat - b_hat)
-        worst = max(worst, gap / max(sigma, 1e-300))
-        if gap > 4.0 * math.sqrt(2.0) * sigma:
-            law_ok = False
     return {
         "increments_identity": identity_ok,
         "step_frequency": freq_ok,
         "reversed_up_frequency": up_freq,
-        "law_match": law_ok,
-        "worst_band_ratio": worst,
     }

@@ -1,5 +1,6 @@
 """Simulation engine: determinism, counting identities, law agreement."""
 
+import hashlib
 import math
 
 import numpy as np
@@ -7,7 +8,8 @@ import pytest
 
 from walklab import closedform as cf
 from walklab import montecarlo as mc
-from walklab.errors import ValidationError
+from walklab import rng
+from walklab.errors import BudgetError, ValidationError
 from walklab.model import make_params
 
 P75 = make_params(0.75)
@@ -61,8 +63,103 @@ def test_final_position_lln_band():
     assert abs(np.mean(endpoints) - 0.5) < 3 * sigma + 1e-9
 
 
-def test_escape_margin_reference():
-    assert mc.escape_margin(P75, 1e-12) == 26
+# Recorded outputs of the path statistics, which exact escape leaves alone:
+# (p, n, seed) -> qtilde, nu_n, xi_max, xi_star, cloud shape and the first
+# 16 hex digits of the SHA-256 of the cloud's float64 bytes.  n = 70000
+# crosses a 2^16-step block boundary.
+RECORDED_PATHS = {
+    (0.75, 3000, 5): (
+        [0, 682, 358, 179, 91, 45, 33, 17, 5, 7, 3, 0, 1, 0, 1],
+        1420, 14, {1: 23, 2: 20, 3: 18}, (1424, 2), "b833109e874524ea",
+    ),
+    (0.9, 70000, 77): (
+        [0, 45185, 8919, 1740, 320, 74, 12, 5],
+        56255, 7, {1: 14, 2: 11, 3: 10}, (56257, 2), "3a11aefeda939295",
+    ),
+}
+
+
+@pytest.mark.parametrize("key", sorted(RECORDED_PATHS))
+def test_path_report_matches_recorded_values(key):
+    p, n, seed = key
+    qtilde, nu_n, xi_max, xi_star, shape, digest = RECORDED_PATHS[key]
+    rep = mc.path_report(
+        mc.SimConfig(params=make_params(p), n=n, seed=seed), xi_star_z=(1, 2, 3)
+    )
+    assert rep.qtilde.tolist() == qtilde
+    assert (rep.nu_n, rep.xi_max, rep.xi_star) == (nu_n, xi_max, xi_star)
+    assert rep.cloud.shape == shape
+    cloud = np.ascontiguousarray(rep.cloud, dtype="<f8").tobytes()
+    assert hashlib.sha256(cloud).hexdigest()[:16] == digest
+
+
+def test_counter_steps_offsets_cross_block_boundary():
+    """Per-row offsets read the slices of whole 2^16-step blocks."""
+    ids = np.arange(40, 45, dtype=np.uint64)
+    offsets = np.array([0, 65530, 65535, 65536, 2 * 65536 - 3])
+    rows = rng.counter_steps(0.6, 3, ids, 0, 12, offsets)
+    for r, start in zip(ids, offsets):
+        whole = np.concatenate(
+            [rng.counter_steps(0.6, 3, r, b, rng.BLOCK_LANES) for b in range(3)]
+        )
+        assert np.array_equal(rows[r - 40], whole[start : start + 12])
+    # a row may also start in a later block and span several blocks
+    long = rng.counter_steps(0.6, 3, ids[:2], 1, 70_000, np.array([10, 0]))
+    for i, start in enumerate((10, 0)):
+        whole = np.concatenate(
+            [rng.counter_steps(0.6, 3, ids[i], b, rng.BLOCK_LANES) for b in (1, 2)]
+        )
+        assert np.array_equal(long[i], whole[start : start + 70_000])
+
+
+def _margin_escape_totals(params, sites, seed, replicas, eps=1e-12):
+    """Visits to `sites` until the walk first exceeds max(sites) + m with
+    h^m <= eps, straight from counter_steps; biased by at most
+    len(sites) * eps, independent of the exact-escape code."""
+    threshold = max(sites) + math.ceil(math.log(eps) / math.log(params.h))
+    ids = np.arange(replicas, dtype=np.uint64)
+    totals = np.zeros(replicas, dtype=np.int64)
+    carry = np.zeros(replicas, dtype=np.int64)
+    alive = np.ones(replicas, dtype=bool)
+    block = 0
+    while alive.any():
+        steps = rng.counter_steps(params.p, seed, ids[alive], block, 256)
+        pos = carry[alive, None] + np.cumsum(steps, axis=1)
+        live = np.maximum.accumulate(pos, axis=1) <= threshold
+        totals[alive] += (np.isin(pos, sites) & live).sum(axis=1)
+        carry[alive] = pos[:, -1]
+        alive[alive] = live[:, -1]
+        block += 1
+    return totals
+
+
+@pytest.mark.parametrize("p", [0.6, 0.9])
+@pytest.mark.parametrize("statistic", ["local_time:0", "ball_occupation"])
+def test_exact_escape_agrees_with_margin_escape(p, statistic):
+    """Two-sample 4.5-sigma bands on each probability and on the mean."""
+    params, replicas = make_params(p), 40_000
+    sites = mc._stat_sites(statistic)
+    config = mc.SimConfig(params=params, n=1, replicas=replicas, seed=31)
+    exact = mc.ensemble(config, statistic)
+    margin = np.bincount(_margin_escape_totals(params, sites, 32, replicas))
+    size = max(len(exact.histogram), len(margin))
+    a = np.pad(exact.histogram, (0, size - len(exact.histogram))) / replicas
+    b = np.pad(margin, (0, size - len(margin))) / replicas
+    pooled = (a + b) / 2
+    sigma = np.sqrt(2 * pooled * (1 - pooled) / replicas)
+    assert (np.abs(a - b) <= 4.5 * sigma + 1e-12).all()
+    k = np.arange(size)
+    mean_b, var_b = (k * b).sum(), (k * k * b).sum() - (k * b).sum() ** 2
+    sem = math.sqrt((exact.variance + var_b) / replicas)
+    assert abs(exact.mean - mean_b) <= 4.5 * sem
+
+
+def test_escape_step_budget_guard(monkeypatch):
+    """A replica that needs more steps than the budget raises."""
+    monkeypatch.setattr(mc, "_STEP_BUDGET", 16)
+    config = mc.SimConfig(params=make_params(0.501), n=1, replicas=64, seed=0)
+    with pytest.raises(BudgetError):
+        mc.ensemble(config, "local_time:40")
 
 
 def test_sim_config_validation():
@@ -71,7 +168,8 @@ def test_sim_config_validation():
     with pytest.raises(ValidationError):
         mc.SimConfig(params=P75, n=10, replicas=0, seed=0)
     with pytest.raises(ValidationError):
-        mc.SimConfig(params=P75, n=10, seed=0, escape_eps=0.01)
+        long_horizon = mc.SimConfig(params=P75, n=rng.BLOCK_LANES + 1, replicas=2)
+        mc.ensemble(long_horizon, "no_return")
     with pytest.raises(ValidationError):
         mc.HeavyPointConfig(delta_n=1.5)
     # window coefficient must satisfy c * log(1/h) < 1
@@ -143,6 +241,7 @@ def test_ensemble_thread_invariance():
         assert np.array_equal(rep.histogram, reports[0].histogram)
         assert rep.mean == reports[0].mean
         assert rep.variance == reports[0].variance
+        assert rep.words == reports[0].words > 0
 
 
 def test_ensemble_two_point_law():
@@ -207,9 +306,21 @@ def test_reversed_walk_identities():
     out = mc.reversed_walk_check(P75, 2000, 13)
     assert out["increments_identity"]
     assert out["step_frequency"]
-    assert out["law_match"]
+    # the reversed walk steps up exactly where the forward walk steps down
+    down = np.diff(np.concatenate(([0], mc._positions(P75, 2000, 13)))) == -1
+    assert out["reversed_up_frequency"] == down.mean()
 
 
 def test_reversed_walk_single_step():
-    out = mc.reversed_walk_check(P75, 1, 99, replicas=2000)
+    out = mc.reversed_walk_check(P75, 1, 99)
     assert out["increments_identity"]
+
+
+def test_escape_visits_do_not_depend_on_round_width(monkeypatch):
+    """Step t of a replica is one draw however the rounds cut its stream."""
+    config = mc.SimConfig(params=make_params(0.6), n=1, replicas=3000, seed=8)
+    base = mc.ensemble(config, "two_point_neg:2")
+    for width in (1, 3, 64):
+        monkeypatch.setattr(mc, "_ROUND", width)
+        rep = mc.ensemble(config, "two_point_neg:2")
+        assert np.array_equal(rep.histogram, base.histogram)

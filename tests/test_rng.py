@@ -45,3 +45,30 @@ def test_counter_steps_values_and_frequency():
     freq_up = (steps == 1).mean()
     sigma = np.sqrt(0.75 * 0.25 / len(steps))
     assert abs(freq_up - 0.75) < 4 * sigma
+
+
+IDENTITY_PS = (0.5 + 2**-40, 0.501, 0.6, 0.75, 0.9, 0.999, 1 - 2**-53)
+
+
+def test_counter_steps_match_float_definition():
+    """The integer cut gives the steps of ((w >> 11) * 2^-53) < p."""
+    ids = np.arange(16, dtype=np.uint64)
+    words = rng.counter_words(seed=5, replica=ids, block=2, lanes=1 << 16)
+    u = (words >> np.uint64(11)).astype(np.float64) * 2.0**-53
+    for p in IDENTITY_PS:
+        steps = rng.counter_steps(p, seed=5, replica=ids, block=2, lanes=1 << 16)
+        assert steps.dtype == np.int8
+        assert np.array_equal(steps, np.where(u < p, 1, -1)), p
+
+
+def test_below_is_exact_at_the_cut():
+    """Words on both sides of each p's cut, where rounding would show."""
+    for p in IDENTITY_PS + (0.5, 0.0, 1.0):
+        k = min(int(np.ceil(p * 2.0**53)), 2**53)
+        shifted = [max(k + d, 0) for d in (-2, -1, 0, 1)]
+        words = np.array(
+            [(j << 11) + low for j in shifted if j < 2**53 for low in (0, 1, 2**11 - 1)],
+            dtype=np.uint64,
+        )
+        u = (words >> np.uint64(11)).astype(np.float64) * 2.0**-53
+        assert np.array_equal(rng._below(words, p), u < p), p
