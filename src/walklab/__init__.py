@@ -61,7 +61,6 @@ from .montecarlo import (
     PathReport,
     SimConfig,
     ensemble,
-    heavy_point_profile,
     path_report,
     reversed_walk_check,
     simulate_path,
@@ -103,8 +102,8 @@ __all__ = [
     "enumerate_paths", "dp_law", "escape_certificate", "infinite_law",
     # montecarlo
     "SimConfig", "HeavyPointConfig", "LocalTimeField", "PathReport",
-    "EnsembleReport", "simulate_path", "path_report", "heavy_point_profile",
-    "ensemble", "reversed_walk_check",
+    "EnsembleReport", "simulate_path", "path_report", "ensemble",
+    "reversed_walk_check",
     # verify
     "CriterionResult", "run_suite",
 ]

@@ -1,12 +1,22 @@
 """Walk simulation: single long paths and replica ensembles.
 
 Single-path statistics (visit-count spectra, new-maximum counts, maximal
-local and occupation times, heavy-site profiles) come from one long
-trajectory; distributional checks come from ensembles of independent
-replicas.  "Infinite-time" quantities are exact: a walk that steps just
-above every tracked site returns to the highest one with probability
-exactly h, so one uniform decides between a return and escape for good,
-and no count is truncated.
+local and occupation times, heavy-site profiles) come from one path's
+local-time field, built block by block without keeping the trajectory;
+distributional checks come from ensembles of independent replicas.
+"Infinite-time" quantities are exact: a walk that steps just above every
+tracked site returns to the highest one with probability exactly h, so
+one uniform decides between a return and escape for good, and no count
+is truncated.
+
+Two facts of the +-1 walk let every path statistic be read from the
+dense counts alone:
+
+(a) Every site is visited: S_1..S_n move by one at a time, so they cover
+    exactly the interval min_site..max_site, and each count in it is > 0.
+(b) New maxima step by one: a strict new maximum above 0 and every
+    earlier position is exactly one above the previous one, so their
+    number nu_n is max(0, max_site).
 
 Every quantity is a pure function of (config, seed): step t of replica r
 is the same counter-based draw in every routine (see `rng`), chunks
@@ -35,7 +45,7 @@ __all__ = [
     "EnsembleReport",
     "simulate_path",
     "path_report",
-    "heavy_point_profile",
+    "heavy_deviation",
     "ensemble",
     "reversed_walk_check",
 ]
@@ -90,7 +100,8 @@ class LocalTimeField:
     """Visit counts of one path over steps 1..n, stored densely.
 
     counts[i] is the number of visits to site min_site + i.  The counts
-    sum to n by construction.
+    sum to n by construction, and each is positive (fact (a) of the
+    module docstring).
     """
 
     counts: np.ndarray
@@ -107,6 +118,17 @@ class LocalTimeField:
     def sites(self) -> np.ndarray:
         return np.arange(self.min_site, self.max_site + 1)
 
+    def spectrum(self) -> np.ndarray:
+        """Qtilde(k, n): the number of sites visited exactly k times.
+        Entry 0 is 0: every site of the range is visited (fact (a))."""
+        return np.bincount(self.counts)
+
+    def new_maxima(self) -> int:
+        """nu_n: the steps i with S_i > max(0, S_1, ..., S_{i-1}).  Each
+        is one above the previous maximum (fact (b)), so there are
+        max(0, max_site) of them."""
+        return max(0, self.max_site)
+
 
 @dataclass(frozen=True)
 class PathReport:
@@ -115,7 +137,7 @@ class PathReport:
     n: int
     seed: int
     qtilde: np.ndarray  # qtilde[k] = number of sites visited exactly k times
-    nu_n: int  # strict new running maxima
+    nu_n: int  # strict new maxima above the start (LocalTimeField.new_maxima)
     xi_max: int  # maximal single-site visit count within the horizon
     eta_max: int  # maximal total (infinite-time) visit count on the path
     xi_star: dict  # z -> maximal occupation of a translate of {0, z}
@@ -169,35 +191,66 @@ class EnsembleReport:
         }
 
 
-def _positions(params: WalkParams, n: int, seed: int, replica: int = 0) -> np.ndarray:
-    """The full trajectory S_1..S_n as int32, generated blockwise."""
-    out = np.empty(n, dtype=np.int32)
+def _position_blocks(params: WalkParams, n: int, seed: int, replica: int = 0):
+    """S_1..S_n as consecutive int32 arrays, one per 2^16-step block."""
     carry = np.int32(0)
     for start in range(0, n, BLOCK_LANES):
         width = min(BLOCK_LANES, n - start)
         steps = counter_steps(params.p, seed, replica, 0, width, start)
-        out[start : start + width] = carry + np.cumsum(steps, dtype=np.int32)
-        carry = out[start + width - 1]
+        pos = carry + np.cumsum(steps, dtype=np.int32)
+        carry = pos[-1]
+        yield pos
+
+
+def _positions(params: WalkParams, n: int, seed: int, replica: int = 0) -> np.ndarray:
+    """The full trajectory S_1..S_n as int32."""
+    out = np.empty(n, dtype=np.int32)
+    start = 0
+    for pos in _position_blocks(params, n, seed, replica):
+        out[start : start + len(pos)] = pos
+        start += len(pos)
     return out
 
 
-def _field_from_positions(positions: np.ndarray, n: int) -> LocalTimeField:
-    lo = int(positions.min())
-    hi = int(positions.max())
-    counts = np.bincount(positions - lo, minlength=hi - lo + 1)
+def _local_times(
+    params: WalkParams, n: int, seed: int, replica: int = 0
+) -> LocalTimeField:
+    """Visit counts of S_1..S_n, one block at a time.
+
+    Each block is binned into `buf`, where buf[i] counts site base + i.
+    A block that runs off either end grows the buffer on that side by at
+    least its current size, so a path of range L costs O(L) copying.
+    """
+    blocks = _position_blocks(params, n, seed, replica)
+    pos = next(blocks)
+    lo, hi = int(pos.min()), int(pos.max())
+    buf, base = np.bincount(pos - lo), lo
+    for pos in blocks:
+        b_lo, b_hi = int(pos.min()), int(pos.max())
+        size = len(buf)
+        if b_lo < base or b_hi >= base + size:
+            top = base + size - 1
+            new_lo = min(b_lo, base - size) if b_lo < base else base
+            new_hi = max(b_hi, top + size) if b_hi > top else top
+            grown = np.zeros(new_hi - new_lo + 1, dtype=buf.dtype)
+            grown[base - new_lo : base - new_lo + size] = buf
+            buf, base = grown, new_lo
+        buf[b_lo - base : b_hi - base + 1] += np.bincount(pos - b_lo)
+        lo, hi = min(lo, b_lo), max(hi, b_hi)
+    counts = buf[lo - base : hi - base + 1]
+    if len(counts) < len(buf):  # do not pin the grown buffer's spare room
+        counts = counts.copy()
     return LocalTimeField(
-        counts=counts,
-        min_site=lo,
-        max_site=hi,
-        n=n,
-        final_position=int(positions[-1]),
+        counts=counts, min_site=lo, max_site=hi, n=n, final_position=int(pos[-1])
     )
 
 
 def simulate_path(params: WalkParams, n: int, seed: int) -> LocalTimeField:
     """One sampled path's local-time field; bit-reproducible in
     (params, n, seed)."""
-    return _field_from_positions(_positions(params, n, seed), n)
+    if n < 1:
+        raise ValidationError(f"n must be >= 1, got {n}")
+    return _local_times(params, n, seed)
 
 
 def _escape_visits(
@@ -264,63 +317,62 @@ def _escape_visits(
 
 
 def _xi_star(counts: np.ndarray, z: int) -> int:
-    """Max occupation of a translate of {0, z} given dense counts."""
-    padded = np.pad(counts, z)
-    return int((padded[:-z] + padded[z:]).max())
+    """Max occupation of a translate {s, s + z} of {0, z} given dense
+    counts: both sites in the range, or only the lower (counts[-z:]) or
+    only the upper one (counts[:z])."""
+    both = (counts[z:] + counts[:-z]).max(initial=0)
+    return int(max(both, counts[:z].max(), counts[-z:].max()))
 
 
 def _cloud(counts: np.ndarray, n: int) -> np.ndarray:
     """Normalized (local time, sphere occupation) pairs for every site in
-    a one-site margin around the occupied range."""
-    cext = np.pad(counts, 1).astype(np.float64)
-    c2 = np.pad(cext, 1)
-    sphere = c2[:-2] + c2[2:]
-    keep = (cext > 0) | (sphere > 0)
-    scale = math.log(n)
-    return np.column_stack((cext[keep], sphere[keep])) / scale
+    a one-site margin around the range.  Each of these rows has a positive
+    entry (fact (a)), so all of them are kept."""
+    cloud = np.zeros((len(counts) + 2, 2))
+    cloud[1:-1, 0] = counts
+    cloud[:-2, 1] = counts  # the upper neighbour's count
+    cloud[2:, 1] += counts  # the lower neighbour's count
+    cloud /= math.log(n)
+    return cloud
 
 
-def _heavy_deviation(
-    params: WalkParams,
-    counts: np.ndarray,
-    n: int,
-    heavy: HeavyPointConfig,
-    rate_log_n: float,
+def heavy_deviation(
+    params: WalkParams, counts: np.ndarray, n: int, heavy: HeavyPointConfig
 ) -> dict:
     """Worst relative deviation of the local-time profile around sites
-    whose visit count clears the heaviness threshold."""
+    whose visit count clears the heaviness threshold.
+
+    `counts` are dense visit counts of consecutive sites, such as
+    `LocalTimeField.counts` at horizon n; `path_report` also applies this
+    to the path's total counts.
+    """
     heavy.check_window(params)
+    rate_log_n = derived_constants(params).lambda0 * math.log(n)
     threshold = (1.0 - heavy.delta_n) * rate_log_n
     radius = max(1, int(heavy.c * math.log(max(math.log(n), math.e))))
     heavy_idx = np.flatnonzero(counts >= threshold)
     if len(heavy_idx) == 0:
         return {"set_size": 0, "deviation": None, "radius": radius}
-    padded = np.pad(counts, radius).astype(np.float64)
+    # the counts in a window around each heavy site; sites off the range have 0
+    idx = heavy_idx[:, None] + np.arange(-radius, radius + 1)
+    inside = (idx >= 0) & (idx < len(counts))
+    window = np.where(inside, counts[np.clip(idx, 0, len(counts) - 1)], 0)
     worst = 0.0
     for dz in range(-radius, radius + 1):
         m_z = excursion_mean_visits(params, dz)
-        profile = padded[heavy_idx + radius + dz] / (m_z * rate_log_n)
+        profile = window[:, dz + radius] / (m_z * rate_log_n)
         worst = max(worst, float(np.abs(profile - 1.0).max()))
     return {"set_size": int(len(heavy_idx)), "deviation": worst, "radius": radius}
 
 
 def path_report(config: SimConfig, xi_star_z: tuple[int, ...] = (1,)) -> PathReport:
-    """All single-path statistics of one trajectory of length config.n."""
+    """All single-path statistics of one path of length config.n, read
+    from its local-time field."""
+    if any(z < 1 for z in xi_star_z):
+        raise ValidationError(f"xi_star_z must hold distances >= 1, got {xi_star_z}")
     params, n, seed = config.params, config.n, config.seed
-    positions = _positions(params, n, seed)
-    field_ = _field_from_positions(positions, n)
+    field_ = _local_times(params, n, seed)
     counts = field_.counts
-
-    qtilde = np.bincount(counts[counts > 0])
-    qtilde[0] = 0
-
-    runmax = np.maximum.accumulate(positions)
-    prevmax = np.empty_like(runmax)
-    prevmax[0] = 0  # the walk starts at 0
-    prevmax[1:] = np.maximum(runmax[:-1], 0)
-    nu_n = int((positions > prevmax).sum())
-
-    xi_max = int(counts.max())
 
     # the same walk after the horizon: steps n, n + 1, ... of its stream
     _, later, _ = _escape_visits(
@@ -332,48 +384,30 @@ def path_report(config: SimConfig, xi_star_z: tuple[int, ...] = (1,)) -> PathRep
         lo=field_.min_site,
         hi=field_.max_site,
     )
+    # eta_max and the path variant look at the sites on the path: by fact
+    # (a) these are all sites of the range, the start site 0 among them
+    # when it lies in the range
     totals = counts.copy()
     np.add.at(totals, later - field_.min_site, 1)
-    on_path = counts > 0
-    if field_.min_site <= 0 <= field_.max_site:
-        on_path = on_path.copy()
-        on_path[0 - field_.min_site] = True  # j = 0 counts: the start site
-    eta_max = int(totals[on_path].max())
-
-    xi_star = {z: _xi_star(counts, z) for z in xi_star_z}
-    cloud = _cloud(counts, n)
 
     heavy = None
     if config.heavy is not None:
-        rate_log_n = derived_constants(params).lambda0 * math.log(n)
         heavy = {
-            "site_variant": _heavy_deviation(
-                params, counts, n, config.heavy, rate_log_n
-            ),
-            "path_variant": _heavy_deviation(
-                params, np.where(on_path, totals, 0), n, config.heavy, rate_log_n
-            ),
+            "site_variant": heavy_deviation(params, counts, n, config.heavy),
+            "path_variant": heavy_deviation(params, totals, n, config.heavy),
         }
 
     return PathReport(
         n=n,
         seed=seed,
-        qtilde=qtilde,
-        nu_n=nu_n,
-        xi_max=xi_max,
-        eta_max=eta_max,
-        xi_star=xi_star,
-        cloud=cloud,
+        qtilde=field_.spectrum(),
+        nu_n=field_.new_maxima(),
+        xi_max=int(counts.max()),
+        eta_max=int(totals.max()),
+        xi_star={z: _xi_star(counts, z) for z in xi_star_z},
+        cloud=_cloud(counts, n),
         heavy=heavy,
     )
-
-
-def heavy_point_profile(config: SimConfig) -> dict:
-    """Profile deviation statistics of one path (both the horizon-count
-    and total-count variants); requires config.heavy."""
-    if config.heavy is None:
-        raise ValidationError("heavy_point_profile requires a HeavyPointConfig")
-    return path_report(config).heavy
 
 
 # --- ensembles ---------------------------------------------------------
@@ -419,14 +453,7 @@ def ensemble(config: SimConfig, statistic, threads: int = 1) -> EnsembleReport:
     if callable(statistic):
         values = np.array(
             [
-                float(
-                    statistic(
-                        _field_from_positions(
-                            _positions(config.params, config.n, config.seed, replica=r),
-                            config.n,
-                        )
-                    )
-                )
+                float(statistic(_local_times(config.params, config.n, config.seed, r)))
                 for r in range(replicas)
             ]
         )

@@ -5,6 +5,7 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from walklab import closedform as cf
 from walklab import montecarlo as mc
@@ -63,18 +64,39 @@ def test_final_position_lln_band():
     assert abs(np.mean(endpoints) - 0.5) < 3 * sigma + 1e-9
 
 
-# Recorded outputs of the path statistics, which exact escape leaves alone:
-# (p, n, seed) -> qtilde, nu_n, xi_max, xi_star, cloud shape and the first
-# 16 hex digits of the SHA-256 of the cloud's float64 bytes.  n = 70000
-# crosses a 2^16-step block boundary.
+# Recorded outputs of the path statistics, from the code that kept the
+# whole trajectory: (p, n, seed) -> heavy config, qtilde, nu_n, xi_max,
+# eta_max, xi_star, cloud shape, the first 16 hex digits of the SHA-256
+# of the cloud's float64 bytes, and the heavy-site profiles.  n = 70000
+# crosses a 2^16-step block boundary; seed 244 dips to site -1, and its
+# walk after the horizon makes eta_max and the path variant differ.
 RECORDED_PATHS = {
     (0.75, 3000, 5): (
+        mc.HeavyPointConfig(),
         [0, 682, 358, 179, 91, 45, 33, 17, 5, 7, 3, 0, 1, 0, 1],
-        1420, 14, {1: 23, 2: 20, 3: 18}, (1424, 2), "b833109e874524ea",
+        1420, 14, 14, {1: 23, 2: 20, 3: 18}, (1424, 2), "b833109e874524ea",
+        {
+            "site_variant": {"set_size": 5, "deviation": 0.48055306626644856, "radius": 1},
+            "path_variant": {"set_size": 5, "deviation": 0.48055306626644856, "radius": 1},
+        },
+    ),
+    (0.75, 3000, 244): (
+        mc.HeavyPointConfig(),
+        [0, 725, 375, 172, 107, 39, 24, 13, 8, 5, 3, 0, 1],
+        1470, 12, 15, {1: 21, 2: 17, 3: 14}, (1474, 2), "fbddd0be306ac39d",
+        {
+            "site_variant": {"set_size": 4, "deviation": 0.2986173343338785, "radius": 1},
+            "path_variant": {"set_size": 7, "deviation": 0.9479260015008177, "radius": 1},
+        },
     ),
     (0.9, 70000, 77): (
+        mc.HeavyPointConfig(c=0.4),
         [0, 45185, 8919, 1740, 320, 74, 12, 5],
-        56255, 7, {1: 14, 2: 11, 3: 10}, (56257, 2), "3a11aefeda939295",
+        56255, 7, 7, {1: 14, 2: 11, 3: 10}, (56257, 2), "3a11aefeda939295",
+        {
+            "site_variant": {"set_size": 17, "deviation": 0.8177180279736764, "radius": 1},
+            "path_variant": {"set_size": 17, "deviation": 0.8177180279736764, "radius": 1},
+        },
     ),
 }
 
@@ -82,15 +104,124 @@ RECORDED_PATHS = {
 @pytest.mark.parametrize("key", sorted(RECORDED_PATHS))
 def test_path_report_matches_recorded_values(key):
     p, n, seed = key
-    qtilde, nu_n, xi_max, xi_star, shape, digest = RECORDED_PATHS[key]
+    heavy, qtilde, nu_n, xi_max, eta_max, xi_star, shape, digest, profiles = (
+        RECORDED_PATHS[key]
+    )
     rep = mc.path_report(
-        mc.SimConfig(params=make_params(p), n=n, seed=seed), xi_star_z=(1, 2, 3)
+        mc.SimConfig(params=make_params(p), n=n, seed=seed, heavy=heavy),
+        xi_star_z=(1, 2, 3),
     )
     assert rep.qtilde.tolist() == qtilde
-    assert (rep.nu_n, rep.xi_max, rep.xi_star) == (nu_n, xi_max, xi_star)
+    assert (rep.nu_n, rep.xi_max, rep.eta_max, rep.xi_star) == (
+        nu_n, xi_max, eta_max, xi_star,
+    )
     assert rep.cloud.shape == shape
     cloud = np.ascontiguousarray(rep.cloud, dtype="<f8").tobytes()
     assert hashlib.sha256(cloud).hexdigest()[:16] == digest
+    assert rep.heavy == profiles
+
+
+@pytest.mark.parametrize("p", [0.501, 0.55, 0.75, 0.9, 0.999])
+@pytest.mark.parametrize("n", [1, 2, 65535, 65536, 65537, 3 * 65536 + 5])
+def test_local_times_match_positions(p, n):
+    """The streamed field is the bincount of the whole trajectory.  At
+    p = 0.501 and the largest n, seed 2 falls from -60 in its first block
+    to -357, so the buffer grows to the left."""
+    params = make_params(p)
+    for seed in (2, 7):
+        field = mc._local_times(params, n, seed)
+        positions = mc._positions(params, n, seed)
+        lo, hi = int(positions.min()), int(positions.max())
+        assert (field.min_site, field.max_site) == (lo, hi)
+        assert field.final_position == positions[-1]
+        assert field.counts.dtype == np.int64
+        assert np.array_equal(field.counts, np.bincount(positions - lo))
+        # the counts own their memory or all of the buffer they view
+        owner = field.counts if field.counts.base is None else field.counts.base
+        assert owner.size == field.counts.size
+
+
+@pytest.mark.parametrize("lanes", [1, 3, 64])
+def test_local_times_do_not_depend_on_block_size(monkeypatch, lanes):
+    """Step t is the same draw however the blocks cut the stream; small
+    blocks grow the buffer often, on both sides and by single sites."""
+    params = make_params(0.55)
+    expected = [mc.simulate_path(params, 3000, seed) for seed in range(4)]
+    monkeypatch.setattr(mc, "BLOCK_LANES", lanes)
+    for seed, want in enumerate(expected):
+        got = mc.simulate_path(params, 3000, seed)
+        assert np.array_equal(got.counts, want.counts)
+        assert (got.min_site, got.max_site, got.final_position) == (
+            want.min_site, want.max_site, want.final_position,
+        )
+
+
+def test_new_maxima_below_the_start():
+    """Paths that stay at or below 0 have no new maximum: on -1, 0 the
+    step back to 0 is not above the start."""
+    seen = set()
+    for seed in range(64):
+        positions = tuple(mc._positions(P75, 2, seed).tolist())
+        if positions in ((-1, 0), (-1, -2)):
+            assert mc.simulate_path(P75, 2, seed).new_maxima() == 0
+            rep = mc.path_report(mc.SimConfig(params=P75, n=2, seed=seed))
+            assert rep.nu_n == 0
+            seen.add(positions)
+    assert seen == {(-1, 0), (-1, -2)}
+
+
+def _reference_xi_star(counts, z):
+    padded = np.pad(counts, z)
+    return int((padded[:-z] + padded[z:]).max())
+
+
+def _reference_cloud(counts, n):
+    cext = np.pad(counts, 1).astype(np.float64)
+    c2 = np.pad(cext, 1)
+    sphere = c2[:-2] + c2[2:]
+    keep = (cext > 0) | (sphere > 0)
+    return np.column_stack((cext[keep], sphere[keep])) / math.log(n)
+
+
+def _reference_heavy_deviation(params, counts, heavy, rate_log_n, radius):
+    padded = np.pad(counts, radius).astype(np.float64)
+    heavy_idx = np.flatnonzero(counts >= (1.0 - heavy.delta_n) * rate_log_n)
+    worst = 0.0
+    for dz in range(-radius, radius + 1):
+        m_z = cf.excursion_mean_visits(params, dz)
+        profile = padded[heavy_idx + radius + dz] / (m_z * rate_log_n)
+        worst = max(worst, float(np.abs(profile - 1.0).max()))
+    return worst
+
+
+@settings(max_examples=80, deadline=None)
+@given(
+    st.floats(min_value=0.501, max_value=0.999),
+    st.integers(min_value=2, max_value=400),
+    st.integers(min_value=0, max_value=2**32 - 1),
+)
+def test_path_facts_on_short_paths(p, n, seed):
+    """Every site of the range is visited, nu_n is the running-max count,
+    and xi_star, the cloud and the heavy-site profile equal their
+    definitions on padded arrays."""
+    params = make_params(p)
+    field = mc.simulate_path(params, n, seed)
+    positions = mc._positions(params, n, seed)
+    runmax = np.maximum.accumulate(np.concatenate(([0], positions)))
+    assert field.new_maxima() == int((positions > runmax[:-1]).sum())
+    assert len(field.counts) == field.max_site - field.min_site + 1
+    assert (field.counts > 0).all()
+    assert field.spectrum()[0] == 0
+    for z in (1, 2, 3, 5, 9):
+        assert mc._xi_star(field.counts, z) == _reference_xi_star(field.counts, z)
+    assert np.array_equal(mc._cloud(field.counts, n), _reference_cloud(field.counts, n))
+    heavy = mc.HeavyPointConfig(delta_n=0.5, c=0.1)
+    rate_log_n = mc.derived_constants(params).lambda0 * math.log(n)
+    profile = mc.heavy_deviation(params, field.counts, n, heavy)
+    if profile["set_size"]:
+        assert profile["deviation"] == _reference_heavy_deviation(
+            params, field.counts, heavy, rate_log_n, profile["radius"]
+        )
 
 
 def test_counter_steps_offsets_cross_block_boundary():
@@ -167,6 +298,11 @@ def test_sim_config_validation():
         mc.SimConfig(params=P75, n=0, seed=0)
     with pytest.raises(ValidationError):
         mc.SimConfig(params=P75, n=10, replicas=0, seed=0)
+    with pytest.raises(ValidationError):
+        mc.simulate_path(P75, 0, 0)
+    for z in (0, -1):
+        with pytest.raises(ValidationError):
+            mc.path_report(mc.SimConfig(params=P75, n=10, seed=0), xi_star_z=(1, z))
     with pytest.raises(ValidationError):
         long_horizon = mc.SimConfig(params=P75, n=rng.BLOCK_LANES + 1, replicas=2)
         mc.ensemble(long_horizon, "no_return")
@@ -279,17 +415,12 @@ def test_heavy_point_profile_runs_and_bounds():
     config = mc.SimConfig(
         params=P75, n=10**5, seed=21, heavy=mc.HeavyPointConfig()
     )
-    heavy = mc.heavy_point_profile(config)
+    heavy = mc.path_report(config).heavy
     for variant in ("site_variant", "path_variant"):
         report = heavy[variant]
         assert report["radius"] >= 1
         if report["set_size"] > 0:
             assert report["deviation"] >= 0.0
-
-
-def test_heavy_point_profile_requires_config():
-    with pytest.raises(ValidationError):
-        mc.heavy_point_profile(mc.SimConfig(params=P75, n=100, seed=0))
 
 
 def test_cloud_points_are_normalized_pairs():
