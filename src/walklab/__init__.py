@@ -40,7 +40,6 @@ from .closedform import (
     joint_transform_radius,
     local_time_pmf,
     return_tail,
-    reversed_joint_transform,
     sphere_occupation_pmf,
     two_point_bases,
     two_point_occupation_pmf,
@@ -62,7 +61,6 @@ from .montecarlo import (
     SimConfig,
     ensemble,
     path_report,
-    reversed_walk_check,
     simulate_path,
 )
 from .oracle import (
@@ -88,7 +86,7 @@ __all__ = [
     "PmfTable", "ExcursionLaw", "first_return_pmf", "return_tail",
     "hitting_prob", "green", "local_time_pmf", "gambler_ruin",
     "excursion_law", "excursion_mean_visits", "excursion_visits_pmf",
-    "joint_transform", "joint_transform_radius", "reversed_joint_transform",
+    "joint_transform", "joint_transform_radius",
     "two_point_bases", "two_point_occupation_pmf", "center_sphere_joint_pmf",
     "sphere_occupation_pmf", "ball_occupation_pmf",
     # generating functions
@@ -103,7 +101,6 @@ __all__ = [
     # montecarlo
     "SimConfig", "HeavyPointConfig", "LocalTimeField", "PathReport",
     "EnsembleReport", "simulate_path", "path_report", "ensemble",
-    "reversed_walk_check",
     # verify
     "CriterionResult", "run_suite",
 ]

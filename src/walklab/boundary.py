@@ -13,9 +13,11 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
+import numpy as np
+
 from .errors import ValidationError
 from .model import WalkParams, derived_constants, ball_weight_rate
-from .genfunc import ball_gf, series_coeffs
+from .genfunc import ball_gf
 
 __all__ = [
     "BoundaryPoint",
@@ -34,6 +36,7 @@ __all__ = [
 G_TOL = 1e-10
 MEMBER_BAND = 1e-12
 _BISECT_ITERS = 100
+_RATIO_TOL = 1e-17
 
 
 @dataclass(frozen=True)
@@ -186,6 +189,31 @@ def _golden_max(f, lo: float, hi: float, iters: int = 200) -> float:
     return 0.5 * (a + b)
 
 
+def _ball_series_ratio(params: WalkParams, beta: float) -> float:
+    """c_{K+1} / c_K of the ball occupation series, from the recurrence of
+    its denominator alone.
+
+    [c_{n+1}, c_n] = M [c_n, c_{n-1}] with M the denominator's companion
+    matrix, and c_0 = 0, so the pair at n = K is the first column of M^K.
+    M^K is formed by squaring and rescaled after each product, so no
+    coefficient underflows however large K is.  The ratio's relative error
+    shrinks like |b_lo / b_hi|^K = ((beta - 1) / (beta + 1))^K, and K is
+    chosen from p to bring that below _RATIO_TOL.
+    """
+    den = ball_gf(params).den
+    step = np.array([[-den[1], -den[2]], [den[0], 0.0]]) / den[0]
+    terms = math.ceil(math.log(_RATIO_TOL) / math.log((beta - 1.0) / (beta + 1.0)))
+    power = np.eye(2)
+    while terms:
+        if terms & 1:
+            power = power @ step
+            power /= np.abs(power).max()
+        step = step @ step
+        step /= np.abs(step).max()
+        terms >>= 1
+    return power[0, 0] / power[1, 0]
+
+
 def weight_limit(params: WalkParams) -> WeightLimit:
     """Maximal rate of the combined ball weight (local time plus sphere
     occupation), triple-checked.
@@ -207,9 +235,7 @@ def weight_limit(params: WalkParams) -> WeightLimit:
     x_num = _golden_max(lambda x: x + upper_y(x), 0.0, c.lambda0)
     numeric = x_num + upper_y(x_num)
 
-    coeffs = series_coeffs(ball_gf(params), 420)
-    ratio = coeffs[420] / coeffs[419]
-    from_gf = -1.0 / math.log(ratio)
+    from_gf = -1.0 / math.log(_ball_series_ratio(params, c.beta))
 
     return WeightLimit(
         wlimit=closed,

@@ -286,12 +286,14 @@ def build_parser() -> argparse.ArgumentParser:
 
     sp = sub.add_parser("simulate", help="single-path report or replica ensemble")
     common(sp, seed=True)
-    sp.add_argument("--n", type=int, default=10**6, help="horizon in steps")
+    sp.add_argument("--n", type=int, default=10**6,
+                    help="path horizon in steps (>= 2; ensembles ignore it)")
     sp.add_argument("--replicas", type=int, default=1)
     sp.add_argument(
         "--statistic", default="local_time:0",
-        help="ensemble statistic, e.g. local_time:0, sphere_occupation, "
-        "ball_occupation, two_point_pos:1, no_return",
+        help="ensemble statistic (exact infinite-time counts; --n is ignored): "
+        "local_time:Z, sphere_occupation, ball_occupation, two_point_pos:Z, "
+        "two_point_neg:Z, no_return",
     )
     sp.add_argument("--threads", type=int, default=1,
                     help="worker threads (never changes results)")

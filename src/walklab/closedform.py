@@ -30,7 +30,6 @@ __all__ = [
     "excursion_visits_pmf",
     "excursion_mean_visits",
     "joint_transform",
-    "reversed_joint_transform",
     "joint_transform_radius",
     "two_point_occupation_pmf",
     "center_sphere_joint_pmf",
@@ -302,18 +301,6 @@ def joint_transform(
     return value
 
 
-def reversed_joint_transform(
-    params: WalkParams, z: int, k: int, v: float, sign: str = "pos"
-) -> float:
-    """Joint transform for the time-reversed walk.
-
-    Reversal negates the increments, so the transform at +z equals the
-    forward transform at -z and vice versa.
-    """
-    flipped = "neg" if sign == "pos" else "pos"
-    return joint_transform(params, z, k, v, sign=flipped)
-
-
 def two_point_bases(params: WalkParams, z: int) -> tuple[float, float]:
     """Geometric bases of the two-point occupation law for {0, +/-z}."""
     if z < 1:
@@ -321,6 +308,18 @@ def two_point_bases(params: WalkParams, z: int) -> tuple[float, float]:
     q = params.q
     s = math.exp(0.5 * z * math.log(params.h))
     return (2.0 * q + s) / (1.0 + s), (2.0 * q - s) / (1.0 - s)
+
+
+def _power_gap(a: float, b: float, d: float, k, log_c: float = 0.0):
+    """a^k - c b^k with c = exp(log_c), given d = b - a exactly.
+
+    For 0 < b < a this is -a^k expm1(k log1p(d / a) + log_c), which keeps
+    its relative precision when b is close to a; the direct difference
+    cancels there.  For b <= 0 no such cancellation arises.
+    """
+    if b > 0.0:
+        return -(a ** k) * np.expm1(k * math.log1p(d / a) + log_c)
+    return a ** k - math.exp(log_c) * b ** k
 
 
 def two_point_occupation_pmf(
@@ -338,19 +337,19 @@ def two_point_occupation_pmf(
     s = math.exp(0.5 * z * math.log(params.h))
     gamma0 = params.p - params.q
     if side == "pos":
+        # a - b = 2 s gamma0 / (1 - s^2) exactly; the tails use the exact
+        # 1 - a = gamma0 / (1 + s) and 1 - b = gamma0 / (1 - s)
+        d = -2.0 * s * gamma0 / (1.0 - s * s)
         ks = np.arange(1, kmax + 1)
-        kf = ks.astype(float)
-        mass = gamma0 / (2.0 * s) * (a ** kf - b ** kf)
-        tail = gamma0 / (2.0 * s) * (
-            a ** (kmax + 1) / (1.0 - a) - b ** (kmax + 1) / (1.0 - b)
+        mass = gamma0 / (2.0 * s) * _power_gap(a, b, d, ks.astype(float))
+        tail = (1.0 + s) / (2.0 * s) * _power_gap(
+            a, b, d, kmax + 1.0, math.log1p(-2.0 * s / (1.0 + s))
         )
     else:
         ks = np.arange(0, kmax + 1)
         kf = ks.astype(float)
         mass = gamma0 / 2.0 * (a ** kf + b ** kf)
-        tail = gamma0 / 2.0 * (
-            a ** (kmax + 1) / (1.0 - a) + b ** (kmax + 1) / (1.0 - b)
-        )
+        tail = ((1.0 + s) * a ** (kmax + 1) + (1.0 - s) * b ** (kmax + 1)) / 2.0
     return PmfTable(support=ks, mass=mass, tail_bound=float(tail))
 
 

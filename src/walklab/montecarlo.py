@@ -27,6 +27,7 @@ schedule.
 from __future__ import annotations
 
 import math
+import re
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
@@ -47,12 +48,11 @@ __all__ = [
     "path_report",
     "heavy_deviation",
     "ensemble",
-    "reversed_walk_check",
 ]
 
 _CHUNK_REPLICAS = 1 << 15
 _ROUND = 8  # steps an alive replica draws per round of an escape walk
-_STEP_BUDGET = 1_000_000_000  # steps one replica may take to escape
+_BUDGET_MISS = 1e-18  # chance that a correct replica outruns its step budget
 
 
 @dataclass(frozen=True)
@@ -115,9 +115,6 @@ class LocalTimeField:
             return 0
         return int(self.counts[site - self.min_site])
 
-    def sites(self) -> np.ndarray:
-        return np.arange(self.min_site, self.max_site + 1)
-
     def spectrum(self) -> np.ndarray:
         """Qtilde(k, n): the number of sites visited exactly k times.
         Entry 0 is 0: every site of the range is visited (fact (a))."""
@@ -162,11 +159,11 @@ class PathReport:
 class EnsembleReport:
     """Summary of one statistic over a replica ensemble.
 
-    Named total-count statistics are exact samples of the infinite-time
-    counts: replicas are followed until they escape for good, so the
-    histogram carries no truncation bias, only sampling error.  `words`
-    is the number of RNG words the replicas drew, summed over chunks;
-    like every other field it does not depend on the thread count.
+    Every statistic is an exact sample of infinite-time counts: replicas
+    are followed until they escape for good, so the histogram carries no
+    truncation bias, only sampling error.  `words` is the number of RNG
+    words the replicas drew, summed over chunks; like every other field
+    it does not depend on the thread count.
     """
 
     statistic: str
@@ -176,7 +173,7 @@ class EnsembleReport:
     sem: float
     ci95: tuple[float, float]
     words: int
-    histogram: np.ndarray | None = None
+    histogram: np.ndarray
 
     def to_dict(self) -> dict:
         return {
@@ -187,41 +184,43 @@ class EnsembleReport:
             "variance": self.variance,
             "sem": self.sem,
             "ci95": list(self.ci95),
-            "histogram": None if self.histogram is None else self.histogram.tolist(),
+            "histogram": self.histogram.tolist(),
         }
 
 
-def _position_blocks(params: WalkParams, n: int, seed: int, replica: int = 0):
+def _position_blocks(params: WalkParams, n: int, seed: int):
     """S_1..S_n as consecutive int32 arrays, one per 2^16-step block."""
     carry = np.int32(0)
     for start in range(0, n, BLOCK_LANES):
         width = min(BLOCK_LANES, n - start)
-        steps = counter_steps(params.p, seed, replica, 0, width, start)
+        steps = counter_steps(params.p, seed, 0, 0, width, start)
         pos = carry + np.cumsum(steps, dtype=np.int32)
         carry = pos[-1]
         yield pos
 
 
-def _positions(params: WalkParams, n: int, seed: int, replica: int = 0) -> np.ndarray:
-    """The full trajectory S_1..S_n as int32."""
+def _positions(params: WalkParams, n: int, seed: int) -> np.ndarray:
+    """The full trajectory S_1..S_n as int32 (a reference for tests)."""
     out = np.empty(n, dtype=np.int32)
     start = 0
-    for pos in _position_blocks(params, n, seed, replica):
+    for pos in _position_blocks(params, n, seed):
         out[start : start + len(pos)] = pos
         start += len(pos)
     return out
 
 
-def _local_times(
-    params: WalkParams, n: int, seed: int, replica: int = 0
-) -> LocalTimeField:
-    """Visit counts of S_1..S_n, one block at a time.
+def simulate_path(params: WalkParams, n: int, seed: int) -> LocalTimeField:
+    """One sampled path's local-time field; bit-reproducible in
+    (params, n, seed).
 
-    Each block is binned into `buf`, where buf[i] counts site base + i.
-    A block that runs off either end grows the buffer on that side by at
-    least its current size, so a path of range L costs O(L) copying.
+    The path is made one block at a time and each block is binned into
+    `buf`, where buf[i] counts site base + i.  A block that runs off
+    either end grows the buffer on that side by at least its current
+    size, so a path of range L costs O(L) copying.
     """
-    blocks = _position_blocks(params, n, seed, replica)
+    if n < 1:
+        raise ValidationError(f"n must be >= 1, got {n}")
+    blocks = _position_blocks(params, n, seed)
     pos = next(blocks)
     lo, hi = int(pos.min()), int(pos.max())
     buf, base = np.bincount(pos - lo), lo
@@ -245,12 +244,28 @@ def _local_times(
     )
 
 
-def simulate_path(params: WalkParams, n: int, seed: int) -> LocalTimeField:
-    """One sampled path's local-time field; bit-reproducible in
-    (params, n, seed)."""
-    if n < 1:
-        raise ValidationError(f"n must be >= 1, got {n}")
-    return _local_times(params, n, seed)
+def _step_budget(params: WalkParams, rise: int) -> int:
+    """Steps after which a replica that walks from hi - rise has left
+    the sites <= hi for good, except with probability _BUDGET_MISS.
+
+    By the Chernoff bound P(S_m = s) <= rho^m h^(-s/2), rho = 2 sqrt(pq),
+    the chance of a visit to a site <= hi at any step >= m is at most
+    rho^m h^(-rise/2) / ((1 - sqrt h)(1 - rho)).  Written with
+    gamma0 = p - q, rho = sqrt(1 - gamma0^2), 1 - rho = gamma0^2 / (1 + rho)
+    and 1 - sqrt h = gamma0 / (p (1 + sqrt h)), which stay exact as p
+    nears 1/2.  An exact-escape walk takes no more steps than the walk it
+    stands for, and its last round draws up to _ROUND more words and a
+    decision.
+    """
+    p, h = params.p, params.h
+    gamma0 = p - params.q
+    rho = math.sqrt(4.0 * p * params.q)
+    log_rho = 0.5 * math.log1p(-gamma0 * gamma0)
+    log_scale = -0.5 * rise * params.log_h - math.log(
+        gamma0 ** 3 / (p * (1.0 + rho) * (1.0 + math.sqrt(h)))
+    )
+    m = math.ceil((math.log(_BUDGET_MISS) - log_scale) / log_rho)
+    return max(m, 0) + _ROUND + 2
 
 
 def _escape_visits(
@@ -275,9 +290,11 @@ def _escape_visits(
     Alive replicas draw `_ROUND` steps per round from their own offsets,
     so each draws the words it uses plus at most `_ROUND - 1` after each
     step to hi + 1.  Returns the row (index into `replica_ids`) and site of
-    every visit, in no fixed order, and the number of words drawn.
+    every visit, in no fixed order, and the number of words drawn.  A
+    replica still walking after `_step_budget` steps raises BudgetError.
     """
     p, h = params.p, params.h
+    budget = _step_budget(params, hi - start)
     ids = np.asarray(replica_ids, dtype=np.uint64)
     rows = np.arange(len(ids))
     pos = np.full(len(ids), start, dtype=np.int64)
@@ -311,8 +328,8 @@ def _escape_visits(
         out = used < _ROUND
         step += used + out
         pos = np.where(out, hi + 1, path[:, -1])
-        if step.max() - first_step > _STEP_BUDGET:
-            raise BudgetError(f"escape not reached within {_STEP_BUDGET} steps")
+        if step.max() - first_step > budget:
+            raise BudgetError(f"escape not reached within {budget} steps")
     return np.concatenate(hit_rows), np.concatenate(hit_sites), words
 
 
@@ -366,12 +383,14 @@ def heavy_deviation(
 
 
 def path_report(config: SimConfig, xi_star_z: tuple[int, ...] = (1,)) -> PathReport:
-    """All single-path statistics of one path of length config.n, read
-    from its local-time field."""
+    """All single-path statistics of one path of length config.n >= 2,
+    read from its local-time field (the rates are per log n)."""
+    if config.n < 2:
+        raise ValidationError(f"path_report needs n >= 2, got {config.n}")
     if any(z < 1 for z in xi_star_z):
         raise ValidationError(f"xi_star_z must hold distances >= 1, got {xi_star_z}")
     params, n, seed = config.params, config.n, config.seed
-    field_ = _local_times(params, n, seed)
+    field_ = simulate_path(params, n, seed)
     counts = field_.counts
 
     # the same walk after the horizon: steps n, n + 1, ... of its stream
@@ -412,101 +431,57 @@ def path_report(config: SimConfig, xi_star_z: tuple[int, ...] = (1,)) -> PathRep
 
 # --- ensembles ---------------------------------------------------------
 
-_SET_STATS = {
+_NAMED_SITES = {
     "sphere_occupation": (-1, 1),
     "ball_occupation": (-1, 0, 1),
+    "no_return": (0,),
 }
+# "kind:z" tracks these multiples of z
+_SITE_FAMILIES = {"local_time": (1,), "two_point_pos": (0, 1), "two_point_neg": (0, -1)}
 
 
 def _stat_sites(statistic: str) -> tuple[int, ...]:
-    if statistic in _SET_STATS:
-        return _SET_STATS[statistic]
+    if statistic in _NAMED_SITES:
+        return _NAMED_SITES[statistic]
     kind, _, arg = statistic.partition(":")
-    if kind == "local_time":
-        return (int(arg),)
-    if kind == "two_point_pos":
-        return (0, int(arg))
-    if kind == "two_point_neg":
-        return (0, -int(arg))
+    if kind in _SITE_FAMILIES and re.fullmatch(r"[+-]?\d+", arg):
+        return tuple(c * int(arg) for c in _SITE_FAMILIES[kind])
     raise ValidationError(f"unknown ensemble statistic {statistic!r}")
 
 
-def _chunk_ranges(replicas: int):
-    return [
-        (s, min(s + _CHUNK_REPLICAS, replicas))
-        for s in range(0, replicas, _CHUNK_REPLICAS)
-    ]
+def ensemble(config: SimConfig, statistic: str, threads: int = 1) -> EnsembleReport:
+    """Replica ensemble of a total-count statistic with merged histogram.
 
-
-def ensemble(config: SimConfig, statistic, threads: int = 1) -> EnsembleReport:
-    """Replica ensemble of a statistic with merged histogram.
-
-    `statistic` is either a named total-count statistic ("local_time:z",
-    "sphere_occupation", "ball_occupation", "two_point_pos:z",
-    "two_point_neg:z", "no_return") or a callable LocalTimeField -> float
-    evaluated on fixed-horizon paths.  Replicas use counter-based streams
-    keyed by their index and chunks merge by addition, so the result does
-    not depend on `threads`.  Total-count statistics are exact (see
-    `_escape_visits`); "no_return" looks at the first n steps.
+    `statistic` is "local_time:z", "sphere_occupation", "ball_occupation",
+    "two_point_pos:z", "two_point_neg:z" (the total visits to those sites)
+    or "no_return" (1 if the walk never returns to 0, else 0: the
+    indicator that "local_time:0" is 0).  Each replica is walked until it
+    escapes for good (see `_escape_visits`), so every value is exact and
+    `config.n` plays no part.  Replicas use counter-based streams keyed by
+    their index, so the result does not depend on `threads`.
     """
-    replicas = config.replicas
-    if callable(statistic):
-        values = np.array(
-            [
-                float(statistic(_local_times(config.params, config.n, config.seed, r)))
-                for r in range(replicas)
-            ]
-        )
-        return _summarize("<callable>", values, histogram=None, words=replicas * config.n)
-
     name = str(statistic)
-    if name == "no_return":
-        def chunk_values(lo, hi):
-            ids = np.arange(lo, hi, dtype=np.uint64)
-            width = config.n
-            pos = np.cumsum(
-                counter_steps(config.params.p, config.seed, ids, 0, width),
-                axis=1,
-                dtype=np.int32,
-            )
-            return (~(pos == 0).any(axis=1)).astype(np.int64), pos.size
-        if config.n > BLOCK_LANES:
-            raise ValidationError(
-                f"no_return ensembles support n <= {BLOCK_LANES}, got {config.n}"
-            )
-    else:
-        sites = np.asarray(_stat_sites(name), dtype=np.int64)
-        site_lo, site_hi = int(sites.min()), int(sites.max())
+    sites = np.asarray(_stat_sites(name), dtype=np.int64)
+    site_lo, site_hi = int(sites.min()), int(sites.max())
+    params, seed, replicas = config.params, config.seed, config.replicas
 
-        def chunk_values(lo, hi):
-            ids = np.arange(lo, hi, dtype=np.uint64)
-            rows, visited, words = _escape_visits(
-                config.params, config.seed, ids, 0, 0, site_lo, site_hi
-            )
-            tracked = np.isin(visited, sites)
-            return np.bincount(rows[tracked], minlength=hi - lo), words
+    def run_chunk(first: int) -> tuple[np.ndarray, int]:
+        ids = np.arange(first, min(first + _CHUNK_REPLICAS, replicas), dtype=np.uint64)
+        rows, visited, words = _escape_visits(params, seed, ids, 0, 0, site_lo, site_hi)
+        vals = np.bincount(rows[np.isin(visited, sites)], minlength=len(ids))
+        return (vals == 0).astype(np.int64) if name == "no_return" else vals, words
 
-    def run_chunk(bounds):
-        lo, hi = bounds
-        vals, words = chunk_values(lo, hi)
-        hist = np.bincount(vals)
-        return vals.sum(), np.square(vals, dtype=np.float64).sum(), hist, words
-
-    ranges = _chunk_ranges(replicas)
+    chunks = range(0, replicas, _CHUNK_REPLICAS)
     if threads > 1:
         with ThreadPoolExecutor(max_workers=threads) as pool:
-            results = list(pool.map(run_chunk, ranges))
+            results = list(pool.map(run_chunk, chunks))
     else:
-        results = [run_chunk(r) for r in ranges]
+        results = [run_chunk(c) for c in chunks]
 
-    total = sum(r[0] for r in results)
-    total_sq = sum(r[1] for r in results)
-    hist_len = max(len(r[2]) for r in results)
-    hist = np.zeros(hist_len, dtype=np.int64)
-    for r in results:
-        hist[: len(r[2])] += r[2]
-    mean = total / replicas
-    variance = max(total_sq / replicas - mean ** 2, 0.0)
+    hist = np.bincount(np.concatenate([vals for vals, _ in results]))
+    k = np.arange(len(hist))
+    mean = (k * hist).sum() / replicas  # integer sums, exact below 2^53
+    variance = max((k * k * hist).sum() / replicas - mean ** 2, 0.0)
     sem = math.sqrt(variance / replicas)
     return EnsembleReport(
         statistic=name,
@@ -516,46 +491,5 @@ def ensemble(config: SimConfig, statistic, threads: int = 1) -> EnsembleReport:
         sem=sem,
         ci95=(float(mean - 1.96 * sem), float(mean + 1.96 * sem)),
         histogram=hist,
-        words=int(sum(r[3] for r in results)),
+        words=sum(words for _, words in results),
     )
-
-
-def _summarize(name: str, values: np.ndarray, histogram, words: int) -> EnsembleReport:
-    mean = float(values.mean())
-    variance = float(values.var())
-    sem = math.sqrt(variance / len(values))
-    return EnsembleReport(
-        statistic=name,
-        replicas=len(values),
-        mean=mean,
-        variance=variance,
-        sem=sem,
-        ci95=(mean - 1.96 * sem, mean + 1.96 * sem),
-        histogram=histogram,
-        words=words,
-    )
-
-
-def reversed_walk_check(params: WalkParams, n: int, seed: int) -> dict:
-    """Verify the time-reversal identities on one simulated path.
-
-    Checks (a) the reversed path's increments are the negated original
-    increments in reverse order and (b) the reversed walk's up-step
-    frequency matches the swapped parameter q within 4 sigma.
-    """
-    positions = _positions(params, n, seed)
-    incr = np.diff(np.concatenate(([0], positions)))
-    # reversed path: S*_i = S_{n-i} - S_n, increments -incr in reverse order
-    rev = (positions[::-1][1:] - positions[-1]) if n > 1 else np.array([], dtype=np.int32)
-    rev_full = np.concatenate((rev, [-positions[-1] - 0])) if n >= 1 else rev
-    rev_incr = np.diff(np.concatenate(([0], rev_full)))
-    identity_ok = bool(np.array_equal(rev_incr, -incr[::-1]))
-
-    up_freq = float((rev_incr == 1).mean())
-    freq_sigma = math.sqrt(params.p * params.q / n)
-    freq_ok = abs(up_freq - params.q) <= 4.0 * freq_sigma + 1e-12
-    return {
-        "increments_identity": identity_ok,
-        "step_frequency": freq_ok,
-        "reversed_up_frequency": up_freq,
-    }

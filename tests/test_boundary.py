@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from walklab import boundary
+from walklab import boundary, verify
 from walklab.errors import ValidationError
 from walklab.model import derived_constants, make_params
 
@@ -112,6 +112,28 @@ def test_weight_limit_routes_agree(p):
     values = list(wl.routes.values())
     assert len(values) == 3
     assert max(values) - min(values) < 1e-6
+
+
+@pytest.mark.parametrize("p", [0.6, 0.9, 0.99, 0.999, 0.9999])
+def test_weight_limit_series_route_near_one(p):
+    """The series ratio route stays finite where the coefficients of
+    order 420 underflow, and meets the closed form to rounding."""
+    routes = boundary.weight_limit(make_params(p)).routes
+    assert all(math.isfinite(v) for v in routes.values())
+    assert routes["gf_ratio"] == pytest.approx(routes["closed_form"], rel=1e-12)
+
+
+def test_weight_limit_criterion_sweeps_p_and_refuses_nan(monkeypatch):
+    passed, measured, _ = verify._check_weight_limit(make_params(0.999), 0)
+    assert passed and "0.999" in measured
+    nan_route = boundary.WeightLimit(1.0, 0.4, 0.6, {"a": 1.0, "b": math.nan})
+    real = boundary.weight_limit
+    monkeypatch.setattr(
+        boundary, "weight_limit",
+        lambda params: nan_route if params.p == 0.9 else real(params),
+    )
+    passed, measured, _ = verify._check_weight_limit(make_params(0.75), 0)
+    assert not passed and "inf" in measured
 
 
 def test_weight_limit_reference_values():

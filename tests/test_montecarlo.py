@@ -129,7 +129,7 @@ def test_local_times_match_positions(p, n):
     to -357, so the buffer grows to the left."""
     params = make_params(p)
     for seed in (2, 7):
-        field = mc._local_times(params, n, seed)
+        field = mc.simulate_path(params, n, seed)
         positions = mc._positions(params, n, seed)
         lo, hi = int(positions.min()), int(positions.max())
         assert (field.min_site, field.max_site) == (lo, hi)
@@ -286,11 +286,34 @@ def test_exact_escape_agrees_with_margin_escape(p, statistic):
 
 
 def test_escape_step_budget_guard(monkeypatch):
-    """A replica that needs more steps than the budget raises."""
-    monkeypatch.setattr(mc, "_STEP_BUDGET", 16)
-    config = mc.SimConfig(params=make_params(0.501), n=1, replicas=64, seed=0)
+    """A stream that only ever steps down never escapes: the budget chosen
+    from p stops it after a few hundred steps instead of running on."""
+    def always_down(p, seed, replica, block, lanes, offset=0):
+        shape = np.broadcast(np.asarray(replica), np.asarray(offset)).shape
+        return np.full((*shape, lanes), -1, dtype=np.int8)
+
+    monkeypatch.setattr(mc, "counter_steps", always_down)
+    config = mc.SimConfig(params=P75, n=1, replicas=64, seed=0)
+    with pytest.raises(BudgetError, match="within 319 steps"):
+        mc.ensemble(config, "local_time:0")
     with pytest.raises(BudgetError):
-        mc.ensemble(config, "local_time:40")
+        mc.path_report(mc.SimConfig(params=P75, n=100, seed=0))
+
+
+@pytest.mark.parametrize("p", [0.501, 0.6, 0.75, 0.9, 0.999])
+@pytest.mark.parametrize("rise", [0, 5])
+def test_escape_step_budget_is_the_shortest_certified(p, rise):
+    """Before its slack for the last round, the budget is the least m whose
+    Chernoff tail sum rho^m h^(-rise/2) / ((1 - sqrt h)(1 - rho)) is at
+    most 1e-18; at p = 0.75 from the site itself that is 309 steps."""
+    params = make_params(p)
+    rho = 2 * math.sqrt(params.p * params.q)
+    scale = params.h ** (-rise / 2) / ((1 - math.sqrt(params.h)) * (1 - rho))
+    m = mc._step_budget(params, rise) - mc._ROUND - 2
+    assert rho**m * scale <= 1e-18 * (1 + 1e-7)
+    assert rho ** (m - 1) * scale > 1e-18 * (1 - 1e-7)
+    if (p, rise) == (0.75, 0):
+        assert m == 309
 
 
 def test_sim_config_validation():
@@ -303,9 +326,9 @@ def test_sim_config_validation():
     for z in (0, -1):
         with pytest.raises(ValidationError):
             mc.path_report(mc.SimConfig(params=P75, n=10, seed=0), xi_star_z=(1, z))
-    with pytest.raises(ValidationError):
-        long_horizon = mc.SimConfig(params=P75, n=rng.BLOCK_LANES + 1, replicas=2)
-        mc.ensemble(long_horizon, "no_return")
+    # the cloud and heavy profiles divide by log n
+    with pytest.raises(ValidationError, match="n >= 2"):
+        mc.path_report(mc.SimConfig(params=P75, n=1, seed=0))
     with pytest.raises(ValidationError):
         mc.HeavyPointConfig(delta_n=1.5)
     # window coefficient must satisfy c * log(1/h) < 1
@@ -338,13 +361,27 @@ def test_total_local_times_negative_site_atom():
 
 
 def test_no_return_frequency():
+    """The never-return frequency is gamma0 = p - q, whatever the horizon."""
     replicas = 100_000
-    # no-return indicator is horizon-dependent; 200 steps leave a
-    # negligible residual return mass
-    config = mc.SimConfig(params=P75, n=200, replicas=replicas, seed=7)
-    rep = mc.ensemble(config, "no_return")
+    reports = [
+        mc.ensemble(mc.SimConfig(params=P75, n=n, replicas=replicas, seed=7), "no_return")
+        for n in (1, rng.BLOCK_LANES + 1)
+    ]
     sigma = math.sqrt(0.25 / replicas)
-    assert abs(rep.mean - 0.5) < 4 * sigma
+    assert abs(reports[0].mean - 0.5) < 4 * sigma
+    assert reports[1].to_dict() == reports[0].to_dict()
+
+
+@pytest.mark.parametrize("p", [0.6, 0.999])
+def test_no_return_is_the_zero_atom_of_origin_visits(p):
+    """One draw stream: a replica never returns exactly when its total
+    visit count at 0 is 0."""
+    config = mc.SimConfig(params=make_params(p), n=1, replicas=5000, seed=12)
+    no_return = mc.ensemble(config, "no_return")
+    visits = mc.ensemble(config, "local_time:0")
+    assert no_return.histogram[1] == visits.histogram[0]
+    assert no_return.histogram.sum() == config.replicas
+    assert no_return.words == visits.words
 
 
 def test_first_hitting_frequencies_match_hitting_prob():
@@ -392,20 +429,13 @@ def test_ensemble_two_point_law():
         assert abs(emp[k] - target) < 4 * sigma
 
 
-def test_ensemble_callable_statistic():
-    config = mc.SimConfig(params=P75, n=100, replicas=500, seed=11)
-    rep = mc.ensemble(config, lambda field: field.final_position)
-    assert rep.replicas == 500
-    # drift 0.5 per step with ample slack at this replica count
-    assert abs(rep.mean - 50.0) < 5.0
-    rep2 = mc.ensemble(config, lambda field: field.final_position)
-    assert rep2.mean == rep.mean
-
-
 def test_ensemble_rejects_unknown_statistic():
     config = mc.SimConfig(params=P75, n=10, replicas=10, seed=0)
-    with pytest.raises(ValidationError):
-        mc.ensemble(config, "nonsense")
+    for statistic in (
+        "nonsense", "local_time", "two_point_pos:x", lambda field: field.final_position
+    ):
+        with pytest.raises(ValidationError, match="unknown ensemble statistic"):
+            mc.ensemble(config, statistic)
 
 
 # --- structure statistics ----------------------------------------------------
@@ -431,20 +461,6 @@ def test_cloud_points_are_normalized_pairs():
     assert rep.cloud[:, 0].max() == pytest.approx(
         rep.xi_max / math.log(10**5), rel=1e-12
     )
-
-
-def test_reversed_walk_identities():
-    out = mc.reversed_walk_check(P75, 2000, 13)
-    assert out["increments_identity"]
-    assert out["step_frequency"]
-    # the reversed walk steps up exactly where the forward walk steps down
-    down = np.diff(np.concatenate(([0], mc._positions(P75, 2000, 13)))) == -1
-    assert out["reversed_up_frequency"] == down.mean()
-
-
-def test_reversed_walk_single_step():
-    out = mc.reversed_walk_check(P75, 1, 99)
-    assert out["increments_identity"]
 
 
 def test_escape_visits_do_not_depend_on_round_width(monkeypatch):
