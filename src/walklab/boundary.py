@@ -35,8 +35,8 @@ __all__ = [
 
 G_TOL = 1e-10
 MEMBER_BAND = 1e-12
-_BISECT_ITERS = 100
 _RATIO_TOL = 1e-17
+_GOLDEN_TOL = 1e-9
 
 
 @dataclass(frozen=True)
@@ -97,16 +97,21 @@ def region(params: WalkParams) -> RegionD:
 
 
 def _bisect_root(params: WalkParams, x: float, lo: float, hi: float) -> float:
-    """Bisection for g(x, .) = 1 on an interval with a sign change."""
+    """Bisection for g(x, .) = 1 on an interval with a sign change.
+
+    Stops when the midpoint is no longer strictly inside the bracket: the
+    two ends are then adjacent floats.
+    """
     flo = g(params, x, lo) - 1.0
-    for _ in range(_BISECT_ITERS):
+    while True:
         mid = 0.5 * (lo + hi)
+        if not lo < mid < hi:
+            return mid
         fmid = g(params, x, mid) - 1.0
         if flo * fmid <= 0.0:
             hi = mid
         else:
             lo, flo = mid, fmid
-    return 0.5 * (lo + hi)
 
 
 def boundary_solve(params: WalkParams, x: float) -> list[BoundaryPoint]:
@@ -117,7 +122,7 @@ def boundary_solve(params: WalkParams, x: float) -> list[BoundaryPoint]:
     at the right endpoint, two roots in between.
     """
     reg = region(params)
-    if x < 0.0 or x > reg.xmax + 1e-9:
+    if not 0.0 <= x <= reg.xmax + 1e-9:
         raise ValidationError(
             f"x={x} outside [0, {reg.xmax:.12g}] (the admissible rate range)"
         )
@@ -170,14 +175,19 @@ def in_region(params: WalkParams, x: float, y: float) -> bool:
     return classify_point(params, x, y) != "outside"
 
 
-def _golden_max(f, lo: float, hi: float, iters: int = 200) -> float:
-    """Golden-section maximizer; returns the abscissa."""
+def _golden_max(f, lo: float, hi: float) -> float:
+    """Golden-section maximizer; returns the abscissa.
+
+    Stops once the bracket is below _GOLDEN_TOL of its starting width.
+    Near a smooth maximum f moves with the square of the abscissa's
+    error, so the maximum itself is then good to about 1e-18 relative.
+    """
     inv_phi = (math.sqrt(5.0) - 1.0) / 2.0
     a, b = lo, hi
     c1 = b - inv_phi * (b - a)
     c2 = a + inv_phi * (b - a)
     f1, f2 = f(c1), f(c2)
-    for _ in range(iters):
+    while b - a > _GOLDEN_TOL * (hi - lo):
         if f1 < f2:
             a, c1, f1 = c1, c2, f2
             c2 = a + inv_phi * (b - a)

@@ -5,11 +5,14 @@ one of the 2^n paths is walked and counted as an exact integer per
 (#ups, counter tuple); the law weights those counts by p^#ups q^#downs,
 so only the final sum is rounded.  For horizons into the thousands a
 forward DP over (position, counter tuple) computes the same law at
-machine precision, updating only positions that can still reach a
-tracked site.  A certified bridge connects the DP at a large enough
-horizon to the infinite-horizon laws: the probability of any tracked
-site being revisited after the horizon is bounded explicitly and
-returned as part of the result.
+machine precision: the same path weights grouped by excursion.  It steps
+only the window from the lowest to the highest of the tracked sites and
+0; mass that leaves the window changes no counter until it comes back,
+which it does through the first-passage law of the walk from +1 to 0
+(the ballot theorem), built here from p alone.  A certified bridge
+connects the DP at a large enough horizon to the infinite-horizon laws:
+the probability of any tracked site being revisited after the horizon is
+bounded explicitly and returned as part of the result.
 """
 
 from __future__ import annotations
@@ -197,31 +200,72 @@ def enumerate_paths(params: WalkParams, n: int, functionals) -> JointLaw:
     return JointLaw(axes=fns, table=table, horizon=n)
 
 
-def _apply_visit(row: np.ndarray, axis: int, cap: int) -> None:
-    """Counter increment with pooling at cap, in place along one axis."""
-    moved = np.moveaxis(row, axis, 0)
-    moved[cap] += moved[cap - 1]
-    if cap > 1:
-        moved[1:cap] = moved[0 : cap - 1].copy()
-    moved[0] = 0.0
+def _first_passage(p: float, q: float, n: int) -> tuple[np.ndarray, np.ndarray]:
+    """First passage to 0 of the walk started at +1 that steps up with
+    probability p and down with probability q.
+
+    Returns (f, survival).  f[j] is the probability that the first visit
+    to 0 falls at step 2j + 1, for the (n + 1) // 2 odd steps up to n; by
+    the ballot theorem it is Catalan(j) p^j q^(j+1), built here as a
+    cumulative product of the term ratio 2(2j + 1)/(j + 2) pq.
+    survival[k] = 1 - sum of f over steps <= k is the probability of no
+    visit to 0 within k steps, k = 0..n.  f sums to min(1, q/p).
+    """
+    j = np.arange((n + 1) // 2 - 1)
+    # p and q enter each ratio separately: one rounded pq, raised to the
+    # j-th power by the product, would bias f[j] by up to j ulps
+    f = q * np.cumprod(np.concatenate(([1.0], 2.0 * (2 * j + 1) / (j + 2) * p * q)))
+    # survival takes a compensated running sum: it carries the rounding of
+    # every earlier term, and where f sums to 1 it is all cancellation
+    tails = []
+    total = carry = 0.0
+    for term in f.tolist():
+        step = term - carry
+        new_total = total + step
+        carry = (new_total - total) - step
+        total = new_total
+        tails.append((1.0 - total) + carry)
+    survival = np.ones(n + 1)
+    survival[1::2] = tails
+    survival[2::2] = tails[: n // 2]
+    return f, survival
+
+
+def _visit_index(row: int, axis: int, cap: int) -> tuple:
+    """Index tuples (top, below, shifted, source, zero) that raise one
+    counter axis at one window row, pooling at cap."""
+
+    def at(k):
+        return (row,) + (slice(None),) * axis + (k,)
+
+    return at(cap), at(cap - 1), at(slice(1, cap)), at(slice(0, cap - 1)), at(0)
 
 
 def dp_law(params: WalkParams, n: int, functionals) -> JointLaw:
-    """Forward DP over (position, counter tuple) states.
+    """Forward DP over (position, counter tuple) states in the window
+    W = [min(sites + {0}), max(sites + {0})], with excursions outside W
+    added back through first-passage kernels.
 
-    Agrees with path enumeration up to rounding (the same products,
-    summed in a different order) and scales to horizons in the
-    thousands.  After step t only live positions are updated: those in
-    the reachability cone |position| <= t that can still reach a tracked
-    site, i.e. lie in [min(sites) - (n - t), max(sites) + (n - t)].  Mass
-    leaving that window visits no tracked site again, so its counters are
-    final and it moves straight into the output table.
+    These are the same path weights as enumeration's, grouped by
+    excursion and summed in a different order, so the two agree up to
+    rounding; the DP scales to horizons in the thousands.  Outside W no
+    counter changes, and every path that leaves W over its top comes back
+    to the top, if at all, after a first passage from +1 to 0.  So the
+    mass U_s that steps above W at step s is kept as one counter vector
+    and returns to the top at step t with probability f_up(t - s); below
+    W, D_s returns to the bottom with the mirror law f_down (p and q
+    swapped).  At the horizon each U_s and D_s enters the table weighted
+    by its survival, the probability of no return by step n.  The walk
+    stands on a site only at steps of the site's parity, so each edge
+    sends mass out at every other step and takes returns at the steps
+    between, each a single matrix-vector product over the stored exits.
     """
     if n < 1 or n > DP_MAX_STEPS:
         raise ValidationError(f"DP requires 1 <= n <= {DP_MAX_STEPS}, got {n}")
     fns = _validate_functionals(functionals)
     dims = tuple(f.cap + 1 for f in fns)
-    n_states = (2 * n + 1) * int(np.prod(dims))
+    size = math.prod(dims)
+    n_states = (2 * n + 1) * size
     if n_states > DP_STATE_BUDGET:
         raise BudgetError(
             f"DP state space {n_states} exceeds budget {DP_STATE_BUDGET} "
@@ -231,30 +275,51 @@ def dp_law(params: WalkParams, n: int, functionals) -> JointLaw:
         if any(abs(s) > n for s in f.sites):
             raise ValidationError(f"tracked sites {f.sites} unreachable within n={n}")
     p, q = params.p, params.q
-    # array index = position + n
-    visits = [(axis, s + n, f.cap) for axis, f in enumerate(fns) for s in f.sites]
-    lowest = min(s for _, s, _ in visits)
-    highest = max(s for _, s, _ in visits)
-    state = np.zeros((2 * n + 1,) + dims)
-    state[(n,) + (0,) * len(fns)] = 1.0
-    new = np.empty_like(state)
-    table = np.zeros(dims)
-    a = b = n  # live window of the previous step
+    lo = min(0, *(s for f in fns for s in f.sites))
+    hi = max(0, *(s for f in fns for s in f.sites))
+    width = hi - lo + 1
+    # buffer t % 2 holds step t; row = position - lo, counter tuples
+    # flattened in C order
+    buffers = np.zeros((2, width, size))
+    buffers[0, -lo, 0] = 1.0
+    grids = buffers.reshape((2, width) + dims)
+    # a site holds mass only at steps of its own parity
+    visits = ([], [])
+    for axis, f in enumerate(fns):
+        for s in f.sites:
+            visits[s % 2].append(_visit_index(s - lo, axis, f.cap))
+    # per edge: (window row, edge site, probability of stepping out, first
+    # passage kernel, exits, survival).  The kernel is stored reversed and
+    # contiguous, so each step's lags are a forward slice that BLAS takes
+    # as is.  The walk leaves over an edge only at steps of the parity
+    # opposite to the edge's, so the exit at step s is stored at row s // 2.
+    sides = []
+    for row, edge, away, back in ((-1, hi, p, q), (0, lo, q, p)):
+        f, survival = _first_passage(away, back, n)
+        exits = np.zeros((n // 2 + 1, size))
+        sides.append((row, edge, away, np.ascontiguousarray(f[::-1]), exits, survival))
     for t in range(1, n + 1):
-        # new[a-1 : b+2] = down-steps from [a, b] plus up-steps from [a, b]
-        np.multiply(state[a : b + 1], q, out=new[a - 1 : b])
-        new[b : b + 2] = 0.0
-        new[a + 1 : b + 2] += p * state[a : b + 1]
-        for axis, s, cap in visits:
-            if a - 1 <= s <= b + 1:
-                _apply_visit(new[s], axis, cap)
-        live_a = max(a - 1, lowest - (n - t))
-        live_b = min(b + 1, highest + (n - t))
-        table += new[a - 1 : live_a].sum(axis=0) + new[live_b + 1 : b + 2].sum(axis=0)
-        a, b = live_a, live_b
-        state, new = new, state
-    table += state[a : b + 1].sum(axis=0)
-    return JointLaw(axes=fns, table=table, horizon=n)
+        state, new, grid = buffers[(t - 1) % 2], buffers[t % 2], grids[t % 2]
+        np.multiply(state[1:], q, out=new[:-1])
+        new[-1] = 0.0
+        new[1:] += p * state[:-1]
+        for row, edge, away, kernel, exits, _ in sides:
+            if (t - edge) % 2:
+                np.multiply(state[row], away, out=exits[t // 2])
+            else:
+                # returns from the exits at s = t - 1, t - 3, ...: with
+                # m = (t - 1) // 2, row r comes back at lag 2(m - r) + 1
+                m = (t - 1) // 2
+                new[row] += kernel[-(m + 1) :] @ exits[: m + 1]
+        for top, below, shifted, source, zero in visits[t % 2]:
+            grid[top] += grid[below]
+            grid[shifted] = grid[source]
+            grid[zero] = 0.0
+    table = buffers[n % 2].sum(axis=0)
+    for _, edge, _, _, exits, survival in sides:
+        steps = np.arange(1 + edge % 2, n + 1, 2)
+        table += survival[n - steps] @ exits[steps // 2]
+    return JointLaw(axes=fns, table=table.reshape(dims), horizon=n)
 
 
 def escape_certificate(params: WalkParams, sites, n: int) -> float:

@@ -126,9 +126,13 @@ def _check_marginal_identities(params: WalkParams, seed: int) -> tuple:
                 val = closedform.joint_transform(params, z, k, 0.0, sign)
                 worst_v0 = max(worst_v0, abs(val - (2 * q) ** k * (1 - 2 * q)))
 
+    # truncate each first-excursion law where its geometric tail q_z^j
+    # drops below 1e-17: the least such j grows without bound as p -> 1/2
     worst_mean = 0.0
     for z in range(1, 11):
-        finite, _ = closedform.excursion_visits_pmf(params, z, 400)
+        qz = closedform.excursion_law(params, z).qz
+        jmax = math.floor(math.log(1e-17) / math.log(qz)) + 1
+        finite, _ = closedform.excursion_visits_pmf(params, z, jmax)
         worst_mean = max(worst_mean, abs(finite.mean() - params.h**z))
 
     ok = worst_sum < 1e-12 and worst_v0 < 1e-13 and worst_mean < 1e-12

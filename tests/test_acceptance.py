@@ -22,3 +22,16 @@ def test_criterion(number):
     status = "PASS" if passed else "FAIL"
     print(f"[{status}] criterion {number}: {name} | measured: {measured} | expected: {expected}")
     assert passed, f"criterion {number} ({name}) failed: {measured}; expected {expected}"
+
+
+# criteria 1 and 3-6 over the whole range of p; criterion 2 compares with
+# the fixed horizon n = 200, which at p <= 0.6 is far from the
+# infinite-time law it stands in for
+@pytest.mark.parametrize("p", [0.501, 0.52, 0.6, 0.9, 0.999])
+@pytest.mark.parametrize("number", [1, 3, 4, 5, 6])
+def test_criterion_over_p(number, p):
+    name, fn = verify._CRITERIA[number]
+    passed, measured, expected = fn(make_params(p), SEED)
+    status = "PASS" if passed else "FAIL"
+    print(f"[{status}] criterion {number} at p={p}: {name} | measured: {measured} | expected: {expected}")
+    assert passed, f"criterion {number} ({name}) failed at p={p}: {measured}; expected {expected}"

@@ -93,6 +93,8 @@ def test_boundary_solve_rejects_out_of_range():
         boundary.boundary_solve(P75, consts.lambda0 + 0.01)
     with pytest.raises(ValidationError):
         boundary.boundary_solve(P75, -0.1)
+    with pytest.raises(ValidationError):
+        boundary.boundary_solve(P75, math.nan)
 
 
 def test_classify_point():

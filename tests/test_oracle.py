@@ -74,6 +74,114 @@ def test_dp_matches_enumeration_over_p(p, case):
     assert np.abs(a.table - b.table).max() < 1e-14
 
 
+# the window DP's edge cases: n = 1, a single-site window, a start below
+# or above the tracked span, and sites at +-n, the far ends of the cone
+WINDOW_CASES = [
+    (1, [oracle.local_time(0, 2)]),
+    (1, [oracle.local_time(1, 1)]),
+    (1, [oracle.local_time(-1, 3), oracle.local_time(1, 3)]),
+    (12, [oracle.local_time(0, 12)]),
+    (15, [oracle.set_occupation((3, 5), 6)]),
+    (14, [oracle.set_occupation((-4, -2), 6)]),
+    (20, [oracle.local_time(20, 2), oracle.local_time(-20, 2)]),
+    (17, [oracle.local_time(-17, 2), oracle.set_occupation((2, 4), 5)]),
+    (20, [oracle.local_time(0, 12), oracle.set_occupation((-1, 1), 12)]),
+]
+
+
+@pytest.mark.parametrize("p", [0.501, 0.6, 0.9, 0.999])
+@pytest.mark.parametrize("n, funcs", WINDOW_CASES)
+def test_window_dp_matches_enumeration(p, n, funcs):
+    params = make_params(p)
+    a = oracle.enumerate_paths(params, n, funcs)
+    b = oracle.dp_law(params, n, funcs)
+    assert np.abs(a.table - b.table).max() <= 1e-15
+
+
+@pytest.mark.parametrize("p", [0.501, 0.75, 0.999])
+def test_first_passage_kernel_matches_path_count(p):
+    """Every one of the 2^15 paths from +1, cut at its first visit to 0,
+    counted by the number of up-steps before it: f and the survival for
+    both kernels, the mirror one stepping up with probability q."""
+    k = 15
+    params = make_params(p)
+    steps = np.array(list(itertools.product((1, -1), repeat=k)))
+    positions = 1 + np.cumsum(steps, axis=1)
+    hit = positions == 0
+    first = np.where(hit.any(axis=1), hit.argmax(axis=1) + 1, k + 1)
+    ups_before = np.cumsum(steps == 1, axis=1)
+    for up, down in ((params.p, params.q), (params.q, params.p)):
+        f, survival = oracle._first_passage(up, down, k)
+        for t in range(1, k + 1):
+            # each t-step prefix appears in 2^(k - t) of the paths
+            u = ups_before[:, t - 1]
+            weight = up**u * down ** (t - u) / 2.0 ** (k - t)
+            passage = weight[first == t].sum()
+            alive = weight[first > t].sum()
+            assert (f[(t - 1) // 2] if t % 2 else 0.0) == pytest.approx(passage, rel=1e-14)
+            assert survival[t] == pytest.approx(alive, rel=1e-14, abs=1e-16)
+
+
+@pytest.mark.parametrize("p", [0.6, 0.75, 0.9, 0.999])
+def test_first_passage_sums_to_h_above_and_one_below(p):
+    """From above, a right-drifting walk comes back with probability h;
+    from below it surely does."""
+    params = make_params(p)
+    f_up, surv_up = oracle._first_passage(params.p, params.q, oracle.DP_MAX_STEPS)
+    f_down, surv_down = oracle._first_passage(params.q, params.p, oracle.DP_MAX_STEPS)
+    assert f_up.sum() == pytest.approx(params.h, rel=1e-14)
+    assert surv_up[-1] == pytest.approx(1.0 - params.h, rel=1e-14)
+    assert f_down.sum() == pytest.approx(1.0, rel=1e-14)
+    assert surv_down[-1] < 1e-16
+    assert np.all(np.diff(surv_up) <= 0.0) and np.all(np.diff(surv_down) <= 0.0)
+
+
+# dp_law tables of the earlier position-by-position DP, which stepped
+# every reachable position and used no first-passage kernels
+RECORDED_TABLES = [
+    (
+        0.9,
+        200,
+        [oracle.local_time(-3, 4), oracle.set_occupation((0, 2), 5)],
+        [
+            [2.951266543065215e-106, 0.6480000000000004, 0.24552791208791222,
+             0.07502209240429902, 0.02160243578494395, 0.008475817610362112],
+            [3.53889925315859e-51, 2.1023015177568645e-51, 0.0005704528438594371,
+             0.00032390437848590215, 0.00013185064434839404, 7.118582329254861e-05],
+            [1.2160327913476862e-50, 2.5760774660019166e-50, 0.00011346369751489894,
+             6.492712269482729e-05, 2.6605243758962485e-05, 1.4482674028567592e-05],
+            [1.7924944995389306e-50, 4.234799424997129e-50, 2.25680541210953e-05,
+             1.3013961374898393e-05, 5.367837861469184e-06, 2.9458942419883894e-06],
+            [2.9851073789228227e-49, 8.568548182382479e-49, 5.6033165924804475e-06,
+             3.2621331453740806e-06, 1.3564890872206154e-06, 7.519980747876685e-07],
+        ],
+    ),
+    (
+        0.52,
+        1000,
+        [oracle.local_time(-2, 4), oracle.set_occupation((1, 3), 5)],
+        [
+            [4.190737952618184e-302, 2.0999089424244254e-299, 0.0077874244667333,
+             0.010217247553544785, 0.010581543810999452, 0.1250424515769636],
+            [0.00047725756955174835, 0.00015952416863376713, 0.0007400260131256571,
+             0.0011282605187300113, 0.0013377371604377042, 0.03308401301449619],
+            [0.00040924381458383083, 0.0001505344853928849, 0.0006182624697698127,
+             0.0009486692048231156, 0.0011389964705763624, 0.03228608148153811],
+            [0.00035042033788720443, 0.00014068203920855217, 0.0005177302029499154,
+             0.0007983615442079916, 0.0009698203956419678, 0.03144843889080248],
+            [0.0019856508927739132, 0.0012311387053743229, 0.0028698083901206946,
+             0.004408290455113383, 0.0056280324233656965, 0.7235443519426537],
+        ],
+    ),
+]
+
+
+@pytest.mark.parametrize("p, n, funcs, table", RECORDED_TABLES)
+def test_dp_matches_recorded_tables(p, n, funcs, table):
+    law = oracle.dp_law(make_params(p), n, funcs)
+    assert np.abs(law.table - np.array(table)).max() <= 1e-15
+
+
 @pytest.mark.parametrize("n", [1, 2, 7, 16, 17, 20, oracle.ENUM_MAX_STEPS])
 def test_path_counts_are_exact_integers(n):
     funcs = (oracle.local_time(0, 4), oracle.set_occupation((-1, 1), 30))
