@@ -16,24 +16,20 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ValidationError
-from .model import WalkParams, derived_constants, ball_weight_rate
+from .model import WalkParams, derived_constants
 from .genfunc import ball_gf
 
 __all__ = [
     "BoundaryPoint",
-    "RegionD",
     "WeightLimit",
     "g",
-    "region",
     "boundary_solve",
     "extremal_points",
     "in_region",
-    "classify_point",
     "weight_limit",
     "boundary_polyline",
 ]
 
-G_TOL = 1e-10
 MEMBER_BAND = 1e-12
 _RATIO_TOL = 1e-17
 _GOLDEN_TOL = 1e-9
@@ -46,14 +42,6 @@ class BoundaryPoint:
     x: float
     y: float
     branch: str
-
-
-@dataclass(frozen=True)
-class RegionD:
-    params: WalkParams
-    two_solution_threshold: float  # -1/log(2pq)
-    xmax: float  # maximal local-time rate
-    ymax: float  # maximal sphere-occupation rate
 
 
 @dataclass(frozen=True)
@@ -86,16 +74,6 @@ def g(params: WalkParams, x: float, y: float) -> float:
     )
 
 
-def region(params: WalkParams) -> RegionD:
-    c = derived_constants(params)
-    return RegionD(
-        params=params,
-        two_solution_threshold=-1.0 / math.log(2.0 * params.p * params.q),
-        xmax=c.lambda0,
-        ymax=c.kappa0,
-    )
-
-
 def _bisect_root(params: WalkParams, x: float, lo: float, hi: float) -> float:
     """Bisection for g(x, .) = 1 on an interval with a sign change.
 
@@ -121,12 +99,12 @@ def boundary_solve(params: WalkParams, x: float) -> list[BoundaryPoint]:
     holds at most one root: one root below the two-solution threshold and
     at the right endpoint, two roots in between.
     """
-    reg = region(params)
-    if not 0.0 <= x <= reg.xmax + 1e-9:
+    xmax = derived_constants(params).lambda0
+    if not 0.0 <= x <= xmax + 1e-9:
         raise ValidationError(
-            f"x={x} outside [0, {reg.xmax:.12g}] (the admissible rate range)"
+            f"x={x} outside [0, {xmax:.12g}] (the admissible rate range)"
         )
-    x = min(x, reg.xmax)
+    x = min(x, xmax)
     ystar = x / params.p
     gmin = g(params, x, ystar) if x > 0.0 else 0.0
     if abs(gmin - 1.0) < 1e-12:
@@ -160,19 +138,12 @@ def extremal_points(params: WalkParams) -> dict[str, BoundaryPoint]:
     }
 
 
-def classify_point(params: WalkParams, x: float, y: float) -> str:
-    """'inside', 'boundary' (within the tolerance band) or 'outside'."""
-    if x < 0.0 or y < x:
-        return "outside"
-    value = g(params, x, y)
-    if abs(value - 1.0) <= MEMBER_BAND:
-        return "boundary"
-    return "inside" if value < 1.0 else "outside"
-
-
 def in_region(params: WalkParams, x: float, y: float) -> bool:
-    """Membership in the closed admissible region (boundary included)."""
-    return classify_point(params, x, y) != "outside"
+    """Membership in the closed admissible region g(x, y) <= 1; points
+    within MEMBER_BAND of the boundary count as members."""
+    if x < 0.0 or y < x:
+        return False
+    return bool(g(params, x, y) - 1.0 <= MEMBER_BAND)
 
 
 def _golden_max(f, lo: float, hi: float) -> float:
@@ -199,7 +170,7 @@ def _golden_max(f, lo: float, hi: float) -> float:
     return 0.5 * (a + b)
 
 
-def _ball_series_ratio(params: WalkParams, beta: float) -> float:
+def _ball_series_ratio(params: WalkParams) -> float:
     """c_{K+1} / c_K of the ball occupation series, from the recurrence of
     its denominator alone.
 
@@ -211,6 +182,7 @@ def _ball_series_ratio(params: WalkParams, beta: float) -> float:
     chosen from p to bring that below _RATIO_TOL.
     """
     den = ball_gf(params).den
+    beta = params.beta
     step = np.array([[-den[1], -den[2]], [den[0], 0.0]]) / den[0]
     terms = math.ceil(math.log(_RATIO_TOL) / math.log((beta - 1.0) / (beta + 1.0)))
     power = np.eye(2)
@@ -234,7 +206,7 @@ def weight_limit(params: WalkParams) -> WeightLimit:
     proportion x : y = (beta - 1) : (beta + 1).
     """
     c = derived_constants(params)
-    closed = ball_weight_rate(params)
+    closed = c.wlimit
     x_opt = (c.beta - 1.0) / (2.0 * c.beta) * closed
     y_opt = (c.beta + 1.0) / (2.0 * c.beta) * closed
 
@@ -245,7 +217,7 @@ def weight_limit(params: WalkParams) -> WeightLimit:
     x_num = _golden_max(lambda x: x + upper_y(x), 0.0, c.lambda0)
     numeric = x_num + upper_y(x_num)
 
-    from_gf = -1.0 / math.log(_ball_series_ratio(params, c.beta))
+    from_gf = -1.0 / math.log(_ball_series_ratio(params))
 
     return WeightLimit(
         wlimit=closed,
@@ -263,8 +235,8 @@ def boundary_polyline(params: WalkParams, gridsize: int) -> list[tuple[float, fl
     """
     if gridsize < 2:
         raise ValidationError(f"gridsize must be >= 2, got {gridsize}")
-    reg = region(params)
-    xs = [reg.xmax * i / (gridsize - 1) for i in range(gridsize)]
+    xmax = derived_constants(params).lambda0
+    xs = [xmax * i / (gridsize - 1) for i in range(gridsize)]
     lower: list[tuple[float, float, str]] = []
     upper: list[tuple[float, float, str]] = []
     for x in xs:

@@ -15,7 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DomainError, ValidationError
-from .model import WalkParams
+from .model import WalkParams, two_point_bases
 
 __all__ = [
     "PmfTable",
@@ -30,7 +30,6 @@ __all__ = [
     "excursion_visits_pmf",
     "excursion_mean_visits",
     "joint_transform",
-    "joint_transform_radius",
     "two_point_occupation_pmf",
     "center_sphere_joint_pmf",
     "sphere_occupation_pmf",
@@ -89,17 +88,13 @@ class ExcursionLaw:
 
     pz      probability of reaching +z before returning to 0
     qz      1 - pz, return (or escape downward) before reaching +z
-    s_plus  probability of hitting +z before the first return, equals pz
     s_minus probability of hitting -z before the first return, h^z * pz
-    q_ret   probability of returning to 0 before hitting +z, equals qz
     """
 
     z: int
     pz: float
     qz: float
-    s_plus: float
     s_minus: float
-    q_ret: float
 
 
 def _log_binom(n: float, k: float) -> float:
@@ -146,7 +141,7 @@ def hitting_prob(params: WalkParams, z: int) -> float:
 
 def green(params: WalkParams, z: int) -> float:
     """Expected number of visits to z, counting the start when z = 0."""
-    g0 = 1.0 / (params.p - params.q)
+    g0 = 1.0 / params.gamma0
     if z > 0:
         return g0
     return g0 * params.h ** (-z)
@@ -199,14 +194,7 @@ def excursion_law(params: WalkParams, z: int) -> ExcursionLaw:
         raise ValidationError(f"z must be a positive integer, got {z}")
     p, h = params.p, params.h
     pz = p * (1.0 - h) / (1.0 - h ** z)
-    return ExcursionLaw(
-        z=z,
-        pz=pz,
-        qz=1.0 - pz,
-        s_plus=pz,
-        s_minus=h ** z * pz,
-        q_ret=1.0 - pz,
-    )
+    return ExcursionLaw(z=z, pz=pz, qz=1.0 - pz, s_minus=h ** z * pz)
 
 
 def excursion_mean_visits(params: WalkParams, z: int) -> float:
@@ -239,7 +227,7 @@ def excursion_visits_pmf(
     law = excursion_law(params, z)
     pz, qz = law.pz, law.qz
     hz = params.h ** z
-    gamma0 = params.p - params.q
+    gamma0 = params.gamma0
 
     js = np.arange(0, jmax + 1)
     fin = np.empty(jmax + 1)
@@ -259,12 +247,6 @@ def excursion_visits_pmf(
             support=np.array([0]), mass=np.array([gamma0]), tail_bound=0.0
         )
     return finite, infinite
-
-
-def joint_transform_radius(params: WalkParams, z: int) -> float:
-    """Supremum of valid exponents v for the joint transform at levels
-    {0, +/-z}: the transform has a pole where Q_z e^v reaches 1."""
-    return -math.log(excursion_law(params, z).qz)
 
 
 _RADIUS_GUARD = 1e-9
@@ -290,7 +272,7 @@ def joint_transform(
         )
     q = params.q
     hz = params.h ** z
-    gamma0 = 1.0 - 2.0 * q
+    gamma0 = params.gamma0
     ev = math.exp(v)
     denom = 1.0 - law.qz * ev
     phi = (law.qz + hz * law.pz ** 2 * ev / denom) / (2.0 * q)
@@ -299,15 +281,6 @@ def joint_transform(
         psi = ev * law.pz / denom
         value *= psi
     return value
-
-
-def two_point_bases(params: WalkParams, z: int) -> tuple[float, float]:
-    """Geometric bases of the two-point occupation law for {0, +/-z}."""
-    if z < 1:
-        raise ValidationError(f"z must be a positive integer, got {z}")
-    q = params.q
-    s = math.exp(0.5 * z * math.log(params.h))
-    return (2.0 * q + s) / (1.0 + s), (2.0 * q - s) / (1.0 - s)
 
 
 def _power_gap(a: float, b: float, d: float, k, log_c: float = 0.0):
@@ -334,8 +307,8 @@ def two_point_occupation_pmf(
     if side not in ("pos", "neg"):
         raise ValidationError(f"side must be 'pos' or 'neg', got {side!r}")
     a, b = two_point_bases(params, z)
-    s = math.exp(0.5 * z * math.log(params.h))
-    gamma0 = params.p - params.q
+    s = math.exp(0.5 * z * params.log_h)
+    gamma0 = params.gamma0
     if side == "pos":
         # a - b = 2 s gamma0 / (1 - s^2) exactly; the tails use the exact
         # 1 - a = gamma0 / (1 + s) and 1 - b = gamma0 / (1 - s)
@@ -362,7 +335,7 @@ def center_sphere_joint_pmf(params: WalkParams, start: int, K: int, L: int) -> f
     beyond stay representable.
     """
     p, q = params.p, params.q
-    gamma0 = 1.0 - 2.0 * q
+    gamma0 = params.gamma0
     if start == 0:
         if K < 0 or L < K + 1:
             raise ValidationError(
@@ -411,7 +384,7 @@ def sphere_occupation_pmf(params: WalkParams, Lmax: int) -> PmfTable:
     if Lmax < 1:
         raise ValidationError(f"Lmax must be >= 1, got {Lmax}")
     p, q = params.p, params.q
-    gamma0 = 1.0 - 2.0 * q
+    gamma0 = params.gamma0
     r = q + 2.0 * p * q
     Ls = np.arange(1, Lmax + 1)
     mass = p * gamma0 * r ** (Ls.astype(float) - 1.0)
@@ -427,8 +400,7 @@ def ball_occupation_pmf(params: WalkParams, lmax: int) -> PmfTable:
     if lmax < 1:
         raise ValidationError(f"lmax must be >= 1, got {lmax}")
     p, q = params.p, params.q
-    gamma0 = 1.0 - 2.0 * q
-    beta = math.sqrt(1.0 + 8.0 * p / q)
+    gamma0, beta = params.gamma0, params.beta
     b_hi = q * (1.0 + beta) / 2.0
     b_lo = q * (1.0 - beta) / 2.0
     c = p * gamma0 / (q * beta)

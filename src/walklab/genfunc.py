@@ -75,7 +75,7 @@ def two_point_gf(params: WalkParams, z: int, side: str) -> RationalGF:
     law = excursion_law(params, z)
     pz, qz = law.pz, law.qz
     hz = params.h ** z
-    gamma0 = params.p - params.q
+    gamma0 = params.gamma0
     den = (1.0, -2.0 * qz, qz ** 2 - hz * pz ** 2)
     if side == "pos":
         num = (0.0, gamma0 * pz)
@@ -88,5 +88,4 @@ def ball_gf(params: WalkParams) -> RationalGF:
     """Generating function of the occupation time of the ball {-1, 0, 1}:
     p gamma0 w / (1 - q w - 2 p q w^2)."""
     p, q = params.p, params.q
-    gamma0 = 1.0 - 2.0 * q
-    return RationalGF(num=(0.0, p * gamma0), den=(1.0, -q, -2.0 * p * q))
+    return RationalGF(num=(0.0, p * params.gamma0), den=(1.0, -q, -2.0 * p * q))

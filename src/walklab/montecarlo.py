@@ -7,7 +7,9 @@ distributional checks come from ensembles of independent replicas.
 "Infinite-time" quantities are exact: a walk that steps just above every
 tracked site returns to the highest one with probability exactly h, so
 one uniform decides between a return and escape for good, and no count
-is truncated.
+is truncated.  A replica still walking after the step budget that the
+escape bound of `model` sets from p raises BudgetError, and so does a
+walk whose budget exceeds what its step counter holds.
 
 Two facts of the +-1 walk let every path statistic be read from the
 dense counts alone:
@@ -34,7 +36,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import BudgetError, ValidationError
-from .model import WalkParams, derived_constants
+from .model import WalkParams, derived_constants, escape_steps
 from .closedform import excursion_mean_visits
 from .rng import BLOCK_LANES, counter_steps
 
@@ -248,24 +250,17 @@ def _step_budget(params: WalkParams, rise: int) -> int:
     """Steps after which a replica that walks from hi - rise has left
     the sites <= hi for good, except with probability _BUDGET_MISS.
 
-    By the Chernoff bound P(S_m = s) <= rho^m h^(-s/2), rho = 2 sqrt(pq),
-    the chance of a visit to a site <= hi at any step >= m is at most
-    rho^m h^(-rise/2) / ((1 - sqrt h)(1 - rho)).  Written with
-    gamma0 = p - q, rho = sqrt(1 - gamma0^2), 1 - rho = gamma0^2 / (1 + rho)
-    and 1 - sqrt h = gamma0 / (p (1 + sqrt h)), which stay exact as p
-    nears 1/2.  An exact-escape walk takes no more steps than the walk it
+    Seen from the start those sites are rise, rise - 1, ..., so their
+    weight in `escape_bound` is h^(-rise/2) / (1 - sqrt h), written with
+    1 - sqrt h = gamma0 / (p (1 + sqrt h)), which stays exact as p nears
+    1/2.  An exact-escape walk takes no more steps than the walk it
     stands for, and its last round draws up to _ROUND more words and a
     decision.
     """
-    p, h = params.p, params.h
-    gamma0 = p - params.q
-    rho = math.sqrt(4.0 * p * params.q)
-    log_rho = 0.5 * math.log1p(-gamma0 * gamma0)
-    log_scale = -0.5 * rise * params.log_h - math.log(
-        gamma0 ** 3 / (p * (1.0 + rho) * (1.0 + math.sqrt(h)))
+    log_weight = -0.5 * rise * params.log_h - math.log(
+        params.gamma0 / (params.p * (1.0 + math.sqrt(params.h)))
     )
-    m = math.ceil((math.log(_BUDGET_MISS) - log_scale) / log_rho)
-    return max(m, 0) + _ROUND + 2
+    return escape_steps(params, log_weight, _BUDGET_MISS) + _ROUND + 2
 
 
 def _escape_visits(
@@ -295,6 +290,11 @@ def _escape_visits(
     """
     p, h = params.p, params.h
     budget = _step_budget(params, hi - start)
+    if first_step + budget >= 1 << 63:
+        raise BudgetError(
+            f"escape needs up to {budget} steps, beyond the 2^63 that a "
+            f"replica's step counter holds"
+        )
     ids = np.asarray(replica_ids, dtype=np.uint64)
     rows = np.arange(len(ids))
     pos = np.full(len(ids), start, dtype=np.int64)

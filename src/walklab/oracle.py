@@ -10,9 +10,10 @@ only the window from the lowest to the highest of the tracked sites and
 0; mass that leaves the window changes no counter until it comes back,
 which it does through the first-passage law of the walk from +1 to 0
 (the ballot theorem), built here from p alone.  A certified bridge
-connects the DP at a large enough horizon to the infinite-horizon laws:
-the probability of any tracked site being revisited after the horizon is
-bounded explicitly and returned as part of the result.
+connects the DP to the infinite-horizon laws: `infinite_law` runs it at
+the least horizon at which the escape bound of `model` on any visit to a
+tracked site after the horizon is below the requested eps, and returns
+that bound as the law's certificate.
 """
 
 from __future__ import annotations
@@ -23,7 +24,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import BudgetError, ValidationError
-from .model import WalkParams
+from .model import WalkParams, escape_bound, escape_steps
 
 __all__ = [
     "Functional",
@@ -322,36 +323,39 @@ def dp_law(params: WalkParams, n: int, functionals) -> JointLaw:
     return JointLaw(axes=fns, table=table.reshape(dims), horizon=n)
 
 
+def _log_weight(params: WalkParams, sites) -> float:
+    """log of the weight W = sum of h^(-s/2) over the sites, summed in log
+    space so that far sites do not overflow it."""
+    logs = -0.5 * params.log_h * np.asarray(sites, dtype=float)
+    return float(np.logaddexp.reduce(logs))
+
+
 def escape_certificate(params: WalkParams, sites, n: int) -> float:
     """Upper bound on the probability that any of `sites` is visited
-    after step n: an exponential bound on the point probabilities,
-    summed over all later times and tracked sites."""
-    p, q = params.p, params.q
-    c2 = -0.5 * math.log(4.0 * p * q)
-    c3 = 0.5 * math.log(p / q)
-    r = math.exp(-c2)
-    tail = r ** (n + 1) / (1.0 - r)
-    return sum(math.exp(c3 * s) for s in sites) * tail
+    after step n: `escape_bound` of the sites' weight at m = n + 1."""
+    return escape_bound(params, _log_weight(params, sites), n + 1)
 
 
 def infinite_law(params: WalkParams, functionals, eps: float) -> JointLaw:
-    """Infinite-horizon law via DP at a horizon certified to within eps.
+    """Infinite-horizon law via DP at the least horizon n whose
+    certificate is below eps and within which every tracked site is
+    reachable.
 
-    The horizon doubles until the no-more-visits bound clears eps; every
-    reported entry then differs from the infinite-horizon value by at
-    most the returned certificate.
+    n is read off the inverse of the escape bound, so that
+    escape_certificate(n) < eps <= escape_certificate(n - 1) unless a
+    far site sets n; every reported entry differs from the
+    infinite-horizon value by at most the returned certificate.
     """
     if eps <= 0.0:
         raise ValidationError(f"eps must be positive, got {eps}")
     fns = _validate_functionals(functionals)
     all_sites = sorted({s for f in fns for s in f.sites})
-    n = 25
-    while escape_certificate(params, all_sites, n) >= eps:
-        n *= 2
-        if n > DP_MAX_STEPS:
-            raise BudgetError(
-                f"horizon needed for eps={eps} exceeds DP budget {DP_MAX_STEPS}"
-            )
+    steps = escape_steps(params, _log_weight(params, all_sites), eps)
+    n = max(steps - 1, 1, *map(abs, all_sites))
+    if n > DP_MAX_STEPS:
+        raise BudgetError(
+            f"eps={eps} needs horizon n={n}, beyond DP_MAX_STEPS={DP_MAX_STEPS}"
+        )
     law = dp_law(params, n, fns)
     cert = escape_certificate(params, all_sites, n)
     return JointLaw(axes=law.axes, table=law.table, horizon=n, certificate=cert)

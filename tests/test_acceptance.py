@@ -24,6 +24,18 @@ def test_criterion(number):
     assert passed, f"criterion {number} ({name}) failed: {measured}; expected {expected}"
 
 
+@pytest.mark.parametrize("p", [0.5 + 2.0**-30, 0.5 + 2.0**-40])
+def test_fast_suite_returns_near_half(p):
+    """Just above p = 1/2 the fast suite reports every criterion: the
+    escape certificate of criterion 2 stays finite, and the ensembles of
+    criterion 10, whose escape would outrun a replica's step counter, are
+    refused and reported as a failure."""
+    results = {r.number: r for r in verify.run_suite(p=p, level="fast")}
+    assert sorted(results) == sorted(verify.LEVELS["fast"])
+    assert all(results[number].passed for number in (1, 3, 4))
+    assert not results[10].passed and results[10].measured.startswith("refused")
+
+
 # criteria 1 and 3-6 over the whole range of p; criterion 2 compares with
 # the fixed horizon n = 200, which at p <= 0.6 is far from the
 # infinite-time law it stands in for

@@ -98,13 +98,12 @@ def test_boundary_solve_rejects_out_of_range():
 
 
 def test_classify_point():
-    assert boundary.classify_point(P75, 0.2, 0.5) == "inside"
-    assert boundary.classify_point(P75, 3.0, 4.0) == "outside"
-    assert boundary.classify_point(P75, 0.5, 0.2) == "outside"  # y < x
-    pt = boundary.boundary_solve(P75, 1.2)[1]
-    assert boundary.classify_point(P75, pt.x, pt.y) == "boundary"
     assert boundary.in_region(P75, 0.2, 0.5)
     assert not boundary.in_region(P75, 3.0, 4.0)
+    assert not boundary.in_region(P75, 0.5, 0.2)  # y < x
+    pt = boundary.boundary_solve(P75, 1.2)[1]
+    assert boundary.in_region(P75, pt.x, pt.y)  # on the boundary
+    assert not boundary.in_region(P75, pt.x, pt.y * (1 + 1e-6))
 
 
 @given(st.floats(min_value=0.55, max_value=0.95))
@@ -157,13 +156,17 @@ def test_boundary_polyline_covers_both_branches():
 
 
 def test_region_summary():
+    """The region spans x in [0, lambda0] and reaches up to y = kappa0; the
+    lower boundary branch starts at x = -1/log(2pq)."""
     consts = derived_constants(P75)
-    reg = boundary.region(P75)
-    assert reg.xmax == pytest.approx(consts.lambda0, abs=1e-10)
-    assert reg.ymax == pytest.approx(consts.kappa0, abs=1e-10)
-    assert reg.two_solution_threshold == pytest.approx(
-        -1.0 / math.log(0.375), abs=1e-12
+    with pytest.raises(ValidationError):
+        boundary.boundary_solve(P75, consts.lambda0 + 1e-6)
+    assert boundary.extremal_points(P75)["y_max"].y == pytest.approx(
+        consts.kappa0, abs=1e-10
     )
+    threshold = -1.0 / math.log(0.375)
+    assert len(boundary.boundary_solve(P75, threshold - 1e-6)) == 1
+    assert len(boundary.boundary_solve(P75, threshold + 1e-6)) == 2
 
 
 def test_grid_membership_matches_g_sign():
@@ -174,6 +177,6 @@ def test_grid_membership_matches_g_sign():
             if y <= x:
                 continue
             val = boundary.g(P75, float(x), float(y))
-            label = boundary.classify_point(P75, float(x), float(y))
+            member = boundary.in_region(P75, float(x), float(y))
             if abs(val - 1.0) > 1e-6:
-                assert (label == "inside") == (val < 1.0)
+                assert member == (val < 1.0)

@@ -99,6 +99,15 @@ def test_oracle_infinite_mode(capsys):
     assert data["table"][0] == pytest.approx(0.5, abs=1e-9)
 
 
+def test_oracle_infinite_mode_refuses_near_half(capsys):
+    code, _, err = run_cli(
+        capsys, "oracle", "--p", repr(0.5 + 2.0**-30), "--mode", "infinite",
+        "--sites", "0", "--cap", "6", "--eps", "1e-9",
+    )
+    assert code == 1
+    assert err.startswith("error:") and "DP_MAX_STEPS" in err
+
+
 def test_simulate_is_reproducible(tmp_path, capsys):
     out_a = tmp_path / "a.json"
     out_b = tmp_path / "b.json"

@@ -143,7 +143,7 @@ def test_joint_transform_at_zero_is_marginal():
 
 
 def test_joint_transform_rejects_radius():
-    radius = cf.joint_transform_radius(P75, 1)
+    radius = -math.log(cf.excursion_law(P75, 1).qz)
     with pytest.raises(DomainError):
         cf.joint_transform(P75, 1, 0, radius, "pos")
     assert cf.joint_transform(P75, 1, 0, radius - 1e-6, "pos") > 0.0

@@ -1,7 +1,10 @@
-"""Every exported name resolves, so a deletion cannot leave a stale export."""
+"""Every exported name resolves, so a deletion cannot leave a stale export,
+and the README's library example runs against the package as it is."""
 
 import importlib
 import pkgutil
+import re
+from pathlib import Path
 
 import pytest
 
@@ -28,3 +31,11 @@ def test_package_reexports_are_the_module_objects():
         obj = getattr(walklab, name)
         home = importlib.import_module(obj.__module__)
         assert getattr(home, name) is obj
+
+
+def test_readme_library_example_runs(capsys):
+    readme = Path(__file__).resolve().parents[1] / "README.md"
+    blocks = re.findall(r"```python\n(.*?)```", readme.read_text(), re.S)
+    assert len(blocks) == 1
+    exec(compile(blocks[0], str(readme), "exec"), {})
+    assert len(capsys.readouterr().out.splitlines()) == 2

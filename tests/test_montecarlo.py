@@ -11,7 +11,7 @@ from walklab import closedform as cf
 from walklab import montecarlo as mc
 from walklab import rng
 from walklab.errors import BudgetError, ValidationError
-from walklab.model import make_params
+from walklab.model import escape_bound, make_params
 
 P75 = make_params(0.75)
 
@@ -303,17 +303,31 @@ def test_escape_step_budget_guard(monkeypatch):
 @pytest.mark.parametrize("p", [0.501, 0.6, 0.75, 0.9, 0.999])
 @pytest.mark.parametrize("rise", [0, 5])
 def test_escape_step_budget_is_the_shortest_certified(p, rise):
-    """Before its slack for the last round, the budget is the least m whose
-    Chernoff tail sum rho^m h^(-rise/2) / ((1 - sqrt h)(1 - rho)) is at
-    most 1e-18; at p = 0.75 from the site itself that is 309 steps."""
+    """Before its slack for the last round, the budget is the least m at
+    which the shared escape bound of the sites rise, rise - 1, ..., of
+    weight W = h^(-rise/2) / (1 - sqrt h), is at most 1e-18: the least m
+    with rho^m W / (1 - rho) <= 1e-18, 309 steps at p = 0.75 from the site
+    itself."""
     params = make_params(p)
     rho = 2 * math.sqrt(params.p * params.q)
-    scale = params.h ** (-rise / 2) / ((1 - math.sqrt(params.h)) * (1 - rho))
+    weight = params.h ** (-rise / 2) / (1 - math.sqrt(params.h))
     m = mc._step_budget(params, rise) - mc._ROUND - 2
-    assert rho**m * scale <= 1e-18 * (1 + 1e-7)
-    assert rho ** (m - 1) * scale > 1e-18 * (1 - 1e-7)
+    for bound in (
+        lambda k: rho**k * weight / (1 - rho),
+        lambda k: escape_bound(params, math.log(weight), k),
+    ):
+        assert bound(m) <= 1e-18 * (1 + 1e-7)
+        assert bound(m - 1) > 1e-18 * (1 - 1e-7)
     if (p, rise) == (0.75, 0):
         assert m == 309
+
+
+def test_escape_refused_beyond_the_step_counter():
+    """Just above p = 1/2 the budget exceeds what a replica's int64 step
+    counter holds: the ensemble refuses at once instead of walking on."""
+    config = mc.SimConfig(params=make_params(0.5 + 2.0**-30), n=1, replicas=4, seed=0)
+    with pytest.raises(BudgetError, match=r"2\^63"):
+        mc.ensemble(config, "ball_occupation")
 
 
 def test_sim_config_validation():

@@ -260,9 +260,55 @@ def test_infinite_law_certified_horizon():
         assert law.prob((k,)) == pytest.approx(geom.prob(k), abs=1e-10)
 
 
+# the least certified horizon for the ball at eps = 1e-9
+BALL_HORIZONS = {0.56: 3689, 0.6: 1260, 0.75: 166}
+
+
+@pytest.mark.parametrize("p", [0.56, 0.6, 0.75, 0.9, 0.999])
+def test_infinite_law_least_certified_horizon(p):
+    """The horizon is the least n whose certificate is below eps, and the
+    law lies within that certificate of the closed form."""
+    params = make_params(p)
+    law = oracle.infinite_law(params, [oracle.set_occupation((-1, 0, 1), 30)], eps=1e-9)
+    n = law.horizon
+    assert law.certificate == oracle.escape_certificate(params, (-1, 0, 1), n)
+    assert law.certificate < 1e-9 <= oracle.escape_certificate(params, (-1, 0, 1), n - 1)
+    if p in BALL_HORIZONS:
+        assert n == BALL_HORIZONS[p]
+    ref = cf.ball_occupation_pmf(params, 29)
+    worst = max(abs(law.prob((k,)) - ref.prob(k)) for k in range(30))
+    assert worst <= law.certificate + 1e-14
+
+
+def test_infinite_law_horizon_reaches_far_sites():
+    """A far site below 0 has a tiny weight, so the certificate alone would
+    stop before the walk can reach it."""
+    law = oracle.infinite_law(P75, [oracle.local_time(-40, 3)], eps=1e-3)
+    assert law.horizon == 40
+    assert law.prob((0,)) == pytest.approx(1.0 - (1.0 / 3.0) ** 40, abs=1e-12)
+
+
 def test_infinite_law_budget_error():
-    with pytest.raises(BudgetError):
-        oracle.infinite_law(P75, [oracle.local_time(0, 4)], eps=1e-300)
+    """At p = 0.55 the origin's certified horizon for eps = 1e-9 lies
+    beyond the DP's; the error names both."""
+    with pytest.raises(BudgetError, match=r"n=5177, beyond DP_MAX_STEPS=5000"):
+        oracle.infinite_law(make_params(0.55), [oracle.local_time(0, 4)], eps=1e-9)
+
+
+@pytest.mark.parametrize("p", [0.5 + 2.0**-30, 0.5 + 2.0**-40])
+def test_escape_certificate_near_half(p):
+    """Where rho = 2 sqrt(pq) rounds to 1 the certificate stays finite and
+    positive and never grows with n (at 2^-40 its decrease per step is
+    below double resolution); infinite_law refuses with the horizon it
+    needs."""
+    params = make_params(p)
+    values = [
+        oracle.escape_certificate(params, (-1, 0, 1), n) for n in (1, 10, 100, 1000, 5000)
+    ]
+    assert all(math.isfinite(v) and v > 0.0 for v in values)
+    assert all(a >= b for a, b in zip(values, values[1:]))
+    with pytest.raises(BudgetError, match=r"horizon n=\d+, beyond DP_MAX_STEPS=5000"):
+        oracle.infinite_law(params, [oracle.local_time(0, 4)], eps=1e-9)
 
 
 def test_validation_errors():
