@@ -2,8 +2,12 @@
 
 Single-path statistics (visit-count spectra, new-maximum counts, maximal
 local and occupation times, heavy-site profiles) come from one path's
-local-time field, built block by block without keeping the trajectory;
-distributional checks come from ensembles of independent replicas.
+local-time field, built block by block without keeping the trajectory:
+each block is binned over its own range, and the bins are added into a
+field allocated once at the size of the whole range.  `PathReport` keeps
+that field, and its (local time, sphere occupation) cloud is derived
+from it when read.  Distributional checks come from ensembles of
+independent replicas.
 "Infinite-time" quantities are exact: a walk that steps just above every
 tracked site returns to the highest one with probability exactly h, so
 one uniform decides between a return and escape for good, and no count
@@ -55,6 +59,7 @@ __all__ = [
 _CHUNK_REPLICAS = 1 << 15
 _ROUND = 8  # steps an alive replica draws per round of an escape walk
 _BUDGET_MISS = 1e-18  # chance that a correct replica outruns its step budget
+_SLICE = 1 << 16  # sites per slice of the pair sums in _xi_star
 
 
 @dataclass(frozen=True)
@@ -131,7 +136,11 @@ class LocalTimeField:
 
 @dataclass(frozen=True)
 class PathReport:
-    """Single-path statistics at horizon n."""
+    """Single-path statistics at horizon n.
+
+    `counts` is the path's local-time field at the horizon
+    (`LocalTimeField.counts`); `cloud` is derived from it on each read.
+    """
 
     n: int
     seed: int
@@ -140,8 +149,14 @@ class PathReport:
     xi_max: int  # maximal single-site visit count within the horizon
     eta_max: int  # maximal total (infinite-time) visit count on the path
     xi_star: dict  # z -> maximal occupation of a translate of {0, z}
-    cloud: np.ndarray  # (site local-time, sphere occupation) / log n pairs
+    counts: np.ndarray  # visits to site min_site + i within the horizon
     heavy: dict | None
+
+    @property
+    def cloud(self) -> np.ndarray:
+        """(site local time, sphere occupation) / log n pairs, one row per
+        site of the range and its two neighbours, built on each read."""
+        return _cloud(self.counts, self.n)
 
     def to_dict(self) -> dict:
         return {
@@ -152,7 +167,7 @@ class PathReport:
             "xi_max": self.xi_max,
             "eta_max": self.eta_max,
             "xi_star": {str(z): int(v) for z, v in self.xi_star.items()},
-            "cloud_size": int(len(self.cloud)),
+            "cloud_size": len(self.counts) + 2,
             "heavy": self.heavy,
         }
 
@@ -215,32 +230,22 @@ def simulate_path(params: WalkParams, n: int, seed: int) -> LocalTimeField:
     """One sampled path's local-time field; bit-reproducible in
     (params, n, seed).
 
-    The path is made one block at a time and each block is binned into
-    `buf`, where buf[i] counts site base + i.  A block that runs off
-    either end grows the buffer on that side by at least its current
-    size, so a path of range L costs O(L) copying.
+    The path is made one block at a time, and each block is binned over
+    its own range b_lo..b_hi.  The field is then allocated once at the
+    size of the whole range and each block's bins are added into it.
+    The bins of all blocks together are about the size of the range.
     """
     if n < 1:
         raise ValidationError(f"n must be >= 1, got {n}")
-    blocks = _position_blocks(params, n, seed)
-    pos = next(blocks)
-    lo, hi = int(pos.min()), int(pos.max())
-    buf, base = np.bincount(pos - lo), lo
-    for pos in blocks:
-        b_lo, b_hi = int(pos.min()), int(pos.max())
-        size = len(buf)
-        if b_lo < base or b_hi >= base + size:
-            top = base + size - 1
-            new_lo = min(b_lo, base - size) if b_lo < base else base
-            new_hi = max(b_hi, top + size) if b_hi > top else top
-            grown = np.zeros(new_hi - new_lo + 1, dtype=buf.dtype)
-            grown[base - new_lo : base - new_lo + size] = buf
-            buf, base = grown, new_lo
-        buf[b_lo - base : b_hi - base + 1] += np.bincount(pos - b_lo)
-        lo, hi = min(lo, b_lo), max(hi, b_hi)
-    counts = buf[lo - base : hi - base + 1]
-    if len(counts) < len(buf):  # do not pin the grown buffer's spare room
-        counts = counts.copy()
+    bins = []
+    for pos in _position_blocks(params, n, seed):
+        b_lo = int(pos.min())
+        bins.append((b_lo, np.bincount(pos - b_lo)))
+    lo = min(b_lo for b_lo, _ in bins)
+    hi = max(b_lo + len(b) - 1 for b_lo, b in bins)
+    counts = np.zeros(hi - lo + 1, dtype=np.int64)
+    for b_lo, b in bins:
+        counts[b_lo - lo : b_lo - lo + len(b)] += b
     return LocalTimeField(
         counts=counts, min_site=lo, max_site=hi, n=n, final_position=int(pos[-1])
     )
@@ -336,8 +341,16 @@ def _escape_visits(
 def _xi_star(counts: np.ndarray, z: int) -> int:
     """Max occupation of a translate {s, s + z} of {0, z} given dense
     counts: both sites in the range, or only the lower (counts[-z:]) or
-    only the upper one (counts[:z])."""
-    both = (counts[z:] + counts[:-z]).max(initial=0)
+    only the upper one (counts[:z]).  The pairs are summed _SLICE at a
+    time into one scratch array, not into a temporary of the range's
+    size."""
+    pairs = len(counts) - z
+    scratch = np.empty(min(_SLICE, max(pairs, 0)), dtype=counts.dtype)
+    both = 0
+    for s in range(0, pairs, _SLICE):
+        e = min(s + _SLICE, pairs)
+        out = np.add(counts[s + z : e + z], counts[s:e], out=scratch[: e - s])
+        both = max(both, int(out.max()))
     return int(max(both, counts[:z].max(), counts[-z:].max()))
 
 
@@ -424,7 +437,7 @@ def path_report(config: SimConfig, xi_star_z: tuple[int, ...] = (1,)) -> PathRep
         xi_max=int(counts.max()),
         eta_max=int(totals.max()),
         xi_star={z: _xi_star(counts, z) for z in xi_star_z},
-        cloud=_cloud(counts, n),
+        counts=counts,
         heavy=heavy,
     )
 
@@ -463,12 +476,14 @@ def ensemble(config: SimConfig, statistic: str, threads: int = 1) -> EnsembleRep
     name = str(statistic)
     sites = np.asarray(_stat_sites(name), dtype=np.int64)
     site_lo, site_hi = int(sites.min()), int(sites.max())
+    member = np.zeros(site_hi - site_lo + 1, dtype=bool)  # member[s - site_lo]: s tracked
+    member[sites - site_lo] = True
     params, seed, replicas = config.params, config.seed, config.replicas
 
     def run_chunk(first: int) -> tuple[np.ndarray, int]:
         ids = np.arange(first, min(first + _CHUNK_REPLICAS, replicas), dtype=np.uint64)
         rows, visited, words = _escape_visits(params, seed, ids, 0, 0, site_lo, site_hi)
-        vals = np.bincount(rows[np.isin(visited, sites)], minlength=len(ids))
+        vals = np.bincount(rows[member[visited - site_lo]], minlength=len(ids))
         return (vals == 0).astype(np.int64) if name == "no_return" else vals, words
 
     chunks = range(0, replicas, _CHUNK_REPLICAS)

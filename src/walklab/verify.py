@@ -173,21 +173,23 @@ def _check_boundary_geometry(params: WalkParams, seed: int) -> tuple:
 
 
 def _check_weight_limit(params: WalkParams, seed: int) -> tuple:
+    # the spread is taken relative to wlimit, which grows like 1/(p - 1/2)
     worst = 0.0
     sweep = sorted({0.6, 0.75, 0.9, params.p})
     for p in sweep:
-        vals = list(boundary.weight_limit(make_params(p)).routes.values())
+        wl = boundary.weight_limit(make_params(p))
+        vals = list(wl.routes.values())
         # a NaN route would slip through max - min: it must count as a failure
         spread = max(vals) - min(vals) if all(map(math.isfinite, vals)) else math.inf
-        worst = max(worst, spread)
+        worst = max(worst, spread / wl.wlimit)
     wl75 = boundary.weight_limit(make_params(0.75))
     ref_ok = abs(wl75.wlimit - 3.47606) < 5e-5
     ratio_ok = abs(wl75.x_at_opt / wl75.y_at_opt - 2.0 / 3.0) < 1e-6
-    ok = worst < 1e-6 and ref_ok and ratio_ok
+    ok = worst < 1e-8 and ref_ok and ratio_ok
     return ok, (
-        f"route spread {worst:.3e} over p in {sweep}; p=0.75 value "
+        f"relative route spread {worst:.3e} over p in {sweep}; p=0.75 value "
         f"{wl75.wlimit:.6f}, x:y = {wl75.x_at_opt / wl75.y_at_opt:.6f}"
-    ), "all routes finite, spread < 1e-6; ~3.47606; ratio 2/3"
+    ), "all routes finite, spread / wlimit < 1e-8; ~3.47606; ratio 2/3"
 
 
 def _band_and_chisq(histogram: np.ndarray, replicas: int, pmf) -> tuple[bool, float]:

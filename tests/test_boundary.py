@@ -137,6 +137,15 @@ def test_weight_limit_criterion_sweeps_p_and_refuses_nan(monkeypatch):
     assert not passed and "inf" in measured
 
 
+@pytest.mark.parametrize("p", [0.5000001, 0.5001])
+def test_weight_limit_criterion_near_half(p):
+    """wlimit grows like 1/(p - 1/2), so criterion 6 bounds the route
+    spread relative to it: at p = 0.5000001 wlimit is 1.5e7 and the
+    routes differ by about 0.05."""
+    passed, measured, _ = verify._check_weight_limit(make_params(p), 0)
+    assert passed, measured
+
+
 def test_weight_limit_reference_values():
     wl = boundary.weight_limit(P75)
     assert wl.wlimit == pytest.approx(3.476059496782, abs=1e-9)

@@ -126,7 +126,7 @@ def test_path_report_matches_recorded_values(key):
 def test_local_times_match_positions(p, n):
     """The streamed field is the bincount of the whole trajectory.  At
     p = 0.501 and the largest n, seed 2 falls from -60 in its first block
-    to -357, so the buffer grows to the left."""
+    to -357, so later blocks reach below the first one's range."""
     params = make_params(p)
     for seed in (2, 7):
         field = mc.simulate_path(params, n, seed)
@@ -136,7 +136,7 @@ def test_local_times_match_positions(p, n):
         assert field.final_position == positions[-1]
         assert field.counts.dtype == np.int64
         assert np.array_equal(field.counts, np.bincount(positions - lo))
-        # the counts own their memory or all of the buffer they view
+        # the counts own their memory or all of the array they view
         owner = field.counts if field.counts.base is None else field.counts.base
         assert owner.size == field.counts.size
 
@@ -144,7 +144,7 @@ def test_local_times_match_positions(p, n):
 @pytest.mark.parametrize("lanes", [1, 3, 64])
 def test_local_times_do_not_depend_on_block_size(monkeypatch, lanes):
     """Step t is the same draw however the blocks cut the stream; small
-    blocks grow the buffer often, on both sides and by single sites."""
+    blocks extend the range often, on both sides and by single sites."""
     params = make_params(0.55)
     expected = [mc.simulate_path(params, 3000, seed) for seed in range(4)]
     monkeypatch.setattr(mc, "BLOCK_LANES", lanes)
@@ -222,6 +222,24 @@ def test_path_facts_on_short_paths(p, n, seed):
         assert profile["deviation"] == _reference_heavy_deviation(
             params, field.counts, heavy, rate_log_n, profile["radius"]
         )
+
+
+def test_xi_star_over_several_slices():
+    """The sliced pair sums equal the padded definition on a range of
+    more than two slices, for z around one slice and the range length."""
+    counts = mc.simulate_path(P75, 300_000, 5).counts
+    size, w = len(counts), mc._SLICE
+    assert size > 2 * w
+    for z in (1, 2, 3, 9, w - 1, w, w + 1, size - 1, size, size + 1):
+        assert mc._xi_star(counts, z) == _reference_xi_star(counts, z)
+
+
+def test_path_report_keeps_the_field_and_derives_the_cloud():
+    n, seed = 300_000, 5
+    rep = mc.path_report(mc.SimConfig(params=P75, n=n, seed=seed))
+    assert np.array_equal(rep.counts, mc.simulate_path(P75, n, seed).counts)
+    assert np.array_equal(rep.cloud, _reference_cloud(rep.counts, n))
+    assert rep.to_dict()["cloud_size"] == rep.cloud.shape[0]
 
 
 def test_counter_steps_offsets_cross_block_boundary():
