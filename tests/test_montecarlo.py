@@ -232,6 +232,12 @@ def test_xi_star_over_several_slices():
     assert size > 2 * w
     for z in (1, 2, 3, 9, w - 1, w, w + 1, size - 1, size, size + 1):
         assert mc._xi_star(counts, z) == _reference_xi_star(counts, z)
+    # the heaviest pair starts at the last or first entry of a slice
+    for start in (w - 1, w, 2 * w - 1):
+        for z in (1, w):
+            spiked = np.ones(3 * w + 5, dtype=np.int64)
+            spiked[[start, start + z]] = 10
+            assert mc._xi_star(spiked, z) == _reference_xi_star(spiked, z) == 20
 
 
 def test_path_report_keeps_the_field_and_derives_the_cloud():
