@@ -206,9 +206,9 @@ def weight_limit(params: WalkParams) -> WeightLimit:
     proportion x : y = (beta - 1) : (beta + 1).
     """
     c = derived_constants(params)
-    closed = c.wlimit
-    x_opt = (c.beta - 1.0) / (2.0 * c.beta) * closed
-    y_opt = (c.beta + 1.0) / (2.0 * c.beta) * closed
+    closed, beta = c.wlimit, params.beta
+    x_opt = (beta - 1.0) / (2.0 * beta) * closed
+    y_opt = (beta + 1.0) / (2.0 * beta) * closed
 
     def upper_y(x: float) -> float:
         pts = boundary_solve(params, x)

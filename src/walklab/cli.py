@@ -75,16 +75,17 @@ def _write_outputs(args, payload: dict, csv_rows=None, csv_header=None) -> None:
 
 
 def cmd_constants(args) -> int:
-    consts = derived_constants(make_params(args.p))
-    pts = boundary.extremal_points(consts.params)
+    params = make_params(args.p)
+    consts = derived_constants(params)
+    pts = boundary.extremal_points(params)
     payload = {
-        "p": consts.params.p,
-        "q": consts.params.q,
-        "h": consts.params.h,
-        "gamma0": consts.gamma0,
+        "p": params.p,
+        "q": params.q,
+        "h": params.h,
+        "gamma0": params.gamma0,
         "lambda0": consts.lambda0,
         "kappa0": consts.kappa0,
-        "beta": consts.beta,
+        "beta": params.beta,
         "wlimit": consts.wlimit,
         "theta": {str(z): consts.theta(z) for z in range(1, 6)},
         "extremal_points": {
@@ -152,10 +153,8 @@ def cmd_dist(args) -> int:
 
 
 def cmd_boundary(args) -> int:
-    if args.gridsize < 2:
-        raise ValidationError(f"gridsize must be >= 2, got {args.gridsize}")
     params = make_params(args.p)
-    rows = list(boundary.boundary_polyline(params, args.gridsize))
+    rows = boundary.boundary_polyline(params, args.gridsize)
     for name, pt in boundary.extremal_points(params).items():
         rows.append((pt.x, pt.y, f"extremal:{name}"))
     payload = {
@@ -308,7 +307,7 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _apply_config(parser: argparse.ArgumentParser, argv: list[str]) -> list[str]:
+def _apply_config(parser: argparse.ArgumentParser, argv: list[str]) -> None:
     """Load --config defaults; explicit flags take precedence by
     construction (argparse parses flags after defaults are set)."""
     probe = argparse.ArgumentParser(add_help=False)
@@ -322,7 +321,6 @@ def _apply_config(parser: argparse.ArgumentParser, argv: list[str]) -> list[str]
                 k: v for k, v in defaults.items()
                 if any(a.dest == k for a in action._actions)
             })
-    return argv
 
 
 def main(argv=None) -> int:

@@ -173,10 +173,6 @@ def local_time_pmf(params: WalkParams, z: int, kmax: int) -> PmfTable:
         mass[0] = atom
         mass[1:] = hz * (1.0 - r) * r ** (ks[1:].astype(float) - 1.0)
         tail = hz * r ** kmax
-    if len(ks) == 0:
-        ks = np.array([], dtype=np.int64)
-        mass = np.array([])
-        tail = 1.0
     return PmfTable(support=ks, mass=mass, tail_bound=float(tail))
 
 
@@ -380,7 +376,11 @@ def center_sphere_joint_pmf(params: WalkParams, start: int, K: int, L: int) -> f
 
 
 def sphere_occupation_pmf(params: WalkParams, Lmax: int) -> PmfTable:
-    """Law of the total occupation time of the unit sphere {-1, 1}."""
+    """Law of the total occupation time of the unit sphere {-1, 1}.
+
+    Geometric with ratio r = q(1 + 2p); since 1 - r = p gamma0 exactly,
+    the tail beyond Lmax is r^Lmax.
+    """
     if Lmax < 1:
         raise ValidationError(f"Lmax must be >= 1, got {Lmax}")
     p, q = params.p, params.q
@@ -388,7 +388,7 @@ def sphere_occupation_pmf(params: WalkParams, Lmax: int) -> PmfTable:
     r = q + 2.0 * p * q
     Ls = np.arange(1, Lmax + 1)
     mass = p * gamma0 * r ** (Ls.astype(float) - 1.0)
-    tail = p * gamma0 * r ** Lmax / (1.0 - r)
+    tail = r ** Lmax
     return PmfTable(support=Ls, mass=mass, tail_bound=float(tail))
 
 
@@ -396,6 +396,8 @@ def ball_occupation_pmf(params: WalkParams, lmax: int) -> PmfTable:
     """Law of the total occupation time of the three-site ball {-1, 0, 1}.
 
     Difference of two geometric sequences with bases q(1 +/- beta)/2.
+    The bases satisfy (1 - b_hi)(1 - b_lo) = p gamma0, and 1 - b_lo > 1
+    does not cancel, so the tail takes 1 - b_hi from that product.
     """
     if lmax < 1:
         raise ValidationError(f"lmax must be >= 1, got {lmax}")
@@ -407,6 +409,7 @@ def ball_occupation_pmf(params: WalkParams, lmax: int) -> PmfTable:
     ls = np.arange(1, lmax + 1).astype(float)
     mass = c * (b_hi ** ls - b_lo ** ls)
     tail = c * (
-        b_hi ** (lmax + 1) / (1.0 - b_hi) - b_lo ** (lmax + 1) / (1.0 - b_lo)
+        b_hi ** (lmax + 1) * (1.0 - b_lo) / (p * gamma0)
+        - b_lo ** (lmax + 1) / (1.0 - b_lo)
     )
     return PmfTable(support=np.arange(1, lmax + 1), mass=mass, tail_bound=float(tail))

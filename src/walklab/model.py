@@ -56,22 +56,19 @@ class WalkParams:
 
 @dataclass(frozen=True)
 class Constants:
-    """Scalar constants attached to one parameter set.
+    """Growth rates attached to one parameter set (gamma0 and beta are
+    read from `params`).
 
-    gamma0    probability of never returning to the start, p - q
     lambda0   a.s. rate (per log n) of the maximal local time, -1/log(2q)
     kappa0    a.s. rate of the maximal unit-sphere occupation,
               -1/log(q(1+2p))
-    beta      sqrt(1 + 8p/q), governs the three-site ball occupation law
     wlimit    a.s. rate of the maximal ball weight (local time plus
               sphere occupation), -1/log(q(1+beta)/2)
     """
 
     params: WalkParams
-    gamma0: float
     lambda0: float
     kappa0: float
-    beta: float
     wlimit: float
 
     def theta(self, z: int) -> float:
@@ -111,10 +108,8 @@ def derived_constants(params: WalkParams) -> Constants:
     p, q = params.p, params.q
     return Constants(
         params=params,
-        gamma0=params.gamma0,
         lambda0=-1.0 / math.log(2.0 * q),
         kappa0=-1.0 / math.log(q * (1.0 + 2.0 * p)),
-        beta=params.beta,
         wlimit=ball_weight_rate(params),
     )
 

@@ -210,7 +210,7 @@ def _position_blocks(params: WalkParams, n: int, seed: int):
     carry = np.int32(0)
     for start in range(0, n, BLOCK_LANES):
         width = min(BLOCK_LANES, n - start)
-        steps = counter_steps(params.p, seed, 0, 0, width, start)
+        steps = counter_steps(params.p, seed, 0, width, start)
         pos = carry + np.cumsum(steps, dtype=np.int32)
         carry = pos[-1]
         yield pos
@@ -287,11 +287,12 @@ def _escape_visits(
     next step: if u < h it is counted at hi and walks on from there,
     otherwise it is done.  The counts are exact, with no truncation.
 
-    Alive replicas draw `_ROUND` steps per round from their own offsets,
-    so each draws the words it uses plus at most `_ROUND - 1` after each
-    step to hi + 1.  Returns the row (index into `replica_ids`) and site of
-    every visit, in no fixed order, and the number of words drawn.  A
-    replica still walking after `_step_budget` steps raises BudgetError.
+    Each round, an alive replica draws the next `_ROUND` steps of its own
+    stream, so each draws the words it uses plus at most `_ROUND - 1`
+    after each step to hi + 1.  Returns the row (index into
+    `replica_ids`) and site of every visit, in no fixed order, and the
+    number of words drawn.  A replica still walking after `_step_budget`
+    steps raises BudgetError.
     """
     p, h = params.p, params.h
     budget = _step_budget(params, hi - start)
@@ -310,7 +311,7 @@ def _escape_visits(
     while len(rows):
         above = pos > hi
         if above.any():
-            back = counter_steps(h**gap, seed, ids[above], 0, 1, step[above])[:, 0] > 0
+            back = counter_steps(h**gap, seed, ids[above], 1, step[above])[:, 0] > 0
             words += len(back)
             hit_rows.append(rows[above][back])
             hit_sites.append(np.full(int(back.sum()), hi, dtype=np.int64))
@@ -322,7 +323,7 @@ def _escape_visits(
             if not len(rows):
                 break
         gap = 1
-        steps = counter_steps(p, seed, ids, 0, _ROUND, step)
+        steps = counter_steps(p, seed, ids, _ROUND, step)
         words += steps.size
         path = pos[:, None] + np.cumsum(steps, axis=1, dtype=np.int64)
         live = np.maximum.accumulate(path, axis=1) <= hi  # a prefix of each row

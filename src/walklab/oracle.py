@@ -1,5 +1,7 @@
 """Exact finite-horizon laws: path enumeration and dynamic programming.
 
+A tracked counter (`Functional`) is the number of visits to a finite site
+set, pooled at a cap; a local time is the counter of a single site.
 Ground truth comes in two tiers.  For horizons up to ENUM_MAX_STEPS every
 one of the 2^n paths is walked and counted as an exact integer per
 (#ups, counter tuple); the law weights those counts by p^#ups q^#downs,
@@ -46,22 +48,18 @@ MASS_TOL = 1e-12
 
 @dataclass(frozen=True)
 class Functional:
-    """A tracked counter: visits to one site, or to a finite site set.
+    """A tracked counter: the visits to a finite site set (one site for a
+    local time).
 
     Counts above `cap` are pooled into the top bucket rather than
     rejected; the laws of interest decay geometrically, so pooled mass is
     part of the truncation certificate, not an error.
     """
 
-    kind: str
     sites: tuple[int, ...]
     cap: int
 
     def __post_init__(self):
-        if self.kind not in ("local_time", "set_occupation"):
-            raise ValidationError(f"unknown functional kind {self.kind!r}")
-        if self.kind == "local_time" and len(self.sites) != 1:
-            raise ValidationError("local_time tracks exactly one site")
         if not self.sites:
             raise ValidationError("site list must be nonempty")
         if self.cap < 1:
@@ -70,11 +68,11 @@ class Functional:
 
 
 def local_time(site: int, cap: int) -> Functional:
-    return Functional(kind="local_time", sites=(site,), cap=cap)
+    return Functional(sites=(site,), cap=cap)
 
 
 def set_occupation(sites, cap: int) -> Functional:
-    return Functional(kind="set_occupation", sites=tuple(sites), cap=cap)
+    return Functional(sites=tuple(sites), cap=cap)
 
 
 @dataclass(frozen=True)
@@ -114,10 +112,7 @@ class JointLaw:
     def to_dict(self) -> dict:
         nz = np.argwhere(self.table > 0.0)
         return {
-            "axes": [
-                {"kind": f.kind, "sites": list(f.sites), "cap": f.cap}
-                for f in self.axes
-            ],
+            "axes": [{"sites": list(f.sites), "cap": f.cap} for f in self.axes],
             "horizon": self.horizon,
             "certificate": self.certificate,
             "overflow_mass": self.overflow_mass,

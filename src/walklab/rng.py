@@ -3,9 +3,10 @@
 Every random draw is a pure function of (seed, replica, step) through a
 chain of 64-bit finalizing mixes, so any replica can generate its own
 stream independently of how work is scheduled across chunks or threads.
-Step t of a replica is lane t mod 2^16 of block t div 2^16: the block
-index enters the replica's key and the lane is mixed into that key.
-Identical keys give bit-identical streams on every platform.
+Callers address a draw by its step alone.  Inside this module step t is
+lane t mod 2^16 of key block t div 2^16: the block index enters the
+replica's key and the lane is mixed into that key.  Identical keys give
+bit-identical streams on every platform.
 """
 
 from __future__ import annotations
@@ -54,18 +55,18 @@ def _key(seed: int, replica, block):
     return mix64(h ^ np.asarray(block, dtype=np.uint64))
 
 
-def counter_words(seed: int, replica, block: int, lanes: int, offset=0) -> np.ndarray:
-    """Raw 64-bit words of steps block * 2^16 + offset + j, j < lanes.
+def counter_words(seed: int, replica, lanes: int, step=0) -> np.ndarray:
+    """Raw 64-bit words of steps step + j, j < lanes.
 
-    `replica` and `offset` may be scalars or integer arrays that
-    broadcast together; the result has shape (*broadcast shape, lanes).
-    A row may run past lane 2^16 - 1 of its block into the next blocks.
+    `replica` and `step` may be scalars or integer arrays that broadcast
+    together; the result has shape (*broadcast shape, lanes).  A row may
+    run past the end of one key block into the next ones.
     """
-    replica, offset = np.broadcast_arrays(
-        np.asarray(replica, dtype=np.uint64), np.asarray(offset, dtype=np.uint64)
+    replica, step = np.broadcast_arrays(
+        np.asarray(replica, dtype=np.uint64), np.asarray(step, dtype=np.uint64)
     )
-    first = np.uint64(block) + (offset >> _LANE_BITS)
-    lane = (offset & _LANE_MASK)[..., None] + np.arange(lanes, dtype=np.uint64)
+    first = step >> _LANE_BITS
+    lane = (step & _LANE_MASK)[..., None] + np.arange(lanes, dtype=np.uint64)
     spans = 1 + int(lane[..., -1].max(initial=0)) // BLOCK_LANES if lanes else 1
     if spans == 1:  # the usual case: one key per row, no gather
         words = _key(seed, replica, first)[..., None] ^ lane
@@ -77,9 +78,9 @@ def counter_words(seed: int, replica, block: int, lanes: int, offset=0) -> np.nd
     return words
 
 
-def counter_uniforms(seed: int, replica, block: int, lanes: int) -> np.ndarray:
+def counter_uniforms(seed: int, replica, lanes: int, step=0) -> np.ndarray:
     """Uniform [0, 1) doubles (w >> 11) * 2^-53 of `counter_words`."""
-    words = counter_words(seed, replica, block, lanes)
+    words = counter_words(seed, replica, lanes, step)
     return (words >> _S11).astype(np.float64) * _U53
 
 
@@ -98,12 +99,10 @@ def _below(words: np.ndarray, p: float) -> np.ndarray:
     return words <= np.uint64((cut << 11) - 1)
 
 
-def counter_steps(
-    p: float, seed: int, replica, block: int, lanes: int, offset=0
-) -> np.ndarray:
+def counter_steps(p: float, seed: int, replica, lanes: int, step=0) -> np.ndarray:
     """Walk increments of `counter_words`: +1 where the step's uniform
     is below p, otherwise -1 (int8)."""
-    steps = _below(counter_words(seed, replica, block, lanes, offset), p).view(np.int8)
+    steps = _below(counter_words(seed, replica, lanes, step), p).view(np.int8)
     steps += steps
     steps -= 1
     return steps

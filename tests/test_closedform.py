@@ -251,6 +251,25 @@ def test_ball_occupation_values():
     assert t.total_mass() == pytest.approx(1.0, abs=1e-10)
 
 
+@given(
+    st.floats(min_value=0.5 + 2.0**-30, max_value=0.999, exclude_min=True),
+    st.integers(min_value=1, max_value=2000),
+    st.integers(min_value=1, max_value=6),
+)
+@example(0.5 + 2.0**-29, 50, 1)
+@example(0.501, 2000, 6)
+@settings(max_examples=60, deadline=None)
+def test_tables_and_tails_sum_to_one(p, kmax, z):
+    """Listed mass plus tail is 1 to 1e-12 for every table, also near
+    p = 1/2, where the tails must not take 1 - base by subtraction."""
+    params = make_params(p)
+    tables = [cf.sphere_occupation_pmf(params, kmax), cf.ball_occupation_pmf(params, kmax)]
+    tables += [cf.local_time_pmf(params, site, kmax) for site in (-z, 0, z)]
+    tables += [cf.two_point_occupation_pmf(params, z, side, kmax) for side in ("pos", "neg")]
+    for t in tables:
+        assert abs(math.fsum(t.mass) + t.tail_bound - 1.0) <= 1e-12
+
+
 def test_pmf_table_validation():
     with pytest.raises(ValidationError):
         cf.PmfTable(support=np.array([0, 1]), mass=np.array([0.5]), tail_bound=0.0)

@@ -1,7 +1,10 @@
 """Every exported name resolves, so a deletion cannot leave a stale export,
-and the README's library example runs against the package as it is."""
+each concept has one spelling, and the README's library example runs
+against the package as it is."""
 
+import dataclasses
 import importlib
+import inspect
 import pkgutil
 import re
 from pathlib import Path
@@ -9,6 +12,7 @@ from pathlib import Path
 import pytest
 
 import walklab
+from walklab import model, oracle, rng
 
 MODULES = ["walklab"] + [
     f"walklab.{info.name}" for info in pkgutil.iter_modules(walklab.__path__)
@@ -31,6 +35,18 @@ def test_package_reexports_are_the_module_objects():
         obj = getattr(walklab, name)
         home = importlib.import_module(obj.__module__)
         assert getattr(home, name) is obj
+
+
+def test_one_spelling_per_concept():
+    """A draw is addressed by its step alone; a counter is its site set and
+    cap; gamma0 and beta live on WalkParams only."""
+    for fn in (rng.counter_words, rng.counter_uniforms, rng.counter_steps):
+        names = list(inspect.signature(fn).parameters)
+        assert "block" not in names and names[-2:] == ["lanes", "step"], fn.__name__
+    assert [f.name for f in dataclasses.fields(oracle.Functional)] == ["sites", "cap"]
+    assert [f.name for f in dataclasses.fields(model.Constants)] == [
+        "params", "lambda0", "kappa0", "wlimit"
+    ]
 
 
 def test_readme_library_example_runs(capsys):

@@ -24,11 +24,12 @@ def test_params_rejects_out_of_range(bad):
 
 
 def test_constants_reference_values():
-    consts = derived_constants(make_params(0.75))
-    assert consts.gamma0 == pytest.approx(0.5, abs=1e-15)
+    params = make_params(0.75)
+    consts = derived_constants(params)
+    assert params.gamma0 == pytest.approx(0.5, abs=1e-15)
     assert consts.lambda0 == pytest.approx(1.0 / math.log(2.0), abs=1e-15)
     assert consts.kappa0 == pytest.approx(-1.0 / math.log(0.625), abs=1e-15)
-    assert consts.beta == pytest.approx(5.0, abs=1e-12)
+    assert params.beta == pytest.approx(5.0, abs=1e-12)
     assert consts.wlimit == pytest.approx(3.476059496782, abs=1e-10)
 
 
@@ -48,8 +49,9 @@ def test_theta_reference_value_and_monotonicity():
 
 @given(P_STRAT)
 def test_constants_orderings(p):
-    consts = derived_constants(make_params(p))
-    assert consts.gamma0 == pytest.approx(2 * p - 1, abs=1e-12)
+    params = make_params(p)
+    consts = derived_constants(params)
+    assert params.gamma0 == pytest.approx(2 * p - 1, abs=1e-12)
     assert 0.0 < consts.lambda0 < consts.kappa0
     # the joint weight rate exceeds both single rates but not their sum
     assert consts.wlimit > consts.kappa0

@@ -249,20 +249,20 @@ def test_path_report_keeps_the_field_and_derives_the_cloud():
 
 
 def test_counter_steps_offsets_cross_block_boundary():
-    """Per-row offsets read the slices of whole 2^16-step blocks."""
+    """Per-row steps read the slices of whole 2^16-step blocks."""
     ids = np.arange(40, 45, dtype=np.uint64)
     offsets = np.array([0, 65530, 65535, 65536, 2 * 65536 - 3])
-    rows = rng.counter_steps(0.6, 3, ids, 0, 12, offsets)
+    rows = rng.counter_steps(0.6, 3, ids, 12, offsets)
     for r, start in zip(ids, offsets):
         whole = np.concatenate(
-            [rng.counter_steps(0.6, 3, r, b, rng.BLOCK_LANES) for b in range(3)]
+            [rng.counter_steps(0.6, 3, r, rng.BLOCK_LANES, b << 16) for b in range(3)]
         )
         assert np.array_equal(rows[r - 40], whole[start : start + 12])
     # a row may also start in a later block and span several blocks
-    long = rng.counter_steps(0.6, 3, ids[:2], 1, 70_000, np.array([10, 0]))
+    long = rng.counter_steps(0.6, 3, ids[:2], 70_000, (1 << 16) + np.array([10, 0]))
     for i, start in enumerate((10, 0)):
         whole = np.concatenate(
-            [rng.counter_steps(0.6, 3, ids[i], b, rng.BLOCK_LANES) for b in (1, 2)]
+            [rng.counter_steps(0.6, 3, ids[i], rng.BLOCK_LANES, b << 16) for b in (1, 2)]
         )
         assert np.array_equal(long[i], whole[start : start + 70_000])
 
@@ -278,7 +278,7 @@ def _margin_escape_totals(params, sites, seed, replicas, eps=1e-12):
     alive = np.ones(replicas, dtype=bool)
     block = 0
     while alive.any():
-        steps = rng.counter_steps(params.p, seed, ids[alive], block, 256)
+        steps = rng.counter_steps(params.p, seed, ids[alive], 256, block << 16)
         pos = carry[alive, None] + np.cumsum(steps, axis=1)
         live = np.maximum.accumulate(pos, axis=1) <= threshold
         totals[alive] += (np.isin(pos, sites) & live).sum(axis=1)
@@ -312,8 +312,8 @@ def test_exact_escape_agrees_with_margin_escape(p, statistic):
 def test_escape_step_budget_guard(monkeypatch):
     """A stream that only ever steps down never escapes: the budget chosen
     from p stops it after a few hundred steps instead of running on."""
-    def always_down(p, seed, replica, block, lanes, offset=0):
-        shape = np.broadcast(np.asarray(replica), np.asarray(offset)).shape
+    def always_down(p, seed, replica, lanes, step=0):
+        shape = np.broadcast(np.asarray(replica), np.asarray(step)).shape
         return np.full((*shape, lanes), -1, dtype=np.int8)
 
     monkeypatch.setattr(mc, "counter_steps", always_down)
