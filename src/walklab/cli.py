@@ -38,7 +38,11 @@ def _fmt(x):
 
 
 def _default_seed() -> int:
-    return int(os.environ.get("WALKLAB_SEED", "0"))
+    seed = os.environ.get("WALKLAB_SEED", "0")
+    try:
+        return int(seed)
+    except ValueError:
+        raise ValidationError(f"WALKLAB_SEED must be an integer, got {seed!r}") from None
 
 
 def _write_outputs(args, payload: dict, csv_rows=None, csv_header=None) -> None:
@@ -316,6 +320,8 @@ def _apply_config(parser: argparse.ArgumentParser, argv: list[str]) -> None:
     if known.config is not None:
         with open(known.config) as fh:
             defaults = json.load(fh)
+        if not isinstance(defaults, dict):
+            raise ValidationError(f"config {known.config} must hold a JSON object")
         for action in parser._subparsers._group_actions[0].choices.values():
             action.set_defaults(**{
                 k: v for k, v in defaults.items()
@@ -325,8 +331,8 @@ def _apply_config(parser: argparse.ArgumentParser, argv: list[str]) -> None:
 
 def main(argv=None) -> int:
     argv = list(sys.argv[1:] if argv is None else argv)
-    parser = build_parser()
     try:
+        parser = build_parser()
         _apply_config(parser, argv)
         args = parser.parse_args(argv)
         args._start = time.perf_counter()

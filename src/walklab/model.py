@@ -4,10 +4,9 @@ Everything downstream (closed-form laws, boundary geometry, exact
 oracles, simulation) is a function of a single validated parameter set:
 the up-step probability p in (1/2, 1), its complement q = 1 - p and the
 ratio h = q/p < 1.  Each quantity that more than one module needs is
-defined here once: gamma0 and beta on `WalkParams`, the two geometric
-bases of the two-point occupation law, and the Chernoff bound on visits
-late in the walk, from which the exact oracles take their certified
-horizons and the simulation its escape step guard.
+defined here once: gamma0 and beta on `WalkParams`, the growth rates of
+`Constants`, and the two geometric bases of the two-point occupation
+law.
 """
 
 from __future__ import annotations
@@ -24,8 +23,6 @@ __all__ = [
     "derived_constants",
     "ball_weight_rate",
     "two_point_bases",
-    "escape_bound",
-    "escape_steps",
 ]
 
 
@@ -122,33 +119,3 @@ def two_point_bases(params: WalkParams, z: int) -> tuple[float, float]:
     q = params.q
     s = math.exp(0.5 * z * params.log_h)
     return (2.0 * q + s) / (1.0 + s), (2.0 * q - s) / (1.0 - s)
-
-
-def _chernoff_logs(params: WalkParams) -> tuple[float, float]:
-    """log rho and log(1 - rho) for rho = 2 sqrt(pq) = sqrt(1 - gamma0^2).
-
-    Written as log1p(-gamma0^2) / 2 and 1 - rho = gamma0^2 / (1 + rho):
-    neither cancels as p nears 1/2, where rho rounds to 1.
-    """
-    gamma0 = params.gamma0
-    rho = math.sqrt(4.0 * params.p * params.q)
-    return 0.5 * math.log1p(-gamma0 * gamma0), math.log(gamma0 * gamma0 / (1.0 + rho))
-
-
-def escape_bound(params: WalkParams, log_weight: float, m: int) -> float:
-    """Bound on the probability that the walk from 0 stands on a site of a
-    set S at some step >= m.
-
-    By the Chernoff bound P(S_t = s) <= rho^t h^(-s/2), rho = 2 sqrt(pq),
-    so summed over S and over t >= m the probability is at most
-    W rho^m / (1 - rho), where W is the sum of h^(-s/2) over S; the
-    caller passes log W.
-    """
-    log_rho, log_gap = _chernoff_logs(params)
-    return math.exp(log_weight + m * log_rho - log_gap)
-
-
-def escape_steps(params: WalkParams, log_weight: float, miss: float) -> int:
-    """The least m >= 0 at which `escape_bound` is at most `miss`."""
-    log_rho, log_gap = _chernoff_logs(params)
-    return max(math.ceil((math.log(miss) - log_weight + log_gap) / log_rho), 0)

@@ -11,9 +11,9 @@ independent replicas.
 "Infinite-time" quantities are exact: a walk that steps just above every
 tracked site returns to the highest one with probability exactly h, so
 one uniform decides between a return and escape for good, and no count
-is truncated.  A replica still walking after the step budget that the
-escape bound of `model` sets from p raises BudgetError, and so does a
-walk whose budget exceeds what its step counter holds.
+is truncated.  A replica still walking after the step budget that a
+Chernoff bound sets from p raises BudgetError, and so does a walk whose
+budget exceeds what its step counter holds.
 
 Two facts of the +-1 walk let every path statistic be read from the
 dense counts alone:
@@ -40,7 +40,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import BudgetError, ValidationError
-from .model import WalkParams, derived_constants, escape_steps
+from .model import WalkParams, derived_constants
 from .closedform import excursion_mean_visits
 from .rng import BLOCK_LANES, counter_steps
 
@@ -255,17 +255,22 @@ def _step_budget(params: WalkParams, rise: int) -> int:
     """Steps after which a replica that walks from hi - rise has left
     the sites <= hi for good, except with probability _BUDGET_MISS.
 
-    Seen from the start those sites are rise, rise - 1, ..., so their
-    weight in `escape_bound` is h^(-rise/2) / (1 - sqrt h), written with
-    1 - sqrt h = gamma0 / (p (1 + sqrt h)), which stays exact as p nears
-    1/2.  An exact-escape walk takes no more steps than the walk it
-    stands for, and its last round draws up to _ROUND more words and a
-    decision.
+    By the Chernoff bound P(S_t = s) <= rho^t h^(-s/2), rho = 2 sqrt(pq),
+    a visit at step m or later to sites of weight W = sum of h^(-s/2) has
+    probability at most W rho^m / (1 - rho).  Seen from the start the
+    sites are rise, rise - 1, ..., of weight h^(-rise/2) / (1 - sqrt h);
+    1 - sqrt h = gamma0 / (p (1 + sqrt h)), log rho = log1p(-gamma0^2)/2
+    and 1 - rho = gamma0^2 / (1 + rho) do not cancel as p nears 1/2.  An
+    exact-escape walk takes no more steps than the walk it stands for,
+    and its last round draws up to _ROUND more words and a decision.
     """
+    g2 = params.gamma0 * params.gamma0
     log_weight = -0.5 * rise * params.log_h - math.log(
         params.gamma0 / (params.p * (1.0 + math.sqrt(params.h)))
     )
-    return escape_steps(params, log_weight, _BUDGET_MISS) + _ROUND + 2
+    log_gap = math.log(g2 / (1.0 + math.sqrt(4.0 * params.p * params.q)))
+    steps = (math.log(_BUDGET_MISS) - log_weight + log_gap) / (0.5 * math.log1p(-g2))
+    return max(math.ceil(steps), 0) + _ROUND + 2
 
 
 def _escape_visits(

@@ -1,21 +1,16 @@
-"""Exact finite-horizon laws: path enumeration and dynamic programming.
+"""Exact laws of visit counters.
 
 A tracked counter (`Functional`) is the number of visits to a finite site
 set, pooled at a cap; a local time is the counter of a single site.
-Ground truth comes in two tiers.  For horizons up to ENUM_MAX_STEPS every
-one of the 2^n paths is walked and counted as an exact integer per
-(#ups, counter tuple); the law weights those counts by p^#ups q^#downs,
-so only the final sum is rounded.  For horizons into the thousands a
-forward DP over (position, counter tuple) computes the same law at
-machine precision: the same path weights grouped by excursion.  It steps
-only the window from the lowest to the highest of the tracked sites and
-0; mass that leaves the window changes no counter until it comes back,
-which it does through the first-passage law of the walk from +1 to 0
-(the ballot theorem), built here from p alone.  A certified bridge
-connects the DP to the infinite-horizon laws: `infinite_law` runs it at
-the least horizon at which the escape bound of `model` on any visit to a
-tracked site after the horizon is below the requested eps, and returns
-that bound as the law's certificate.
+`enumerate_paths` walks all 2^n paths for n <= ENUM_MAX_STEPS and counts
+them as exact integers per (#ups, counter tuple), so only the final sum
+is rounded.  `dp_law` gives the same law for horizons into the thousands:
+a forward DP over the window from the lowest to the highest tracked site
+and 0, with excursions outside it returning through the first-passage
+law from +1 to 0 (the ballot theorem).  `infinite_law` needs no horizon:
+visits to the tracked sites and 0 form a finite absorbing Markov chain
+with gambler's-ruin moves, and the mass that has not escaped when its
+sweep stops is the certificate.  All three are built from p alone.
 """
 
 from __future__ import annotations
@@ -26,7 +21,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import BudgetError, ValidationError
-from .model import WalkParams, escape_bound, escape_steps
+from .model import WalkParams
 
 __all__ = [
     "Functional",
@@ -36,13 +31,15 @@ __all__ = [
     "enumerate_paths",
     "dp_law",
     "infinite_law",
-    "escape_certificate",
 ]
 
 ENUM_MAX_STEPS = 24
 ENUM_BLOCK_STEPS = 16
 DP_MAX_STEPS = 5000
 DP_STATE_BUDGET = 50_000_000
+# infinite_law refuses a law estimated to take over WORK_BUDGET_S, at
+# VISIT_COST_S per visit plus STATE_COST_S per state and visit
+WORK_BUDGET_S, VISIT_COST_S, STATE_COST_S = 20.0, 20e-6, 3e-9
 MASS_TOL = 1e-12
 
 
@@ -259,21 +256,21 @@ def dp_law(params: WalkParams, n: int, functionals) -> JointLaw:
     if n < 1 or n > DP_MAX_STEPS:
         raise ValidationError(f"DP requires 1 <= n <= {DP_MAX_STEPS}, got {n}")
     fns = _validate_functionals(functionals)
-    dims = tuple(f.cap + 1 for f in fns)
-    size = math.prod(dims)
-    n_states = (2 * n + 1) * size
-    if n_states > DP_STATE_BUDGET:
-        raise BudgetError(
-            f"DP state space {n_states} exceeds budget {DP_STATE_BUDGET} "
-            f"(positions {2 * n + 1}, counter dims {dims})"
-        )
     for f in fns:
         if any(abs(s) > n for s in f.sites):
             raise ValidationError(f"tracked sites {f.sites} unreachable within n={n}")
-    p, q = params.p, params.q
+    dims = tuple(f.cap + 1 for f in fns)
+    size = math.prod(dims)
     lo = min(0, *(s for f in fns for s in f.sites))
     hi = max(0, *(s for f in fns for s in f.sites))
     width = hi - lo + 1
+    n_states = 2 * (width + n // 2 + 1) * size
+    if n_states > DP_STATE_BUDGET:
+        raise BudgetError(
+            f"DP state space {n_states} exceeds budget {DP_STATE_BUDGET} (2 x {width} "
+            f"window rows and 2 x {n // 2 + 1} exit rows, counter dims {dims})"
+        )
+    p, q = params.p, params.q
     # buffer t % 2 holds step t; row = position - lo, counter tuples
     # flattened in C order
     buffers = np.zeros((2, width, size))
@@ -318,39 +315,69 @@ def dp_law(params: WalkParams, n: int, functionals) -> JointLaw:
     return JointLaw(axes=fns, table=table.reshape(dims), horizon=n)
 
 
-def _log_weight(params: WalkParams, sites) -> float:
-    """log of the weight W = sum of h^(-s/2) over the sites, summed in log
-    space so that far sites do not overflow it."""
-    logs = -0.5 * params.log_h * np.asarray(sites, dtype=float)
-    return float(np.logaddexp.reduce(logs))
-
-
-def escape_certificate(params: WalkParams, sites, n: int) -> float:
-    """Upper bound on the probability that any of `sites` is visited
-    after step n: `escape_bound` of the sites' weight at m = n + 1."""
-    return escape_bound(params, _log_weight(params, sites), n + 1)
+def _chain(params: WalkParams, sites: list[int]) -> np.ndarray:
+    """move[i, j]: the chance that the visit to the sorted `sites` after
+    one at sites[i] is at sites[j].  Between neighbours a < a + g the walk
+    reaches a + g before a from a + 1 with the gambler's-ruin probability
+    (1 - h)/(1 - h^g), and from a + g - 1 with (1 - h^(g-1))/(1 - h^g),
+    taken through expm1 of log h = log1p(-gamma0/p) so that nothing
+    cancels near p = 1/2.  Below the lowest site the walk surely comes
+    back; only the top row loses mass, the escape for good, gamma0.
+    """
+    log_h = math.log1p(-params.gamma0 / params.p)
+    gaps = np.diff(sites)
+    whole = np.expm1(gaps * log_h)
+    up = np.expm1(log_h) / whole
+    # a step away that comes back: p (1 - up) = q (1 - h^(g-1))/(1 - h^g)
+    back = np.expm1((gaps - 1) * log_h) / whole
+    move = np.diag(params.q * (np.append(back, 1.0) + np.append(1.0, back)))
+    below = np.arange(len(gaps))
+    move[below, below + 1] = params.p * up
+    move[below + 1, below] = params.q * np.exp((gaps - 1) * log_h) * up
+    return move
 
 
 def infinite_law(params: WalkParams, functionals, eps: float) -> JointLaw:
-    """Infinite-horizon law via DP at the least horizon n whose
-    certificate is below eps and within which every tracked site is
-    reachable.
-
-    n is read off the inverse of the escape bound, so that
-    escape_certificate(n) < eps <= escape_certificate(n - 1) unless a
-    far site sets n; every reported entry differs from the
-    infinite-horizon value by at most the returned certificate.
+    """Infinite-horizon law from the chain of visits to the tracked sites
+    and 0, swept one visit at a time until less than eps of its mass is
+    left.  The start at 0 is not counted.  At each visit gamma0 times the
+    mass at the top escapes and enters the table at its counters; the
+    state then moves and the counters of the visited site are raised.
+    The left-over mass, the certificate, enters the table at its present
+    counters, so each entry is within it of its exact value; `horizon` is
+    the number of visits run.  From any site the walk escapes within
+    len(sites) visits with probability at least gamma0 times every
+    up-move, which bounds the work up front.
     """
-    if eps <= 0.0:
+    if not eps > 0.0:
         raise ValidationError(f"eps must be positive, got {eps}")
     fns = _validate_functionals(functionals)
-    all_sites = sorted({s for f in fns for s in f.sites})
-    steps = escape_steps(params, _log_weight(params, all_sites), eps)
-    n = max(steps - 1, 1, *map(abs, all_sites))
-    if n > DP_MAX_STEPS:
+    sites = sorted({0, *(s for f in fns for s in f.sites)})
+    move = _chain(params, sites)
+    dims = (len(sites),) + tuple(f.cap + 1 for f in fns)
+    n_states = math.prod(dims)
+    escape = params.gamma0 * np.prod(np.diag(move, 1))  # within len(sites) visits
+    visits = len(sites) * math.log(eps) / np.log1p(-escape)
+    seconds = visits * (VISIT_COST_S + STATE_COST_S * n_states)
+    if seconds > WORK_BUDGET_S or n_states > DP_STATE_BUDGET:
         raise BudgetError(
-            f"eps={eps} needs horizon n={n}, beyond DP_MAX_STEPS={DP_MAX_STEPS}"
+            f"eps={eps} may need {visits:.3g} visits of {n_states} states, about {seconds:.3g} s;"
+            f" the budgets are {WORK_BUDGET_S} s and {DP_STATE_BUDGET} states"
         )
-    law = dp_law(params, n, fns)
-    cert = escape_certificate(params, all_sites, n)
-    return JointLaw(axes=law.axes, table=law.table, horizon=n, certificate=cert)
+    state = np.zeros((len(sites), n_states // len(sites)))
+    state[sites.index(0), 0] = 1.0
+    raises = [_visit_index(sites.index(s), i, f.cap) for i, f in enumerate(fns) for s in f.sites]
+    table = np.zeros(state.shape[1])
+    horizon, left = 0, 1.0
+    while left >= eps:
+        table += params.gamma0 * state[-1]
+        state = move.T @ state
+        grid = state.reshape(dims)
+        for top, below, shifted, source, zero in raises:
+            grid[top] += grid[below]
+            grid[shifted] = grid[source]
+            grid[zero] = 0.0
+        horizon += 1
+        left = float(state.sum())
+    table += state.sum(axis=0)
+    return JointLaw(fns, table.reshape(dims[1:]), horizon, certificate=left)

@@ -64,17 +64,12 @@ def _check_closedform_vs_genfunc(params: WalkParams, seed: int) -> tuple:
 
 def _check_closedform_vs_infinite_law(params: WalkParams, seed: int) -> tuple:
     cap = 60
-    law = oracle.infinite_law(
-        params,
-        [oracle.set_occupation((-1, 1), cap), oracle.local_time(0, cap)],
-        eps=1e-12,
-    )
+    fns = [oracle.set_occupation((-1, 1), cap), oracle.local_time(0, cap)]
+    law = oracle.infinite_law(params, fns, eps=1e-15)
     # single-site total-visit law against the law's marginal
     geom = closedform.local_time_pmf(params, 0, cap - 1)
     marg = law.marginal(1)
-    worst = max(
-        abs(marg[k] - geom.prob(k)) for k in range(cap)
-    )
+    worst = max(abs(marg[k] - geom.prob(k)) for k in range(cap))
     # joint (sphere occupation, center local time) law
     for big_l in range(1, 40):
         for k in range(0, big_l):
@@ -86,7 +81,7 @@ def _check_closedform_vs_infinite_law(params: WalkParams, seed: int) -> tuple:
                 ),
             )
     bound = law.certificate + 1e-14  # each entry is off by at most the certificate
-    return worst < bound, f"max entry error = {worst:.3e} at horizon {law.horizon}", (
+    return worst < bound, f"max entry error = {worst:.3e} after {law.horizon} visits", (
         f"< {bound:.3e} (certificate {law.certificate:.3e} + 1e-14)"
     )
 

@@ -105,7 +105,7 @@ def test_oracle_infinite_mode_refuses_near_half(capsys):
         "--sites", "0", "--cap", "6", "--eps", "1e-9",
     )
     assert code == 1
-    assert err.startswith("error:") and "DP_MAX_STEPS" in err
+    assert err.startswith("error:") and "budgets are" in err
 
 
 def test_simulate_is_reproducible(tmp_path, capsys):
@@ -149,6 +149,21 @@ def test_seed_env_default(tmp_path, capsys, monkeypatch):
 
     args = build_parser().parse_args(["simulate", "--n", "10"])
     assert args.seed == 123
+
+
+def test_seed_env_not_an_integer_is_an_error(capsys, monkeypatch):
+    monkeypatch.setenv("WALKLAB_SEED", "abc")
+    code, out, err = run_cli(capsys, "constants")
+    assert code == 1 and out == ""
+    assert err == "error: WALKLAB_SEED must be an integer, got 'abc'\n"
+
+
+def test_config_file_not_an_object_is_an_error(tmp_path, capsys):
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text("[0.6, 4]")
+    code, out, err = run_cli(capsys, "--config", str(cfg), "dist", "ball")
+    assert code == 1 and out == ""
+    assert err.startswith("error:") and "must hold a JSON object" in err
 
 
 def test_config_file_supplies_defaults(tmp_path, capsys):

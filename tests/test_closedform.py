@@ -270,6 +270,38 @@ def test_tables_and_tails_sum_to_one(p, kmax, z):
         assert abs(math.fsum(t.mass) + t.tail_bound - 1.0) <= 1e-12
 
 
+def _to_tail(build, below=1e-18):
+    """The table from build(kmax) at the least power-of-two kmax >= 64
+    whose tail is below `below`."""
+    kmax = 64
+    while (table := build(kmax)).tail_bound >= below:
+        kmax *= 2
+    return table
+
+
+@pytest.mark.parametrize("p", [0.51, 0.6, 0.75, 0.9, 0.999])
+def test_table_means_match_green(p):
+    """Each table's mean is the sum of the Green function over its sites,
+    less the start's visit to 0."""
+    params = make_params(p)
+
+    def green(*sites):
+        return sum(cf.green(params, z) for z in sites) - (0 in sites)
+
+    cases = [
+        (_to_tail(lambda k: cf.sphere_occupation_pmf(params, k)), green(-1, 1)),
+        (_to_tail(lambda k: cf.ball_occupation_pmf(params, k)), green(-1, 0, 1)),
+    ]
+    for z in range(1, 6):
+        for site in (-z, 0, z):
+            cases.append((_to_tail(lambda k: cf.local_time_pmf(params, site, k)), green(site)))
+        for side, site in (("pos", z), ("neg", -z)):
+            table = _to_tail(lambda k: cf.two_point_occupation_pmf(params, z, side, k))
+            cases.append((table, green(0, site)))
+    for table, mean in cases:
+        assert table.mean() == pytest.approx(mean, rel=1e-12, abs=0.0)
+
+
 def test_pmf_table_validation():
     with pytest.raises(ValidationError):
         cf.PmfTable(support=np.array([0, 1]), mass=np.array([0.5]), tail_bound=0.0)

@@ -11,7 +11,7 @@ from walklab import closedform as cf
 from walklab import montecarlo as mc
 from walklab import rng
 from walklab.errors import BudgetError, ValidationError
-from walklab.model import escape_bound, make_params
+from walklab.model import make_params
 
 P75 = make_params(0.75)
 
@@ -328,7 +328,7 @@ def test_escape_step_budget_guard(monkeypatch):
 @pytest.mark.parametrize("rise", [0, 5])
 def test_escape_step_budget_is_the_shortest_certified(p, rise):
     """Before its slack for the last round, the budget is the least m at
-    which the shared escape bound of the sites rise, rise - 1, ..., of
+    which the Chernoff bound on a visit to the sites rise, rise - 1, ..., of
     weight W = h^(-rise/2) / (1 - sqrt h), is at most 1e-18: the least m
     with rho^m W / (1 - rho) <= 1e-18, 309 steps at p = 0.75 from the site
     itself."""
@@ -336,12 +336,12 @@ def test_escape_step_budget_is_the_shortest_certified(p, rise):
     rho = 2 * math.sqrt(params.p * params.q)
     weight = params.h ** (-rise / 2) / (1 - math.sqrt(params.h))
     m = mc._step_budget(params, rise) - mc._ROUND - 2
-    for bound in (
-        lambda k: rho**k * weight / (1 - rho),
-        lambda k: escape_bound(params, math.log(weight), k),
-    ):
-        assert bound(m) <= 1e-18 * (1 + 1e-7)
-        assert bound(m - 1) > 1e-18 * (1 - 1e-7)
+
+    def bound(k):
+        return rho**k * weight / (1 - rho)
+
+    assert bound(m) <= 1e-18 * (1 + 1e-7)
+    assert bound(m - 1) > 1e-18 * (1 - 1e-7)
     if (p, rise) == (0.75, 0):
         assert m == 309
 

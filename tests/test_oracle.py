@@ -2,6 +2,7 @@
 
 import itertools
 import math
+import time
 
 import numpy as np
 import pytest
@@ -214,7 +215,10 @@ def test_enumeration_at_max_steps_matches_dp():
 def test_dp_matches_local_time_law_at_n200():
     cap = 40
     law = oracle.dp_law(P75, 200, [oracle.local_time(0, cap)])
-    cert = oracle.escape_certificate(P75, (0,), 200)
+    # Chernoff: a visit to 0 after step 200 has probability at most
+    # rho^201 / (1 - rho), rho = 2 sqrt(pq)
+    rho = 2.0 * math.sqrt(P75.p * P75.q)
+    cert = rho**201 / (1.0 - rho)
     geom = cf.local_time_pmf(P75, 0, cap - 1)
     for k in range(cap):
         assert law.prob((k,)) == pytest.approx(geom.prob(k), abs=max(cert, 1e-12))
@@ -231,6 +235,20 @@ def test_dp_matches_center_sphere_joint_law():
             )
 
 
+def test_dp_state_budget_counts_window_and_exit_rows(monkeypatch):
+    """The DP holds two window buffers and two exit tables of counter
+    vectors: at n = 10 on {-1, 2}, 2 x 4 + 2 x 6 rows of 7 states each."""
+    funcs = [oracle.set_occupation((-1, 2), 6)]
+    monkeypatch.setattr(oracle, "DP_STATE_BUDGET", 140)
+    law = oracle.dp_law(P75, 10, funcs)
+    monkeypatch.undo()
+    assert np.array_equal(law.table, oracle.dp_law(P75, 10, funcs).table)
+    monkeypatch.setattr(oracle, "DP_STATE_BUDGET", 139)
+    message = r"state space 140 exceeds budget 139 \(2 x 4 window rows and 2 x 6 exit rows"
+    with pytest.raises(BudgetError, match=message):
+        oracle.dp_law(P75, 10, funcs)
+
+
 def test_joint_law_mass_and_overflow():
     law = oracle.dp_law(P75, 30, [oracle.local_time(0, 4)])
     assert float(law.table.sum()) == pytest.approx(1.0, abs=1e-12)
@@ -245,70 +263,135 @@ def test_marginal_of_joint_matches_single_axis():
     assert np.abs(joint.marginal(0) - single.table).max() < 1e-14
 
 
-def test_escape_certificate_decreases_in_horizon():
-    values = [oracle.escape_certificate(P75, (0,), n) for n in (25, 50, 100, 200)]
-    assert all(a > b for a, b in zip(values, values[1:]))
-    assert values[-1] < 1e-9
-
-
 def test_infinite_law_certified_horizon():
+    """For the origin alone the chain stays at 0 with probability 2q per
+    visit, so after m visits 0.5^m of the mass is left at p = 0.75: the
+    sweep stops at the first m with 0.5^m < eps."""
     law = oracle.infinite_law(P75, [oracle.local_time(0, 12)], eps=1e-10)
-    assert law.certificate < 1e-10
-    assert 160 <= law.horizon <= 200
+    assert law.horizon == 34
+    assert law.certificate == 0.5**34
     geom = cf.local_time_pmf(P75, 0, 11)
     for k in range(12):
-        assert law.prob((k,)) == pytest.approx(geom.prob(k), abs=1e-10)
+        assert law.prob((k,)) == pytest.approx(geom.prob(k), abs=law.certificate)
 
 
-# the least certified horizon for the ball at eps = 1e-9
-BALL_HORIZONS = {0.56: 3689, 0.6: 1260, 0.75: 166}
-
-
-@pytest.mark.parametrize("p", [0.56, 0.6, 0.75, 0.9, 0.999])
+@pytest.mark.parametrize("p", [0.501, 0.55, 0.56, 0.6, 0.75, 0.9, 0.999])
 def test_infinite_law_least_certified_horizon(p):
-    """The horizon is the least n whose certificate is below eps, and the
-    law lies within that certificate of the closed form."""
+    """The ball {-1, 0, 1} holds every site of its chain, so the mass left
+    after m visits is the closed-form tail P(ball occupation >= m), the
+    tail beyond m - 1: the horizon is the least m at which it is below
+    eps, and the law lies within that certificate of the closed form."""
     params = make_params(p)
     law = oracle.infinite_law(params, [oracle.set_occupation((-1, 0, 1), 30)], eps=1e-9)
     n = law.horizon
-    assert law.certificate == oracle.escape_certificate(params, (-1, 0, 1), n)
-    assert law.certificate < 1e-9 <= oracle.escape_certificate(params, (-1, 0, 1), n - 1)
-    if p in BALL_HORIZONS:
-        assert n == BALL_HORIZONS[p]
+    tail = cf.ball_occupation_pmf(params, n - 1).tail_bound
+    assert law.certificate == pytest.approx(tail, rel=1e-9, abs=0.0)
+    assert law.certificate < 1e-9 <= cf.ball_occupation_pmf(params, n - 2).tail_bound
     ref = cf.ball_occupation_pmf(params, 29)
     worst = max(abs(law.prob((k,)) - ref.prob(k)) for k in range(30))
     assert worst <= law.certificate + 1e-14
 
 
 def test_infinite_law_horizon_reaches_far_sites():
-    """A far site below 0 has a tiny weight, so the certificate alone would
-    stop before the walk can reach it."""
+    """A far site is one move of the chain away, so the horizon does not
+    grow with its distance: from 0 the walk reaches -40 with probability
+    h^40."""
     law = oracle.infinite_law(P75, [oracle.local_time(-40, 3)], eps=1e-3)
-    assert law.horizon == 40
+    assert law.horizon == 10
     assert law.prob((0,)) == pytest.approx(1.0 - (1.0 / 3.0) ** 40, abs=1e-12)
 
 
 def test_infinite_law_budget_error():
-    """At p = 0.55 the origin's certified horizon for eps = 1e-9 lies
-    beyond the DP's; the error names both."""
-    with pytest.raises(BudgetError, match=r"n=5177, beyond DP_MAX_STEPS=5000"):
-        oracle.infinite_law(make_params(0.55), [oracle.local_time(0, 4)], eps=1e-9)
+    """Just above p = 1/2 the origin alone would take about 10^7 visits at
+    eps = 1e-9; the law is refused up front, with no visit run."""
+    start = time.perf_counter()
+    with pytest.raises(BudgetError, match=r"1\.09e\+07 visits of 5 states.*budgets are"):
+        oracle.infinite_law(make_params(0.5 + 2.0**-20), [oracle.local_time(0, 4)], eps=1e-9)
+    assert time.perf_counter() - start < 0.01
 
 
 @pytest.mark.parametrize("p", [0.5 + 2.0**-30, 0.5 + 2.0**-40])
-def test_escape_certificate_near_half(p):
-    """Where rho = 2 sqrt(pq) rounds to 1 the certificate stays finite and
-    positive and never grows with n (at 2^-40 its decrease per step is
-    below double resolution); infinite_law refuses with the horizon it
-    needs."""
+def test_infinite_law_refuses_near_half(p):
+    """Where gamma0 is below 1e-9 the escape per visit is too rare for
+    any budget; the refusal comes at once."""
+    fns = [oracle.set_occupation((-1, 1), 60), oracle.local_time(0, 60)]
+    start = time.perf_counter()
+    with pytest.raises(BudgetError, match=r"beyond|budgets are"):
+        oracle.infinite_law(make_params(p), fns, eps=1e-15)
+    assert time.perf_counter() - start < 0.1
+
+
+# site sets of the chain: a far site, one above 0, gaps on either side of
+# 0, a gap above 0, the ball, and two functionals
+CHAIN_CASES = [
+    [oracle.local_time(-40, 4)],
+    [oracle.local_time(3, 6)],
+    [oracle.set_occupation((-2, 5), 6)],
+    [oracle.set_occupation((-1, 1), 6)],
+    [oracle.set_occupation((2, 4), 6)],
+    [oracle.set_occupation((-1, 0, 1), 8)],
+    [oracle.local_time(-3, 5), oracle.local_time(2, 5)],
+]
+
+
+@pytest.mark.parametrize("p, n", [(0.6, 2500), (0.75, 600), (0.9, 300)])
+@pytest.mark.parametrize("funcs", CHAIN_CASES)
+def test_infinite_law_matches_long_dp(p, n, funcs):
+    """The chain against the window DP at a horizon after which a visit
+    to any of these sites has probability below 1e-20.  The bound allows
+    for the DP's rounding over n steps: at p = 0.6, n = 2500 on {2, 4} it
+    is 2.6e-15 against a 40-digit evaluation, the chain's 7.8e-16."""
     params = make_params(p)
-    values = [
-        oracle.escape_certificate(params, (-1, 0, 1), n) for n in (1, 10, 100, 1000, 5000)
-    ]
-    assert all(math.isfinite(v) and v > 0.0 for v in values)
-    assert all(a >= b for a, b in zip(values, values[1:]))
-    with pytest.raises(BudgetError, match=r"horizon n=\d+, beyond DP_MAX_STEPS=5000"):
-        oracle.infinite_law(params, [oracle.local_time(0, 4)], eps=1e-9)
+    law = oracle.infinite_law(params, funcs, 1e-17)
+    dp = oracle.dp_law(params, n, funcs)
+    assert np.abs(law.table - dp.table).max() <= 4e-15
+
+
+@pytest.mark.parametrize("p", [0.52, 0.75, 0.999])
+@pytest.mark.parametrize("sites", [(0,), (-1, 0, 1), (-3, 0, 2), (0, 4)])
+def test_infinite_law_certificate_is_left_over_mass(p, sites):
+    """With one counter over every site of the chain, each visit raises
+    it, so the mass left after the last visit sits alone at count
+    horizon: that entry is the certificate, below eps."""
+    cap = 4000
+    law = oracle.infinite_law(make_params(p), [oracle.set_occupation(sites, cap)], eps=1e-12)
+    assert law.horizon < cap
+    assert law.certificate < 1e-12
+    assert law.table[law.horizon] == law.certificate
+    assert not law.table[law.horizon + 1 :].any()
+
+
+@pytest.mark.parametrize("p", [0.52, 0.6, 0.9, 0.999])
+@pytest.mark.parametrize("funcs", CHAIN_CASES)
+def test_infinite_law_visits_within_bound(p, funcs):
+    """From any site the walk escapes within len(sites) visits with
+    probability at least c = gamma0 times every up-move of the chain, so
+    len(sites) ceil(log eps / log(1 - c)) visits always suffice."""
+    params = make_params(p)
+    sites = sorted({0, *(s for f in funcs for s in f.sites)})
+    escape = params.gamma0 * np.prod(np.diag(oracle._chain(params, sites), 1))
+    bound = len(sites) * math.ceil(math.log(1e-12) / math.log1p(-escape))
+    law = oracle.infinite_law(params, funcs, 1e-12)
+    assert law.horizon <= bound
+
+
+@pytest.mark.parametrize("p", [0.501, 0.6, 0.75, 0.999])
+def test_chain_moves_match_ruin_and_escape(p):
+    """Row sums are 1 except the top row's 1 - gamma0, and across a gap
+    the moves are the gambler's-ruin probabilities of `closedform`."""
+    params = make_params(p)
+    sites = [-3, 0, 1, 5]
+    move = oracle._chain(params, sites)
+    sums = move.sum(axis=1)
+    assert sums[:-1] == pytest.approx(1.0, abs=1e-15)
+    assert sums[-1] == pytest.approx(1.0 - params.gamma0, abs=1e-15)
+    # from 1 the walk steps to 2 and then reaches 5 before 1 (levels
+    # shifted by 1); from 0 it steps to -1 and then reaches -3 before 0
+    # (levels shifted by 3)
+    up = params.p * (1.0 - cf.gambler_ruin(params, 0, 1, 4))
+    down = params.q * cf.gambler_ruin(params, 0, 2, 3)
+    assert move[2, 3] == pytest.approx(up, rel=1e-12)
+    assert move[1, 0] == pytest.approx(down, rel=1e-12)
 
 
 def test_validation_errors():
@@ -326,8 +409,9 @@ def test_validation_errors():
         )
     with pytest.raises(ValidationError):
         oracle.local_time(0, 0)  # cap must allow at least one real count
-    with pytest.raises(ValidationError):
-        oracle.infinite_law(P75, [oracle.local_time(0, 2)], eps=0.0)
+    for eps in (0.0, math.nan):
+        with pytest.raises(ValidationError):
+            oracle.infinite_law(P75, [oracle.local_time(0, 2)], eps=eps)
 
 
 def test_parity_invariant():
