@@ -84,17 +84,15 @@ class PmfTable:
 
 @dataclass(frozen=True)
 class ExcursionLaw:
-    """Hit-before-return probabilities for the level pair {z, -z}, z > 0.
+    """Hit-before-return probabilities for the level z > 0.
 
     pz      probability of reaching +z before returning to 0
     qz      1 - pz, return (or escape downward) before reaching +z
-    s_minus probability of hitting -z before the first return, h^z * pz
     """
 
     z: int
     pz: float
     qz: float
-    s_minus: float
 
 
 def _log_binom(n: float, k: float) -> float:
@@ -185,12 +183,12 @@ def gambler_ruin(params: WalkParams, a: int, b: int, c: int) -> float:
 
 
 def excursion_law(params: WalkParams, z: int) -> ExcursionLaw:
-    """Hit-before-return probabilities for level z > 0 and its mirror -z."""
+    """Hit-before-return probabilities for the level z > 0."""
     if z < 1:
         raise ValidationError(f"z must be a positive integer, got {z}")
     p, h = params.p, params.h
     pz = p * (1.0 - h) / (1.0 - h ** z)
-    return ExcursionLaw(z=z, pz=pz, qz=1.0 - pz, s_minus=h ** z * pz)
+    return ExcursionLaw(z=z, pz=pz, qz=1.0 - pz)
 
 
 def excursion_mean_visits(params: WalkParams, z: int) -> float:

@@ -7,6 +7,20 @@ Callers address a draw by its step alone.  Inside this module step t is
 lane t mod 2^16 of key block t div 2^16: the block index enters the
 replica's key and the lane is mixed into that key.  Identical keys give
 bit-identical streams on every platform.
+
+Replica streams (`counter_words`, `counter_uniforms`, `counter_steps`)
+spend one word on each step.  A single long path is drawn bit-sliced
+instead (`path_step_bits`): step t is bit t mod 64 of group
+(t mod 2^16) div 64 of key block t div 2^16, and its 53-bit uniform is
+spread over 53 plane words of its group, which are compared with p from
+the top bit down and drawn only while a step of the group is still
+open, about 7.5 words per 64 steps for the same law bit for bit.  The
+path's planes are read under their own key domain (`_path_key`), so the
+path shares no word with any replica stream of its seed: the walk after
+a path's horizon, replica 0 from step n on, is independent of the path.
+Ensembles stay on one word per step: they draw 8 steps per replica per
+round, and at so few steps per call the per-plane work costs more than
+the words it saves (bit-sliced ensemble prototypes were 1.5-2x slower).
 """
 
 from __future__ import annotations
@@ -15,9 +29,21 @@ import math
 
 import numpy as np
 
-__all__ = ["BLOCK_LANES", "mix64", "counter_words", "counter_uniforms", "counter_steps"]
+__all__ = [
+    "BLOCK_LANES",
+    "mix64",
+    "counter_words",
+    "counter_uniforms",
+    "counter_steps",
+    "path_step_bits",
+]
 
 BLOCK_LANES = 1 << 16
+_GROUP = 64  # path steps per group, one bit of each plane word
+_GROUPS = BLOCK_LANES // _GROUP  # groups per key block
+_PLANES = 53  # bits of a step's uniform; 53 * 1024 planes fit in one block
+_DENSE_PLANES = 6  # planes drawn for every group before the open ones are gathered
+_ALL = np.uint64(0xFFFFFFFFFFFFFFFF)
 _LANE_BITS = np.uint64(16)
 _LANE_MASK = np.uint64(BLOCK_LANES - 1)
 _GOLDEN = np.uint64(0x9E3779B97F4A7C15)
@@ -84,16 +110,22 @@ def counter_uniforms(seed: int, replica, lanes: int, step=0) -> np.ndarray:
     return (words >> _S11).astype(np.float64) * _U53
 
 
+def _cut(p: float) -> int:
+    """ceil(p * 2^53), clamped to [0, 2^53]: a 53-bit uniform U * 2^-53
+    is below p exactly when the integer U is below the cut, since for an
+    integer k and a real x, k < x exactly when k < ceil(x).  p * 2^53 is
+    exact in binary floating point."""
+    return min(max(math.ceil(p * 2.0**53), 0), 1 << 53)
+
+
 def _below(words: np.ndarray, p: float) -> np.ndarray:
     """(w >> 11) * 2^-53 < p, tested on the raw words.
 
-    For an integer k and a real x, k < x exactly when k < ceil(x), so the
-    test is (w >> 11) < ceil(p * 2^53), that is w < ceil(p * 2^53) * 2^11:
-    bit for bit the float definition, without converting any word.
-    p * 2^53 is exact in binary floating point, and the cut is clamped to
-    [0, 2^53] so that the comparison fits in 64 bits for every p.
+    The test is (w >> 11) < cut, that is w < cut * 2^11: bit for bit the
+    float definition, without converting any word.  The clamped cut keeps
+    the comparison within 64 bits for every p.
     """
-    cut = min(max(math.ceil(p * 2.0**53), 0), 1 << 53)
+    cut = _cut(p)
     if cut == 0:
         return np.zeros(words.shape, dtype=bool)
     return words <= np.uint64((cut << 11) - 1)
@@ -106,3 +138,60 @@ def counter_steps(p: float, seed: int, replica, lanes: int, step=0) -> np.ndarra
     steps += steps
     steps -= 1
     return steps
+
+
+def _path_key(seed: int, block):
+    """Key of block `block` of a path's step planes: one more mix of
+    replica 0's key for that block, so the path reads none of the words
+    of replica 0, nor of any other replica."""
+    return mix64(_key(seed, 0, block))
+
+
+def path_step_bits(p: float, seed: int, lanes: int, step: int = 0) -> np.ndarray:
+    """Packed steps step + t, t < lanes, of the path of `seed`, for a
+    step that is a multiple of 64: bit t mod 64 of word t div 64 is 1
+    where the step is up (uint64).
+
+    Step t of the path is bit t mod 64 of group (t mod 2^16) div 64 of
+    key block t div 2^16.  Plane k < 53 of group g is the word at lane
+    k * 1024 + g of the block under `_path_key`, and bit i of plane k is
+    bit 52 - k of the 53-bit uniform U of the group's step i.  The step
+    is up exactly when U < `_cut(p)`, the law of `counter_steps`.  U is
+    compared with the cut from the top bit down, all 64 steps of a group
+    at once (the lazy comparison of Knuth and Yao): each plane settles
+    about half of the steps still open, and only groups with an open
+    step draw their next plane, about 7.5 words per 64 steps.  After
+    `_DENSE_PLANES` planes the open groups are gathered, and the later
+    planes touch only those.
+    """
+    if step % _GROUP:
+        raise ValueError(f"path steps start at a multiple of {_GROUP}, got {step}")
+    cut = _cut(p)
+    groups = -(-lanes // _GROUP)
+    if cut >> _PLANES:  # p >= 1: U < 2^53 <= cut on every step
+        return np.full(groups, _ALL, dtype=np.uint64)
+    g = step // _GROUP + np.arange(groups)  # the groups' numbers along the path
+    first, last = step // BLOCK_LANES, (step + lanes - 1) // BLOCK_LANES
+    keys = _path_key(seed, np.arange(first, last + 1, dtype=np.uint64))
+    # each group's key xor its lane in plane 0
+    counters = keys[g // _GROUPS - first] ^ (g % _GROUPS).astype(np.uint64)
+    up = np.zeros(groups, dtype=np.uint64)
+    open_ = np.full(groups, _ALL, dtype=np.uint64)  # steps with U equal to the cut so far
+    rows = np.arange(groups)  # the groups of counters and open_
+    for k in range(_PLANES):
+        if k >= _DENSE_PLANES:
+            keep = np.flatnonzero(open_)
+            if not len(keep):
+                break
+            rows, counters, open_ = rows[keep], counters[keep], open_[keep]
+        w = counters ^ np.uint64(k * _GROUPS)
+        _mix_inplace(w)
+        if (cut >> (_PLANES - 1 - k)) & 1:  # open steps with a 0 bit are up
+            w &= open_
+            open_ ^= w
+            up[rows] |= open_
+            open_ = w
+        else:  # open steps with a 1 bit are down
+            np.invert(w, out=w)
+            open_ &= w
+    return up  # steps still open have U == cut: down

@@ -351,8 +351,9 @@ def run_suite(
 ) -> list[CriterionResult]:
     """Run the verification criteria for one level and return results.
 
-    A criterion whose work is beyond its budget at this p (BudgetError)
-    fails with the reason rather than ending the suite.
+    A criterion that cannot run at this p, because its work is beyond its
+    budget (BudgetError) or one of its settings is out of range there
+    (ValidationError), fails with the reason rather than ending the suite.
     """
     if level not in LEVELS:
         raise ValidationError(f"unknown level {level!r}; choose from {sorted(LEVELS)}")
@@ -364,7 +365,7 @@ def run_suite(
         start = time.perf_counter()
         try:
             passed, measured, expected = fn(*args)
-        except BudgetError as err:
+        except (BudgetError, ValidationError) as err:
             passed, measured, expected = False, f"refused: {err}", "a result"
         results.append(
             CriterionResult(

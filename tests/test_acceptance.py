@@ -41,6 +41,18 @@ def test_fast_suite_returns_near_half(p):
     assert results[2].seconds < 0.1
 
 
+def test_suite_reports_a_criterion_that_cannot_run(monkeypatch):
+    """At p = 0.9 criterion 9's heavy-site window has alpha*c >= 1 and
+    raises ValidationError; the suite reports it as failed, with the
+    reason, and goes on to the criteria after it."""
+    monkeypatch.setitem(verify.LEVELS, "desk", (1, 9, 5))
+    results = verify.run_suite(p=0.9, level="desk")
+    assert [r.number for r in results] == [1, 9, 5]
+    assert results[0].passed and results[2].passed
+    assert not results[1].passed
+    assert results[1].measured.startswith("refused") and "alpha*c" in results[1].measured
+
+
 # criteria 1-6 over the whole range of p; criterion 2 compares the closed
 # forms with the chain of visits, 51,700 visits at p = 0.501
 @pytest.mark.parametrize("p", [0.501, 0.52, 0.6, 0.9, 0.999])

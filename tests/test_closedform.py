@@ -102,7 +102,6 @@ def test_excursion_law_values():
     assert cf.excursion_law(P75, 1).pz == pytest.approx(0.75, abs=1e-15)
     law2 = cf.excursion_law(P75, 2)
     assert law2.pz == pytest.approx(0.5625, abs=1e-15)
-    assert law2.s_minus == pytest.approx(0.0625, abs=1e-15)
     assert cf.excursion_law(P75, 400).pz == pytest.approx(0.5, abs=1e-12)
 
 

@@ -1,5 +1,6 @@
 """Simulation engine: determinism, counting identities, law agreement."""
 
+import functools
 import hashlib
 import math
 
@@ -12,6 +13,8 @@ from walklab import montecarlo as mc
 from walklab import rng
 from walklab.errors import BudgetError, ValidationError
 from walklab.model import make_params
+
+from pathref import reference_positions
 
 P75 = make_params(0.75)
 
@@ -64,38 +67,42 @@ def test_final_position_lln_band():
     assert abs(np.mean(endpoints) - 0.5) < 3 * sigma + 1e-9
 
 
-# Recorded outputs of the path statistics, from the code that kept the
-# whole trajectory: (p, n, seed) -> heavy config, qtilde, nu_n, xi_max,
-# eta_max, xi_star, cloud shape, the first 16 hex digits of the SHA-256
-# of the cloud's float64 bytes, and the heavy-site profiles.  n = 70000
-# crosses a 2^16-step block boundary; seed 244 dips to site -1, and its
-# walk after the horizon makes eta_max and the path variant differ.
+# Recorded outputs of the path statistics: (p, n, seed) -> heavy config,
+# qtilde, nu_n, xi_max, eta_max, xi_star, cloud shape, the first 16 hex
+# digits of the SHA-256 of the cloud's float64 bytes, and the heavy-site
+# profiles.  They were computed from the reference path of pathref.py by
+# direct counting, _reference_xi_star, _reference_cloud and
+# _reference_heavy_deviation, with the walk after the horizon taken from
+# _escape_visits on replica 0 from step n (the exact escape has no
+# brute-force twin).  n = 70000 crosses a 2^16-step block boundary; seed
+# 237 dips to site -1, and its walk after the horizon makes eta_max and
+# the path variant differ.
 RECORDED_PATHS = {
     (0.75, 3000, 5): (
         mc.HeavyPointConfig(),
-        [0, 682, 358, 179, 91, 45, 33, 17, 5, 7, 3, 0, 1, 0, 1],
-        1420, 14, 14, {1: 23, 2: 20, 3: 18}, (1424, 2), "b833109e874524ea",
+        [0, 707, 334, 164, 99, 56, 23, 13, 12, 2, 3, 3, 2, 1, 1],
+        1420, 14, 14, {1: 25, 2: 23, 3: 21}, (1422, 2), "19bb044574fee194",
         {
-            "site_variant": {"set_size": 5, "deviation": 0.48055306626644856, "radius": 1},
-            "path_variant": {"set_size": 5, "deviation": 0.48055306626644856, "radius": 1},
+            "site_variant": {"set_size": 10, "deviation": 0.8180642680674299, "radius": 1},
+            "path_variant": {"set_size": 10, "deviation": 0.8180642680674299, "radius": 1},
         },
     ),
-    (0.75, 3000, 244): (
+    (0.75, 3000, 237): (
         mc.HeavyPointConfig(),
-        [0, 725, 375, 172, 107, 39, 24, 13, 8, 5, 3, 0, 1],
-        1470, 12, 15, {1: 21, 2: 17, 3: 14}, (1474, 2), "fbddd0be306ac39d",
+        [0, 795, 381, 193, 86, 38, 25, 10, 8, 4, 1],
+        1539, 10, 12, {1: 19, 2: 15, 3: 14}, (1543, 2), "16c01e0209870079",
         {
-            "site_variant": {"set_size": 4, "deviation": 0.2986173343338785, "radius": 1},
-            "path_variant": {"set_size": 7, "deviation": 0.9479260015008177, "radius": 1},
+            "site_variant": {"set_size": 1, "deviation": 0.22082959939967284, "radius": 1},
+            "path_variant": {"set_size": 4, "deviation": 0.5583408012006543, "radius": 1},
         },
     ),
     (0.9, 70000, 77): (
         mc.HeavyPointConfig(c=0.4),
-        [0, 45185, 8919, 1740, 320, 74, 12, 5],
-        56255, 7, 7, {1: 14, 2: 11, 3: 10}, (56257, 2), "3a11aefeda939295",
+        [0, 44966, 9053, 1672, 357, 66, 15, 8, 1],
+        56138, 8, 8, {1: 14, 2: 11, 3: 10}, (56140, 2), "197c99123d4cae58",
         {
-            "site_variant": {"set_size": 17, "deviation": 0.8177180279736764, "radius": 1},
-            "path_variant": {"set_size": 17, "deviation": 0.8177180279736764, "radius": 1},
+            "site_variant": {"set_size": 24, "deviation": 1.0773920319699157, "radius": 1},
+            "path_variant": {"set_size": 24, "deviation": 1.0773920319699157, "radius": 1},
         },
     ),
 }
@@ -121,16 +128,33 @@ def test_path_report_matches_recorded_values(key):
     assert rep.heavy == profiles
 
 
-@pytest.mark.parametrize("p", [0.501, 0.55, 0.75, 0.9, 0.999])
-@pytest.mark.parametrize("n", [1, 2, 65535, 65536, 65537, 3 * 65536 + 5])
+PATH_NS = (1, 2, 63, 64, 65, 65535, 65536, 65537, 3 * 65536 + 5)
+
+
+@functools.lru_cache(maxsize=None)
+def _reference_trajectory(p, seed):
+    """The reference path of `seed` at p over the longest horizon of
+    PATH_NS; every shorter path is a prefix of it."""
+    return reference_positions(make_params(p), max(PATH_NS), seed)
+
+
+@pytest.mark.parametrize("p", [0.501, 0.55, 0.75, 0.9, 0.999, 0.5 + 2.0**-40])
+@pytest.mark.parametrize("n", PATH_NS)
 def test_local_times_match_positions(p, n):
-    """The streamed field is the bincount of the whole trajectory.  At
-    p = 0.501 and the largest n, seed 2 falls from -60 in its first block
-    to -357, so later blocks reach below the first one's range."""
+    """The path's positions are the first n of the reference path, which
+    compares each step's whole 53-bit uniform with the cut, so the path
+    at n is a prefix of the path at every longer horizon; and the
+    streamed field is the bincount of those positions.  n runs over both
+    edges of a 64-step group and of a key block.  At p = 0.501 and the
+    largest n, seed 7 falls from -80 in its first block to -176, so later
+    blocks reach below the first one's range."""
     params = make_params(p)
     for seed in (2, 7):
+        positions = _reference_trajectory(p, seed)[:n]
+        blocks = list(mc._position_blocks(params, n, seed))
+        assert [len(b) for b in blocks[:-1]] == [rng.BLOCK_LANES] * (len(blocks) - 1)
+        assert np.array_equal(np.concatenate(blocks), positions)
         field = mc.simulate_path(params, n, seed)
-        positions = mc._positions(params, n, seed)
         lo, hi = int(positions.min()), int(positions.max())
         assert (field.min_site, field.max_site) == (lo, hi)
         assert field.final_position == positions[-1]
@@ -141,19 +165,21 @@ def test_local_times_match_positions(p, n):
         assert owner.size == field.counts.size
 
 
-@pytest.mark.parametrize("lanes", [1, 3, 64])
-def test_local_times_do_not_depend_on_block_size(monkeypatch, lanes):
-    """Step t is the same draw however the blocks cut the stream; small
-    blocks extend the range often, on both sides and by single sites."""
-    params = make_params(0.55)
-    expected = [mc.simulate_path(params, 3000, seed) for seed in range(4)]
-    monkeypatch.setattr(mc, "BLOCK_LANES", lanes)
-    for seed, want in enumerate(expected):
-        got = mc.simulate_path(params, 3000, seed)
-        assert np.array_equal(got.counts, want.counts)
+@pytest.mark.parametrize("blocks", [1, 3, 16])
+def test_local_times_do_not_depend_on_blocks_per_call(monkeypatch, blocks):
+    """Step t is the same draw however many key blocks one call of
+    path_step_bits draws: the field of a path over 5 blocks and a part
+    of a sixth is the bincount of the reference path."""
+    params, n = make_params(0.55), 5 * 65536 + 100
+    monkeypatch.setattr(mc, "_PATH_BLOCKS", blocks)
+    for seed in range(2):
+        positions = reference_positions(params, n, seed)
+        got = mc.simulate_path(params, n, seed)
+        lo = int(positions.min())
         assert (got.min_site, got.max_site, got.final_position) == (
-            want.min_site, want.max_site, want.final_position,
+            lo, int(positions.max()), positions[-1],
         )
+        assert np.array_equal(got.counts, np.bincount(positions - lo))
 
 
 def test_new_maxima_below_the_start():
@@ -161,7 +187,7 @@ def test_new_maxima_below_the_start():
     step back to 0 is not above the start."""
     seen = set()
     for seed in range(64):
-        positions = tuple(mc._positions(P75, 2, seed).tolist())
+        positions = tuple(reference_positions(P75, 2, seed).tolist())
         if positions in ((-1, 0), (-1, -2)):
             assert mc.simulate_path(P75, 2, seed).new_maxima() == 0
             rep = mc.path_report(mc.SimConfig(params=P75, n=2, seed=seed))
@@ -206,7 +232,7 @@ def test_path_facts_on_short_paths(p, n, seed):
     definitions on padded arrays."""
     params = make_params(p)
     field = mc.simulate_path(params, n, seed)
-    positions = mc._positions(params, n, seed)
+    positions = reference_positions(params, n, seed)
     runmax = np.maximum.accumulate(np.concatenate(([0], positions)))
     assert field.new_maxima() == int((positions > runmax[:-1]).sum())
     assert len(field.counts) == field.max_site - field.min_site + 1
@@ -238,6 +264,35 @@ def test_xi_star_over_several_slices():
             spiked = np.ones(3 * w + 5, dtype=np.int64)
             spiked[[start, start + z]] = 10
             assert mc._xi_star(spiked, z) == _reference_xi_star(spiked, z) == 20
+
+
+def test_path_continuation_is_replica_0_from_step_n(monkeypatch):
+    """The path draws no counter_steps word; its walk after the horizon
+    reads the counter_steps words of replica 0 at steps n, n + 1, ...
+    in one unbroken run, and eta_max counts those visits."""
+    calls = []
+
+    def recording(p, seed, replica, lanes, step=0):
+        calls.append((np.asarray(replica).tolist(), np.asarray(step).tolist(), lanes))
+        return rng.counter_steps(p, seed, replica, lanes, step)
+
+    monkeypatch.setattr(mc, "counter_steps", recording)
+    n, seed = 3000, 237
+    field = mc.simulate_path(P75, n, seed)
+    assert calls == []
+    rep = mc.path_report(mc.SimConfig(params=P75, n=n, seed=seed))
+    drawn = set()
+    for replicas, steps, lanes in calls:
+        assert replicas == [0]
+        drawn.update(range(steps[0], steps[0] + lanes))
+    assert min(drawn) == n and len(drawn) == max(drawn) - n + 1
+    _, later, _ = mc._escape_visits(
+        P75, seed, np.zeros(1, dtype=np.uint64), field.final_position, n,
+        field.min_site, field.max_site,
+    )
+    size = len(field.counts)
+    totals = field.counts + np.bincount(later - field.min_site, minlength=size)
+    assert rep.eta_max == totals.max() > rep.xi_max
 
 
 def test_path_report_keeps_the_field_and_derives_the_cloud():
@@ -427,10 +482,9 @@ def test_first_hitting_frequencies_match_hitting_prob():
     replicas, n = 20_000, 600
     hits = {z: 0 for z in (-3, -1, 0, 2)}
     for r in range(replicas):
-        pos = mc._positions(P75, n, 1234 + r)
+        field = mc.simulate_path(P75, n, 1234 + r)
         for z in hits:
-            if (pos == z).any():
-                hits[z] += 1
+            hits[z] += field.count(z) > 0
     for z, count in hits.items():
         target = cf.hitting_prob(P75, z)
         if target == 1.0:

@@ -5,6 +5,8 @@ import pytest
 
 from walklab import rng
 
+from pathref import reference_steps, reference_uniforms
+
 
 def test_mix64_is_deterministic_and_spreads():
     a = rng.mix64(np.uint64(1))
@@ -72,3 +74,65 @@ def test_below_is_exact_at_the_cut():
         )
         u = (words >> np.uint64(11)).astype(np.float64) * 2.0**-53
         assert np.array_equal(rng._below(words, p), u < p), p
+
+
+def _unpack(bits, lanes):
+    """The +-1 steps of packed path bits (bit t mod 64 of word t div 64)."""
+    up = np.unpackbits(bits.astype("<u8").view(np.uint8), count=lanes, bitorder="little")
+    return up.astype(np.int8) * 2 - 1
+
+
+@pytest.mark.parametrize("p", IDENTITY_PS + (0.5, 0.0, 1.0))
+def test_path_step_bits_match_reference(p):
+    """The lazy comparison gives the steps of the whole 53-bit uniform,
+    over block edges, from a later block, and at a group-aligned step in
+    the middle of a block."""
+    spans = ((3 * 65536 + 5, 0), (5000, 7 << 16), (1, 64), (70000, 65536 - 640))
+    for seed in (0, 3):
+        for lanes, step in spans:
+            got = _unpack(rng.path_step_bits(p, seed, lanes, step), lanes)
+            want = reference_steps(p, seed, lanes, step)
+            assert np.array_equal(got, want), (seed, lanes, step)
+
+
+def test_path_step_bits_exact_at_the_cut():
+    """For a step with uniform U, p = U * 2^-53 puts the cut at U itself,
+    the one case that reads all 53 planes: the step is down there and at
+    (U - 1) * 2^-53, and up at (U + 1) * 2^-53."""
+    lanes = 64 * 40
+    u = reference_uniforms(9, lanes)
+    for t in np.flatnonzero(u > np.uint64(1 << 52))[:24].tolist():
+        for d, want in ((-1, -1), (0, -1), (1, 1)):
+            p = (int(u[t]) + d) * 2.0**-53
+            assert 0.5 < p < 1.0
+            assert _unpack(rng.path_step_bits(p, 9, lanes), lanes)[t] == want, (t, d)
+
+
+def test_path_step_bits_draw_few_words(monkeypatch):
+    """About 7.5 words per 64 steps: 6 planes for every group, then only
+    the planes of groups with a step still open (the count includes the
+    34 mixes that make the 16 block keys)."""
+    mixed = []
+    mix = rng._mix_inplace
+    monkeypatch.setattr(rng, "_mix_inplace", lambda z: (mixed.append(z.size), mix(z)))
+    for p in (0.5 + 2**-40, 0.6, 0.75, 0.9):
+        mixed.clear()
+        rng.path_step_bits(p, 1, 16 << 16)
+        assert 7.3 < sum(mixed) / (16 * 1024) < 7.7, p
+
+
+def test_path_step_bits_refuses_a_step_inside_a_group():
+    with pytest.raises(ValueError, match="multiple of 64"):
+        rng.path_step_bits(0.75, 0, 10, 65)
+
+
+def test_path_key_is_no_replica_key():
+    """The path's planes are read under keys that no replica stream of the
+    same seed uses, so the walk after a path's horizon (replica 0) reads
+    none of the path's words."""
+    blocks = np.arange(16, dtype=np.uint64)
+    for seed in (0, 1, 2**64 - 1):
+        path_keys = rng._path_key(seed, blocks)
+        assert not np.array_equal(path_keys, rng._key(seed, 0, blocks))
+        replica_keys = rng._key(seed, np.arange(4096, dtype=np.uint64)[:, None], blocks)
+        assert not np.isin(path_keys, replica_keys).any()
