@@ -142,8 +142,10 @@ def counter_steps(p: float, seed: int, replica, lanes: int, step=0) -> np.ndarra
 
 def _path_key(seed: int, block):
     """Key of block `block` of a path's step planes: one more mix of
-    replica 0's key for that block, so the path reads none of the words
-    of replica 0, nor of any other replica."""
+    replica 0's key for that block.  Two keys give a common word only if
+    they agree above their low 16 bits (a word mixes key ^ lane, lane <
+    2^16), so the path shares no word with replica 0 or any other
+    replica of its seed."""
     return mix64(_key(seed, 0, block))
 
 
