@@ -11,9 +11,12 @@ independent replicas.
 "Infinite-time" quantities are exact: a walk that steps just above every
 tracked site returns to the highest one with probability exactly h, so
 one uniform decides between a return and escape for good, and no count
-is truncated.  A replica still walking after the step budget that a
-Chernoff bound sets from p raises BudgetError, and so does a walk whose
-budget exceeds what its step counter holds.
+is truncated.  Ensembles walk their replicas in a refilled pool of
+walkers, 8 steps a round, and each thread walks one contiguous share of
+the replicas (`_escape_visits`, `ensemble`).  A replica still walking
+after the step budget that a Chernoff bound sets from p raises
+BudgetError, and so does a walk whose budget exceeds what its step
+counter holds.
 
 Two facts of the +-1 walk let every path statistic be read from the
 dense counts alone:
@@ -25,9 +28,10 @@ dense counts alone:
     number nu_n is max(0, max_site).
 
 Every quantity is a pure function of (config, seed): step t of replica r
-is the same counter-based draw in every routine (see `rng`), chunks
-merge associatively, so results are identical under any parallel
-schedule.  A single path's steps are the bit-sliced path stream of its
+is the same counter-based draw in every routine (see `rng`), and a
+replica's visits do not depend on which walkers share its rounds or on
+which thread's share it is in, so results are identical under any
+parallel schedule.  A single path's steps are the bit-sliced path stream of its
 seed (`rng.path_step_bits`), 16 key blocks per draw; its walk after the
 horizon (`path_report`) is replica 0 of the same seed from step n on, a
 stream that shares no word with the path, so the pair has the law of
@@ -37,6 +41,7 @@ one walk.
 from __future__ import annotations
 
 import math
+import numbers
 import re
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
@@ -60,9 +65,10 @@ __all__ = [
     "ensemble",
 ]
 
-_CHUNK_REPLICAS = 1 << 15
+_POOL = 1 << 15  # walkers of an escape walk that draw their rounds together
+_MAX_THREADS = 256
 _PATH_BLOCKS = 16  # key blocks of path steps drawn per path_step_bits call
-_ROUND = 8  # steps an alive replica draws per round of an escape walk
+_ROUND = 8  # steps a walker draws per round of an escape walk, one byte of up-steps
 _BUDGET_MISS = 1e-18  # chance that a correct replica outruns its step budget
 _SLICE = 1 << 16  # sites per slice of the pair sums in _xi_star
 
@@ -184,8 +190,10 @@ class EnsembleReport:
     Every statistic is an exact sample of infinite-time counts: replicas
     are followed until they escape for good, so the histogram carries no
     truncation bias, only sampling error.  `words` is the number of RNG
-    words the replicas drew, summed over chunks; like every other field
-    it does not depend on the thread count.
+    words the replicas drew and `steps` the number of steps they walked,
+    decision steps included, so words - steps is the number of lanes
+    drawn past an exit.  Like every other field they do not depend on
+    the thread count.
     """
 
     statistic: str
@@ -195,6 +203,7 @@ class EnsembleReport:
     sem: float
     ci95: tuple[float, float]
     words: int
+    steps: int
     histogram: np.ndarray
 
     def to_dict(self) -> dict:
@@ -202,6 +211,7 @@ class EnsembleReport:
             "statistic": self.statistic,
             "replicas": self.replicas,
             "words": self.words,
+            "steps": self.steps,
             "mean": self.mean,
             "variance": self.variance,
             "sem": self.sem,
@@ -284,31 +294,75 @@ def _step_budget(params: WalkParams, rise: int) -> int:
     return max(math.ceil(steps), 0) + _ROUND + 2
 
 
+def _round_tables():
+    """Tables of one 8-step round, indexed by the byte of its up-steps
+    (bit j set: step j goes up).
+
+    _OFFSET[b, j]  position after step j, relative to the round's start;
+    _USED[b * 9 + r]  steps taken before the walk passes hi from headroom
+        r = hi - x (8 if it does not pass; r >= 8 acts as 8);
+    _VISITS[(b * 9 + r) * 18 + e + 8]  byte of the steps among those that
+        land at or above lo, for lo - x = e (e <= -8 acts as -8, e >= 9
+        as 9: no step lands there).
+    """
+    up = (np.arange(256)[:, None] >> np.arange(_ROUND)) & 1
+    offset = np.cumsum(2 * up - 1, axis=1)
+    headroom = np.arange(_ROUND + 1)
+    live = np.maximum.accumulate(offset, axis=1)[:, None, :] <= headroom[:, None]
+    low = np.arange(-_ROUND, _ROUND + 2)
+    lands = live[:, :, None, :] & (offset[:, None, None, :] >= low[:, None])
+    visits = np.packbits(lands, axis=-1, bitorder="little")
+    return offset, live.sum(axis=2).astype(np.uint8).ravel(), visits.ravel()
+
+
+_OFFSET, _USED, _VISITS = _round_tables()
+_GATHER = np.uint64(0x0102040810204080)  # bit 0 of byte j of x to bit 56 + j of x * _GATHER
+_S56 = np.uint64(56)
+
+
+def _round(pattern: np.ndarray, headroom: np.ndarray, width: int):
+    """Steps used before passing hi, and the byte of those that land in
+    lo..hi, for walkers with up-step bytes `pattern`, headroom hi - x
+    and width = hi - lo."""
+    code = pattern * (_ROUND + 1) + np.minimum(headroom, _ROUND)
+    low = np.clip(headroom - width, -_ROUND, _ROUND + 1) + _ROUND
+    return _USED[code], _VISITS[code * (2 * _ROUND + 2) + low]
+
+
 def _escape_visits(
     params: WalkParams,
     seed: int,
-    replica_ids: np.ndarray,
+    share: range,
     start: int,
     first_step: int,
     lo: int,
     hi: int,
-) -> tuple[np.ndarray, np.ndarray, int]:
-    """Every visit at steps >= first_step to the sites lo..hi, with each
-    walk run to the end of time.
+    visit,
+) -> tuple[int, int]:
+    """Every visit at steps >= first_step to the sites lo..hi of the
+    replicas in `share`, with each walk run to the end of time.
 
-    Replica `replica_ids[i]` walks from `start`, reading its stream from
-    step `first_step` on.  Above hi the walk visits no site of lo..hi,
-    and from hi + d it ever returns to hi with probability exactly h^d.
-    So a replica that steps to hi + 1 decides with the uniform u of its
-    next step: if u < h it is counted at hi and walks on from there,
-    otherwise it is done.  The counts are exact, with no truncation.
+    Each replica walks from `start`, reading its stream from step
+    `first_step` on.  Above hi the walk visits no site of lo..hi, and
+    from hi + d it ever returns to hi with probability exactly h^d.  So a
+    replica that steps to hi + 1 decides with the uniform u of its next
+    step: if u < h it is counted at hi and walks on from there, otherwise
+    it is done.  A replica that starts above hi is decided on admission
+    with h^(start - hi).  The counts are exact, with no truncation.
 
-    Each round, an alive replica draws the next `_ROUND` steps of its own
-    stream, so each draws the words it uses plus at most `_ROUND - 1`
-    after each step to hi + 1.  Returns the row (index into
-    `replica_ids`) and site of every visit, in no fixed order, and the
-    number of words drawn.  A replica still walking after `_step_budget`
-    steps raises BudgetError.
+    The replicas walk in a pool of at most `_POOL`: each round, every
+    walker draws the next `_ROUND` steps of its own stream, and walkers
+    that escaped are replaced by the next replicas of the share, so the
+    rounds stay full until the share runs out.  A round's up-steps are
+    packed into one byte per walker, and `_round` reads from tables how
+    far each walks and which of its steps land in lo..hi.  A walker draws
+    the words it uses plus at most `_ROUND - 1` after each step to
+    hi + 1.
+
+    Calls `visit(rows, sites)` with the visits of each round, rows being
+    replica - share.start, in no fixed order.  Returns the words drawn
+    and the steps walked, decision steps included.  A replica still
+    walking after `_step_budget` steps raises BudgetError.
     """
     p, h = params.p, params.h
     budget = _step_budget(params, hi - start)
@@ -317,42 +371,64 @@ def _escape_visits(
             f"escape needs up to {budget} steps, beyond the 2^63 that a "
             f"replica's step counter holds"
         )
-    ids = np.asarray(replica_ids, dtype=np.uint64)
-    rows = np.arange(len(ids))
-    pos = np.full(len(ids), start, dtype=np.int64)
-    step = np.full(len(ids), first_step, dtype=np.int64)
-    gap = start - hi  # how far above hi the replicas waiting to decide stand
-    hit_rows, hit_sites = [rows[:0]], [pos[:0]]
-    words = 0
-    while len(rows):
-        above = pos > hi
-        if above.any():
-            back = counter_steps(h**gap, seed, ids[above], 1, step[above])[:, 0] > 0
-            words += len(back)
-            hit_rows.append(rows[above][back])
-            hit_sites.append(np.full(int(back.sum()), hi, dtype=np.int64))
-            keep = ~above
-            keep[above] = back
-            pos[above] = hi
-            step[above] += 1
-            ids, rows, pos, step = ids[keep], rows[keep], pos[keep], step[keep]
-            if not len(rows):
-                break
-        gap = 1
-        steps = counter_steps(p, seed, ids, _ROUND, step)
-        words += steps.size
-        path = pos[:, None] + np.cumsum(steps, axis=1, dtype=np.int64)
-        live = np.maximum.accumulate(path, axis=1) <= hi  # a prefix of each row
-        r, c = np.nonzero(live & (path >= lo))
-        hit_rows.append(rows[r])
-        hit_sites.append(path[r, c])
-        used = live.sum(axis=1)
+    width = hi - lo
+    above = start > hi  # replicas are decided on admission, and walk on from hi
+    entry, entry_step = (0, first_step + 1) if above else (hi - start, first_step)
+    queued = 0  # the next replica of the share to admit
+    rows = np.zeros(0, dtype=np.int64)  # the pool: replica - share.start,
+    headroom = rows.copy()  # hi - x,
+    step = rows.copy()  # and the next step of each walker
+    out = np.zeros(0, dtype=bool)  # walkers that stepped to hi + 1 last round
+    words = steps = 0
+    while True:
+        gone = np.flatnonzero(out)
+        if len(gone):
+            back = counter_steps(h, seed, share.start + rows[gone], 1, step[gone])[:, 0] > 0
+            words += len(gone)
+            step[gone] += 1
+            visit(rows[gone[back]], np.full(int(back.sum()), hi))
+            headroom[gone[back]] = 0
+            gone = gone[~back]
+            steps += int((step[gone] - first_step).sum())
+        new = np.arange(queued, min(queued + _POOL - len(rows) + len(gone), len(share)))
+        queued += len(new)
+        if above and len(new):
+            back = counter_steps(h ** (start - hi), seed, share.start + new, 1, first_step)[:, 0] > 0
+            words += len(new)
+            steps += len(new) - int(back.sum())
+            new = new[back]
+            visit(new, np.full(len(new), hi))
+        # new replicas take the slots of escaped ones; what is left over is
+        # dropped or appended
+        refill, gone = gone[: len(new)], gone[len(new) :]
+        rows[refill], headroom[refill], step[refill] = new[: len(refill)], entry, entry_step
+        new = new[len(refill) :]
+        if len(gone):
+            keep = np.ones(len(rows), dtype=bool)
+            keep[gone] = False
+            rows, headroom, step = rows[keep], headroom[keep], step[keep]
+        if len(new):
+            rows = np.concatenate([rows, new])
+            headroom = np.concatenate([headroom, np.full(len(new), entry)])
+            step = np.concatenate([step, np.full(len(new), entry_step)])
+        if not len(rows) and queued == len(share):
+            return words, steps
+        # a round may be empty when every replica admitted so far escaped at once
+        up = counter_steps(p, seed, share.start + rows, _ROUND, step) > 0
+        words += up.size
+        pattern = ((up.view("<u8")[:, 0] * _GATHER) >> _S56).astype(np.intp)
+        used, lands = _round(pattern, headroom, width)
+        # bit j of walker i's byte is entry 8i + j; a bool view finds them fastest
+        hits = np.flatnonzero(np.unpackbits(lands, bitorder="little").view(bool))
+        if len(hits):
+            i = hits >> 3
+            visit(rows[i], hi - headroom[i] + _OFFSET[pattern[i], hits & 7])
         out = used < _ROUND
-        step += used + out
-        pos = np.where(out, hi + 1, path[:, -1])
-        if step.max() - first_step > budget:
+        step += used
+        step += out
+        headroom -= _OFFSET[pattern, -1]
+        if step.max(initial=first_step) - first_step > budget:
             raise BudgetError(f"escape not reached within {budget} steps")
-    return np.concatenate(hit_rows), np.concatenate(hit_sites), words
 
 
 def _xi_star(counts: np.ndarray, z: int) -> int:
@@ -423,22 +499,22 @@ def path_report(config: SimConfig, xi_star_z: tuple[int, ...] = (1,)) -> PathRep
     field_ = simulate_path(params, n, seed)
     counts = field_.counts
 
-    # the same walk after the horizon: replica 0 from step n, a stream
-    # independent of the path's (see `rng`)
-    _, later, _ = _escape_visits(
-        params,
-        seed,
-        np.zeros(1, dtype=np.uint64),
-        start=field_.final_position,
-        first_step=n,
-        lo=field_.min_site,
-        hi=field_.max_site,
-    )
+    # the same walk after the horizon, a share of one replica: replica 0
+    # from step n, a stream independent of the path's (see `rng`).
     # eta_max and the path variant look at the sites on the path: by fact
     # (a) these are all sites of the range, the start site 0 among them
     # when it lies in the range
     totals = counts.copy()
-    np.add.at(totals, later - field_.min_site, 1)
+    _escape_visits(
+        params,
+        seed,
+        range(1),
+        start=field_.final_position,
+        first_step=n,
+        lo=field_.min_site,
+        hi=field_.max_site,
+        visit=lambda _, sites: np.add.at(totals, sites - field_.min_site, 1),
+    )
 
     heavy = None
     if config.heavy is not None:
@@ -488,30 +564,41 @@ def ensemble(config: SimConfig, statistic: str, threads: int = 1) -> EnsembleRep
     or "no_return" (1 if the walk never returns to 0, else 0: the
     indicator that "local_time:0" is 0).  Each replica is walked until it
     escapes for good (see `_escape_visits`), so every value is exact and
-    `config.n` plays no part.  Replicas use counter-based streams keyed by
-    their index, so the result does not depend on `threads`.
+    `config.n` plays no part.
+
+    The replicas are cut into min(threads, replicas) contiguous shares of
+    near-equal size, one per worker thread (1 <= threads <= 256), and
+    each round's visits are added into the share's per-replica counts.
+    Replicas use counter-based streams keyed by their index, so the
+    result does not depend on `threads`.
     """
+    if not (isinstance(threads, numbers.Integral) and 1 <= threads <= _MAX_THREADS):
+        raise ValidationError(f"threads must be an integer in 1..{_MAX_THREADS}, got {threads!r}")
     name = str(statistic)
     sites = np.asarray(_stat_sites(name), dtype=np.int64)
     site_lo, site_hi = int(sites.min()), int(sites.max())
     member = np.zeros(site_hi - site_lo + 1, dtype=bool)  # member[s - site_lo]: s tracked
     member[sites - site_lo] = True
     params, seed, replicas = config.params, config.seed, config.replicas
+    shares = min(threads, replicas)
 
-    def run_chunk(first: int) -> tuple[np.ndarray, int]:
-        ids = np.arange(first, min(first + _CHUNK_REPLICAS, replicas), dtype=np.uint64)
-        rows, visited, words = _escape_visits(params, seed, ids, 0, 0, site_lo, site_hi)
-        vals = np.bincount(rows[member[visited - site_lo]], minlength=len(ids))
-        return (vals == 0).astype(np.int64) if name == "no_return" else vals, words
+    def run_share(i: int) -> tuple[np.ndarray, int, int]:
+        share = range(replicas * i // shares, replicas * (i + 1) // shares)
+        vals = np.zeros(len(share), dtype=np.int64)
 
-    chunks = range(0, replicas, _CHUNK_REPLICAS)
-    if threads > 1:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            results = list(pool.map(run_chunk, chunks))
+        def visit(rows, visited):
+            np.add.at(vals, rows[member[visited - site_lo]], 1)
+
+        words, steps = _escape_visits(params, seed, share, 0, 0, site_lo, site_hi, visit)
+        return (vals == 0).astype(np.int64) if name == "no_return" else vals, words, steps
+
+    if shares > 1:
+        with ThreadPoolExecutor(max_workers=shares) as pool:
+            results = list(pool.map(run_share, range(shares)))
     else:
-        results = [run_chunk(c) for c in chunks]
+        results = [run_share(0)]
 
-    hist = np.bincount(np.concatenate([vals for vals, _ in results]))
+    hist = np.bincount(np.concatenate([vals for vals, _, _ in results]))
     k = np.arange(len(hist))
     mean = (k * hist).sum() / replicas  # integer sums, exact below 2^53
     variance = max((k * k * hist).sum() / replicas - mean ** 2, 0.0)
@@ -524,5 +611,6 @@ def ensemble(config: SimConfig, statistic: str, threads: int = 1) -> EnsembleRep
         sem=sem,
         ci95=(float(mean - 1.96 * sem), float(mean + 1.96 * sem)),
         histogram=hist,
-        words=sum(words for _, words in results),
+        words=sum(words for _, words, _ in results),
+        steps=sum(steps for _, _, steps in results),
     )

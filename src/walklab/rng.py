@@ -2,7 +2,7 @@
 
 Every random draw is a pure function of (seed, replica, step) through a
 chain of 64-bit finalizing mixes, so any replica can generate its own
-stream independently of how work is scheduled across chunks or threads.
+stream independently of how work is scheduled across rounds or threads.
 Callers address a draw by its step alone.  Inside this module step t is
 lane t mod 2^16 of key block t div 2^16: the block index enters the
 replica's key and the lane is mixed into that key.  Identical keys give
@@ -18,9 +18,10 @@ open, about 7.5 words per 64 steps for the same law bit for bit.  The
 path's planes are read under their own key domain (`_path_key`), so the
 path shares no word with any replica stream of its seed: the walk after
 a path's horizon, replica 0 from step n on, is independent of the path.
-Ensembles stay on one word per step: they draw 8 steps per replica per
-round, and at so few steps per call the per-plane work costs more than
-the words it saves (bit-sliced ensemble prototypes were 1.5-2x slower).
+Ensembles stay on one word per step: each walker of an escape pool
+draws the next 8 steps of its own stream per round, and at so few steps
+per walker the per-plane work costs more than the words it saves
+(bit-sliced ensemble prototypes were 1.5-2x slower).
 """
 
 from __future__ import annotations
@@ -95,7 +96,8 @@ def counter_words(seed: int, replica, lanes: int, step=0) -> np.ndarray:
     lane = (step & _LANE_MASK)[..., None] + np.arange(lanes, dtype=np.uint64)
     spans = 1 + int(lane[..., -1].max(initial=0)) // BLOCK_LANES if lanes else 1
     if spans == 1:  # the usual case: one key per row, no gather
-        words = _key(seed, replica, first)[..., None] ^ lane
+        words = lane  # the lanes are not read again: mix their words in place
+        words ^= _key(seed, replica, first)[..., None]
     else:
         keys = np.stack([_key(seed, replica, first + np.uint64(k)) for k in range(spans)], -1)
         words = np.take_along_axis(keys, (lane >> _LANE_BITS).astype(np.intp), -1)

@@ -1,0 +1,58 @@
+"""Reference for the exact escape of replica ensembles, made the long way.
+
+`montecarlo._escape_visits` keeps a refilled pool of walkers and reads
+each 8-step round from byte tables.  This reference walks all replicas
+of a list together until the last has escaped, and reads each round
+with a cumulative sum and a running maximum over the (replicas, 8)
+steps, in the same rounds of the same streams.
+"""
+
+import numpy as np
+
+from walklab.rng import counter_steps
+
+ROUND = 8
+
+
+def reference_escape(params, seed, replica_ids, start, first_step, lo, hi):
+    """Every visit at steps >= first_step to the sites lo..hi of the
+    replicas `replica_ids`, each walked from `start` until it escapes for
+    good.  Returns the row (index into `replica_ids`) and site of every
+    visit, the RNG words drawn and the steps walked, decision steps
+    included."""
+    p, h = params.p, params.h
+    ids = np.asarray(replica_ids, dtype=np.uint64)
+    rows = np.arange(len(ids))
+    pos = np.full(len(ids), start, dtype=np.int64)
+    step = np.full(len(ids), first_step, dtype=np.int64)
+    gap = start - hi  # how far above hi the replicas waiting to decide stand
+    hit_rows, hit_sites = [rows[:0]], [pos[:0]]
+    words = steps = 0
+    while len(rows):
+        above = pos > hi
+        if above.any():
+            back = counter_steps(h**gap, seed, ids[above], 1, step[above])[:, 0] > 0
+            words += len(back)
+            hit_rows.append(rows[above][back])
+            hit_sites.append(np.full(int(back.sum()), hi, dtype=np.int64))
+            keep = ~above
+            keep[above] = back
+            pos[above] = hi
+            step[above] += 1
+            steps += int((step[~keep] - first_step).sum())
+            ids, rows, pos, step = ids[keep], rows[keep], pos[keep], step[keep]
+            if not len(rows):
+                break
+        gap = 1
+        draws = counter_steps(p, seed, ids, ROUND, step)
+        words += draws.size
+        path = pos[:, None] + np.cumsum(draws, axis=1, dtype=np.int64)
+        live = np.maximum.accumulate(path, axis=1) <= hi  # a prefix of each row
+        r, c = np.nonzero(live & (path >= lo))
+        hit_rows.append(rows[r])
+        hit_sites.append(path[r, c])
+        used = live.sum(axis=1)
+        out = used < ROUND
+        step += used + out
+        pos = np.where(out, hi + 1, path[:, -1])
+    return np.concatenate(hit_rows), np.concatenate(hit_sites), words, steps

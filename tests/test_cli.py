@@ -135,6 +135,18 @@ def test_simulate_threads_do_not_change_results(tmp_path, capsys):
         assert code == 0
         outs.append(path.read_bytes())
     assert outs[0] == outs[1]
+    report = json.loads(outs[0])
+    assert report["words"] >= report["steps"] > 0
+
+
+@pytest.mark.parametrize("threads", ["0", "-3", "257"])
+def test_simulate_refuses_threads_out_of_range(capsys, threads):
+    code, out, err = run_cli(
+        capsys, "simulate", "--replicas", "100", "--statistic", "ball_occupation",
+        "--threads", threads,
+    )
+    assert code == 1 and out == ""
+    assert err == f"error: threads must be an integer in 1..256, got {threads}\n"
 
 
 def test_simulate_rejects_invalid_p(capsys):

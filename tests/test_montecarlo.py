@@ -14,6 +14,7 @@ from walklab import rng
 from walklab.errors import BudgetError, ValidationError
 from walklab.model import make_params
 
+from escaperef import reference_escape
 from pathref import reference_positions
 
 P75 = make_params(0.75)
@@ -286,12 +287,11 @@ def test_path_continuation_is_replica_0_from_step_n(monkeypatch):
         assert replicas == [0]
         drawn.update(range(steps[0], steps[0] + lanes))
     assert min(drawn) == n and len(drawn) == max(drawn) - n + 1
-    _, later, _ = mc._escape_visits(
-        P75, seed, np.zeros(1, dtype=np.uint64), field.final_position, n,
-        field.min_site, field.max_site,
+    totals = field.counts.copy()
+    mc._escape_visits(
+        P75, seed, range(1), field.final_position, n, field.min_site, field.max_site,
+        lambda _, sites: np.add.at(totals, sites - field.min_site, 1),
     )
-    size = len(field.counts)
-    totals = field.counts + np.bincount(later - field.min_site, minlength=size)
     assert rep.eta_max == totals.max() > rep.xi_max
 
 
@@ -507,6 +507,49 @@ def test_ensemble_thread_invariance():
         assert rep.mean == reports[0].mean
         assert rep.variance == reports[0].variance
         assert rep.words == reports[0].words > 0
+        assert rep.steps == reports[0].steps > 0
+        assert rep.to_dict() == reports[0].to_dict()
+
+
+@pytest.mark.parametrize(
+    "replicas, threads",
+    [(30_000, 4), (20_000, 4), (10, 3), (5, 8), (7, 1), (3, 256), (131_072, 2)],
+)
+def test_ensemble_shares_split_the_replicas(monkeypatch, replicas, threads):
+    """Each worker walks one contiguous share: min(threads, replicas)
+    disjoint shares that cover every replica, on as many threads (none
+    for one share), even at the largest thread count."""
+    shares, workers = [], []
+    pools = mc.ThreadPoolExecutor
+
+    def recording_pool(max_workers):
+        workers.append(max_workers)
+        return pools(max_workers=max_workers)
+
+    def recording_escape(params, seed, share, *args):
+        shares.append(share)
+        return 0, 0  # no visits: only the split is under test
+
+    monkeypatch.setattr(mc, "ThreadPoolExecutor", recording_pool)
+    monkeypatch.setattr(mc, "_escape_visits", recording_escape)
+    mc.ensemble(mc.SimConfig(params=P75, n=1, replicas=replicas, seed=0), "ball_occupation", threads)
+    expected = min(threads, replicas)
+    assert len(shares) == expected
+    assert workers == ([expected] if expected > 1 else [])
+    assert all(share.step == 1 for share in shares)
+    assert sorted(r for share in shares for r in share) == list(range(replicas))
+    assert max(map(len, shares)) == -(-replicas // expected)
+
+
+@pytest.mark.parametrize("threads", [0, -3, 257, 2.5])
+def test_ensemble_refuses_threads_out_of_range(monkeypatch, threads):
+    def no_pool(*args, **kwargs):
+        raise AssertionError("a thread pool was started")
+
+    monkeypatch.setattr(mc, "ThreadPoolExecutor", no_pool)
+    config = mc.SimConfig(params=P75, n=1, replicas=1000, seed=0)
+    with pytest.raises(ValidationError, match=r"threads must be an integer in 1\.\.256"):
+        mc.ensemble(config, "ball_occupation", threads=threads)
 
 
 def test_ensemble_two_point_law():
@@ -555,11 +598,92 @@ def test_cloud_points_are_normalized_pairs():
     )
 
 
-def test_escape_visits_do_not_depend_on_round_width(monkeypatch):
-    """Step t of a replica is one draw however the rounds cut its stream."""
+@pytest.mark.parametrize("pool", [1, 3, 1000])
+def test_escape_visits_do_not_depend_on_pool_size(monkeypatch, pool):
+    """Step t of a replica is one draw however many walkers share a round."""
     config = mc.SimConfig(params=make_params(0.6), n=1, replicas=3000, seed=8)
     base = mc.ensemble(config, "two_point_neg:2")
-    for width in (1, 3, 64):
-        monkeypatch.setattr(mc, "_ROUND", width)
-        rep = mc.ensemble(config, "two_point_neg:2")
-        assert np.array_equal(rep.histogram, base.histogram)
+    monkeypatch.setattr(mc, "_POOL", pool)
+    rep = mc.ensemble(config, "two_point_neg:2", threads=2)
+    assert np.array_equal(rep.histogram, base.histogram)
+    assert rep.to_dict() == base.to_dict()
+
+
+def _brute_force_round(pattern, headroom, low):
+    """Walk the 8 steps of `pattern` one at a time from x = 0, with hi =
+    headroom and lo = low: the steps taken before the walk passes hi, and
+    the byte of those that land at or above lo."""
+    x = used = lands = 0
+    for j in range(8):
+        x += 1 if pattern >> j & 1 else -1
+        if x > headroom:
+            break
+        used += 1
+        if x >= low:
+            lands |= 1 << j
+    return used, lands
+
+
+def test_round_tables_match_a_step_by_step_walk():
+    """Every pattern, every headroom 0..12 and every lo - x from -12 up to
+    the headroom, through `_round` with its clipping."""
+    patterns = np.arange(256)
+    offsets = np.cumsum(np.where((patterns[:, None] >> np.arange(8)) & 1, 1, -1), axis=1)
+    assert np.array_equal(mc._OFFSET, offsets)
+    for headroom in range(13):
+        for low in range(-12, headroom + 1):
+            used, lands = mc._round(
+                patterns, np.full(256, headroom, dtype=np.int64), headroom - low
+            )
+            expected = [_brute_force_round(b, headroom, low) for b in range(256)]
+            assert used.tolist() == [u for u, _ in expected], (headroom, low)
+            assert lands.tolist() == [m for _, m in expected], (headroom, low)
+
+
+def _pool_visits(params, seed, share, start, first_step, lo, hi):
+    got = []
+    words, steps = mc._escape_visits(
+        params, seed, share, start, first_step, lo, hi,
+        lambda rows, sites: got.append((rows.copy(), sites.copy())),
+    )
+    rows = np.concatenate([r for r, _ in got])
+    sites = np.concatenate([s for _, s in got])
+    return sorted(zip(rows.tolist(), sites.tolist())), words, steps
+
+
+@pytest.mark.parametrize("p", [0.52, 0.6, 0.9, 0.999])
+@pytest.mark.parametrize(
+    "start, first_step, lo, hi",
+    [(0, 0, -1, 1), (3, 0, -2, 1), (0, 0, -3, -3), (0, (1 << 16) - 3, 0, 2), (-4, 7, -2, 3)],
+)
+def test_escape_visits_match_the_reference(monkeypatch, p, start, first_step, lo, hi):
+    """The pool gives the (replica, site) visit multiset, words and steps
+    of the cumsum walk of escaperef.py, with more replicas than walkers,
+    starts above hi and rounds across a 2^16-step block edge."""
+    params, seed, share = make_params(p), 4, range(100, 400)
+    monkeypatch.setattr(mc, "_POOL", 37)
+    rows, sites, words, steps = reference_escape(
+        params, seed, np.arange(share.start, share.stop), start, first_step, lo, hi
+    )
+    expected = sorted(zip(rows.tolist(), sites.tolist()))
+    assert _pool_visits(params, seed, share, start, first_step, lo, hi) == (expected, words, steps)
+    assert words >= steps >= len(share)
+
+
+@pytest.mark.parametrize("statistic", ["ball_occupation", "two_point_pos:2", "local_time:-1"])
+def test_ensemble_words_and_steps_match_the_reference(statistic):
+    """`words` and `steps` are the reference walk's counts, and words -
+    steps is what it drew past its exits; the histogram counts its visits
+    to the tracked sites."""
+    replicas, seed, params = 3000, 13, make_params(0.6)
+    config = mc.SimConfig(params=params, n=1, replicas=replicas, seed=seed)
+    reports = [mc.ensemble(config, statistic, threads=t) for t in (1, 3)]
+    sites = mc._stat_sites(statistic)
+    rows, visited, words, steps = reference_escape(
+        params, seed, np.arange(replicas), 0, 0, min(sites), max(sites)
+    )
+    counts = np.bincount(rows[np.isin(visited, sites)], minlength=replicas)
+    for rep in reports:
+        assert (rep.words, rep.steps) == (words, steps)
+        assert rep.to_dict()["steps"] == steps
+        assert np.array_equal(rep.histogram, np.bincount(counts))
