@@ -31,11 +31,11 @@ Every quantity is a pure function of (config, seed): step t of replica r
 is the same counter-based draw in every routine (see `rng`), and a
 replica's visits do not depend on which walkers share its rounds or on
 which thread's share it is in, so results are identical under any
-parallel schedule.  A single path's steps are the bit-sliced path stream of its
-seed (`rng.path_step_bits`), 16 key blocks per draw; its walk after the
-horizon (`path_report`) is replica 0 of the same seed from step n on, a
-stream that shares no word with the path, so the pair has the law of
-one walk.
+parallel schedule.  A single path's steps are the bit-sliced path
+stream of its seed (`rng.path_step_bits`), 16 key blocks per draw; its
+walk after the horizon (`path_report`) is replica 0 of the same seed
+from step n on, a stream that shares no word with the path, so the
+pair has the law of one walk.
 """
 
 from __future__ import annotations
@@ -393,7 +393,8 @@ def _escape_visits(
         new = np.arange(queued, min(queued + _POOL - len(rows) + len(gone), len(share)))
         queued += len(new)
         if above and len(new):
-            back = counter_steps(h ** (start - hi), seed, share.start + new, 1, first_step)[:, 0] > 0
+            back = counter_steps(h ** (start - hi), seed, share.start + new, 1, first_step)
+            back = back[:, 0] > 0
             words += len(new)
             steps += len(new) - int(back.sum())
             new = new[back]

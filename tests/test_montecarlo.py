@@ -532,7 +532,8 @@ def test_ensemble_shares_split_the_replicas(monkeypatch, replicas, threads):
 
     monkeypatch.setattr(mc, "ThreadPoolExecutor", recording_pool)
     monkeypatch.setattr(mc, "_escape_visits", recording_escape)
-    mc.ensemble(mc.SimConfig(params=P75, n=1, replicas=replicas, seed=0), "ball_occupation", threads)
+    config = mc.SimConfig(params=P75, n=1, replicas=replicas, seed=0)
+    mc.ensemble(config, "ball_occupation", threads)
     expected = min(threads, replicas)
     assert len(shares) == expected
     assert workers == ([expected] if expected > 1 else [])
