@@ -11,12 +11,15 @@ independent replicas.
 "Infinite-time" quantities are exact: a walk that steps just above every
 tracked site returns to the highest one with probability exactly h, so
 one uniform decides between a return and escape for good, and no count
-is truncated.  Ensembles walk their replicas in a refilled pool of
-walkers, 8 steps a round, and each thread walks one contiguous share of
-the replicas (`_escape_visits`, `ensemble`).  A replica still walking
-after the step budget that a Chernoff bound sets from p raises
-BudgetError, and so does a walk whose budget exceeds what its step
-counter holds.
+is truncated.  Ensembles walk their replicas in a refilled pool of up to
+2^14 walkers, 8 steps a round, and each thread walks one contiguous
+share of the replicas (`_escape_visits`, `ensemble`).  A walker keeps
+the stream key of its current 2^16-step block, each round is drawn into
+buffers made once per call, and a walker that steps above the tracked
+sites is decided by the next word of its round when the round drew it.
+A replica still walking after the step budget that a Chernoff bound sets
+from p raises BudgetError, and so does a walk whose budget exceeds what
+its step counter holds.
 
 Two facts of the +-1 walk let every path statistic be read from the
 dense counts alone:
@@ -51,7 +54,7 @@ import numpy as np
 from .errors import BudgetError, ValidationError
 from .model import WalkParams, derived_constants
 from .closedform import excursion_mean_visits
-from .rng import BLOCK_LANES, counter_steps, path_step_bits
+from .rng import BLOCK_LANES, _below, _key, _keyed_words, counter_words, path_step_bits
 
 __all__ = [
     "SimConfig",
@@ -65,10 +68,11 @@ __all__ = [
     "ensemble",
 ]
 
-_POOL = 1 << 15  # walkers of an escape walk that draw their rounds together
+_POOL = 1 << 14  # walkers of an escape walk that draw their rounds together
 _MAX_THREADS = 256
 _PATH_BLOCKS = 16  # key blocks of path steps drawn per path_step_bits call
 _ROUND = 8  # steps a walker draws per round of an escape walk, one byte of up-steps
+_LANE_MASK = BLOCK_LANES - 1  # a step's lane in its key block
 _BUDGET_MISS = 1e-18  # chance that a correct replica outruns its step budget
 _SLICE = 1 << 16  # sites per slice of the pair sums in _xi_star
 
@@ -191,9 +195,10 @@ class EnsembleReport:
     are followed until they escape for good, so the histogram carries no
     truncation bias, only sampling error.  `words` is the number of RNG
     words the replicas drew and `steps` the number of steps they walked,
-    decision steps included, so words - steps is the number of lanes
-    drawn past an exit.  Like every other field they do not depend on
-    the thread count.
+    decision steps included.  A decision read from a word its round
+    already drew costs no word, so words - steps is still the number of
+    lanes drawn past an exit.  Like every other field they do not depend
+    on the thread count.
     """
 
     statistic: str
@@ -316,8 +321,7 @@ def _round_tables():
 
 
 _OFFSET, _USED, _VISITS = _round_tables()
-_GATHER = np.uint64(0x0102040810204080)  # bit 0 of byte j of x to bit 56 + j of x * _GATHER
-_S56 = np.uint64(56)
+_LANE_SHIFTS = np.arange(_ROUND, dtype=np.uint64)[:, None]
 
 
 def _round(pattern: np.ndarray, headroom: np.ndarray, width: int):
@@ -350,19 +354,26 @@ def _escape_visits(
     it is done.  A replica that starts above hi is decided on admission
     with h^(start - hi).  The counts are exact, with no truncation.
 
-    The replicas walk in a pool of at most `_POOL`: each round, every
-    walker draws the next `_ROUND` steps of its own stream, and walkers
-    that escaped are replaced by the next replicas of the share, so the
-    rounds stay full until the share runs out.  A round's up-steps are
+    The replicas walk in a pool of at most `_POOL` slots.  Each walker
+    keeps the stream key of the block its next step lies in, made once
+    on admission and again only when its step enters a new 2^16-step
+    block.  Each round, every walker draws the next `_ROUND` words of
+    its key into buffers made once per call (a row whose lanes cross a
+    block edge is drawn by `counter_words`).  A round's up-steps are
     packed into one byte per walker, and `_round` reads from tables how
-    far each walks and which of its steps land in lo..hi.  A walker draws
-    the words it uses plus at most `_ROUND - 1` after each step to
-    hi + 1.
+    far each walks and which of its steps land in lo..hi.  A walker that
+    steps to hi + 1 at lane j < `_ROUND` - 1 is decided by lane j + 1 of
+    the same round; one that does so at the last lane is decided next
+    round by one more word.  The slots of finished walkers take the next
+    replicas of the share, so the rounds stay full until it runs out;
+    then walkers from the end of the pool move into the free slots.
 
     Calls `visit(rows, sites)` with the visits of each round, rows being
-    replica - share.start, in no fixed order.  Returns the words drawn
-    and the steps walked, decision steps included.  A replica still
-    walking after `_step_budget` steps raises BudgetError.
+    replica - share.start, in no fixed order.  Returns the words drawn,
+    so a decision read from its round costs none, and the steps walked,
+    decision steps included: words - steps is the number of lanes drawn
+    past an exit.  A replica still walking after `_step_budget` steps
+    raises BudgetError.
     """
     p, h = params.p, params.h
     budget = _step_budget(params, hi - start)
@@ -374,61 +385,96 @@ def _escape_visits(
     width = hi - lo
     above = start > hi  # replicas are decided on admission, and walk on from hi
     entry, entry_step = (0, first_step + 1) if above else (hi - start, first_step)
-    queued = 0  # the next replica of the share to admit
-    rows = np.zeros(0, dtype=np.int64)  # the pool: replica - share.start,
-    headroom = rows.copy()  # hi - x,
-    step = rows.copy()  # and the next step of each walker
-    out = np.zeros(0, dtype=bool)  # walkers that stepped to hi + 1 last round
-    words = steps = 0
+    size = min(_POOL, len(share))
+    rows = np.empty(size, dtype=np.int64)  # the pool's slots: replica - share.start,
+    headroom = np.empty_like(rows)  # hi - x,
+    step = np.empty_like(rows)  # the next step of each walker
+    key = np.empty(size, dtype=np.uint64)  # and the stream key of its block
+    # one round's words, the mix's scratch space and the up-steps, lane by
+    # lane (lane j of slot i at [j, i]), in whole 8-slot columns
+    cols = -(-size // 8) * 8
+    drawn = np.empty((_ROUND, cols), dtype=np.uint64)
+    scratch = np.empty_like(drawn)
+    up_steps = np.zeros((_ROUND, cols), dtype=bool)
+    free = pending = rows[:0]  # slots of finished walkers, and of those at hi + 1
+    n = queued = words = steps = 0  # n: walkers in the pool, in slots 0..n-1
+
+    def rekey(slots):
+        if len(slots):
+            key[slots] = _key(seed, share.start + rows[slots], step[slots] // BLOCK_LANES)
+
+    def decide(slots, w, h_d):
+        """The walkers in `slots`, each at hi + d with decision word w, go
+        back to hi where w is below h_d; the others are done.  Returns the
+        slots that went back and the finished ones."""
+        nonlocal steps
+        back = _below(w, h_d)
+        step[slots] += 1
+        back, done = slots[back], slots[~back]
+        if len(back):
+            visit(rows[back], np.full(len(back), hi))
+        headroom[back] = 0
+        steps += int(step[done].sum()) - first_step * len(done)
+        return back, done
+
     while True:
-        gone = np.flatnonzero(out)
-        if len(gone):
-            back = counter_steps(h, seed, share.start + rows[gone], 1, step[gone])[:, 0] > 0
-            words += len(gone)
-            step[gone] += 1
-            visit(rows[gone[back]], np.full(int(back.sum()), hi))
-            headroom[gone[back]] = 0
-            gone = gone[~back]
-            steps += int((step[gone] - first_step).sum())
-        new = np.arange(queued, min(queued + _POOL - len(rows) + len(gone), len(share)))
+        if len(pending):  # walkers that stepped to hi + 1 at the last lane
+            lane = (step[pending] & _LANE_MASK).view(np.uint64)
+            w = _keyed_words(key[pending], lane, np.empty((len(pending), 1), np.uint64))
+            words += len(pending)
+            back, done = decide(pending, w[:, 0], h)
+            rekey(back[(step[back] & _LANE_MASK) == 0])  # their next step opens a block
+            free = np.concatenate([free, done])
+        new = np.arange(queued, min(queued + len(free) + size - n, len(share)))
         queued += len(new)
         if above and len(new):
-            back = counter_steps(h ** (start - hi), seed, share.start + new, 1, first_step)
-            back = back[:, 0] > 0
+            w = counter_words(seed, share.start + new, 1, first_step)[:, 0]
             words += len(new)
+            back = _below(w, h ** (start - hi))
             steps += len(new) - int(back.sum())
             new = new[back]
             visit(new, np.full(len(new), hi))
-        # new replicas take the slots of escaped ones; what is left over is
-        # dropped or appended
-        refill, gone = gone[: len(new)], gone[len(new) :]
-        rows[refill], headroom[refill], step[refill] = new[: len(refill)], entry, entry_step
-        new = new[len(refill) :]
-        if len(gone):
-            keep = np.ones(len(rows), dtype=bool)
-            keep[gone] = False
-            rows, headroom, step = rows[keep], headroom[keep], step[keep]
-        if len(new):
-            rows = np.concatenate([rows, new])
-            headroom = np.concatenate([headroom, np.full(len(new), entry)])
-            step = np.concatenate([step, np.full(len(new), entry_step)])
-        if not len(rows) and queued == len(share):
+        # new replicas take the free slots first, then the slots past n
+        fill = np.concatenate([free[: len(new)], np.arange(n, n + len(new) - len(free))])
+        rows[fill], headroom[fill], step[fill] = new, entry, entry_step
+        rekey(fill)
+        holes, n = free[len(new) :], n + max(len(new) - len(free), 0)
+        if len(holes):  # the share ran short: walkers past the new end fill the holes
+            n -= len(holes)
+            movers = np.setdiff1d(np.arange(n, n + len(holes)), holes, assume_unique=True)
+            targets = holes[holes < n]
+            for a in (rows, headroom, step, key):
+                a[targets] = a[movers]
+        if not n and queued == len(share):
             return words, steps
         # a round may be empty when every replica admitted so far escaped at once
-        up = counter_steps(p, seed, share.start + rows, _ROUND, step) > 0
-        words += up.size
-        pattern = ((up.view("<u8")[:, 0] * _GATHER) >> _S56).astype(np.intp)
-        used, lands = _round(pattern, headroom, width)
+        lane = step[:n] & _LANE_MASK
+        w = _keyed_words(key[:n], lane.view(np.uint64), drawn[:, :n].T, scratch[:, :n].T)
+        near = np.flatnonzero(lane >= BLOCK_LANES - _ROUND)  # may enter a new block
+        edge = near[lane[near] > BLOCK_LANES - _ROUND]  # its lanes cross a block edge
+        if len(edge):
+            w[edge] = counter_words(seed, share.start + rows[edge], _ROUND, step[edge])
+        words += w.size
+        _below(w, p, out=up_steps[:, :n].T)
+        # byte i of a row's word j is lane j of slot i: shifted by j and or-ed
+        # over the lanes, byte i is the byte of slot i's up-steps
+        bits = up_steps[:, : -(-n // 8) * 8].view("<u8") << _LANE_SHIFTS
+        pattern = np.bitwise_or.reduce(bits, axis=0).view(np.uint8)[:n].astype(np.intp)
+        used, lands = _round(pattern, headroom[:n], width)
         # bit j of walker i's byte is entry 8i + j; a bool view finds them fastest
         hits = np.flatnonzero(np.unpackbits(lands, bitorder="little").view(bool))
         if len(hits):
             i = hits >> 3
-            visit(rows[i], hi - headroom[i] + _OFFSET[pattern[i], hits & 7])
-        out = used < _ROUND
-        step += used
-        step += out
-        headroom -= _OFFSET[pattern, -1]
-        if step.max(initial=first_step) - first_step > budget:
+            visit(rows[i], hi - headroom[i] + _OFFSET.ravel()[(pattern[i] << 3) | (hits & 7)])
+        step[:n] += used
+        headroom[:n] -= _OFFSET[pattern, -1]
+        out = np.flatnonzero(used < _ROUND)  # stepped to hi + 1 at lane used[out]
+        step[out] += 1
+        inside = used[out] < _ROUND - 1
+        now, pending = out[inside], out[~inside]
+        _, free = decide(now, w[now, used[now] + 1], h)
+        rekey(near[(step[near] & _LANE_MASK) < lane[near]])
+        if step[:n].max(initial=first_step) - first_step > budget:
             raise BudgetError(f"escape not reached within {budget} steps")
 
 

@@ -9,19 +9,25 @@ replica's key and the lane is mixed into that key.  Identical keys give
 bit-identical streams on every platform.
 
 Replica streams (`counter_words`, `counter_uniforms`, `counter_steps`)
-spend one word on each step.  A single long path is drawn bit-sliced
-instead (`path_step_bits`): step t is bit t mod 64 of group
-(t mod 2^16) div 64 of key block t div 2^16, and its 53-bit uniform is
-spread over 53 plane words of its group, which are compared with p from
-the top bit down and drawn only while a step of the group is still
-open, about 7.5 words per 64 steps for the same law bit for bit.  The
-path's planes are read under their own key domain (`_path_key`), so the
+spend one word on each step.  The word of lane l under a block's key is
+mix(key ^ l), drawn by one keyed primitive (`_keyed_words`) into a
+caller's buffer: `counter_words` makes the key of each row and draws
+through it, and an ensemble walker keeps its key while its steps stay in
+one block, so a round costs one mix per word and no key mixes.  A
+single long path is drawn bit-sliced instead (`path_step_bits`): step t
+is bit t mod 64 of group (t mod 2^16) div 64 of key block t div 2^16,
+and its 53-bit uniform is spread over 53 plane words of its group, which
+are compared with p from the top bit down and drawn only while a step of
+the group is still open, about 7.5 words per 64 steps for the same law
+bit for bit.  The path's planes are read under their own key domain (`_path_key`), so the
 path shares no word with any replica stream of its seed: the walk after
 a path's horizon, replica 0 from step n on, is independent of the path.
 Ensembles stay on one word per step: each walker of an escape pool
 draws the next 8 steps of its own stream per round, and at so few steps
 per walker the per-plane work costs more than the words it saves
-(bit-sliced ensemble prototypes were 1.5-2x slower).
+(bit-sliced ensemble prototypes were 1.5-2x slower).  An escape decision
+reads the word of its step like any other step, from the round that drew
+it when it lies inside that round.
 """
 
 from __future__ import annotations
@@ -54,9 +60,11 @@ _S30, _S27, _S31, _S11 = (np.uint64(s) for s in (30, 27, 31, 11))
 _U53 = np.float64(1.0 / (1 << 53))
 
 
-def _mix_inplace(z: np.ndarray) -> None:
-    """SplitMix64 finalizer applied to a uint64 array in place."""
-    tmp = np.empty_like(z)
+def _mix_inplace(z: np.ndarray, tmp: np.ndarray | None = None) -> None:
+    """SplitMix64 finalizer applied to a uint64 array in place; `tmp`, an
+    array of z's shape, is its scratch space (a new one when not given)."""
+    if tmp is None:
+        tmp = np.empty_like(z)
     with np.errstate(over="ignore"):  # modular 2**64 wraparound is intended
         z += _GOLDEN
         np.right_shift(z, _S30, out=tmp)
@@ -82,6 +90,23 @@ def _key(seed: int, replica, block):
     return mix64(h ^ np.asarray(block, dtype=np.uint64))
 
 
+def _keyed_words(keys, lane, out: np.ndarray, scratch: np.ndarray | None = None) -> np.ndarray:
+    """Words of lanes lane + j, j < out.shape[-1], of the key blocks
+    `keys`, drawn into `out`: word j is mix(key ^ (lane + j)).
+
+    `keys` and `lane` are uint64 arrays of out's shape without its last
+    axis, and every lane + j must stay below 2^16, inside the key's block.
+    `scratch` is passed on to `_mix_inplace`.  This is the one definition
+    of a replica's word: `counter_words` draws every row that stays in one
+    block through it, and so do the ensemble rounds of `montecarlo`,
+    which keep each walker's key.
+    """
+    np.add(lane[..., None], np.arange(out.shape[-1], dtype=np.uint64), out=out)
+    out ^= keys[..., None]
+    _mix_inplace(out, scratch)
+    return out
+
+
 def counter_words(seed: int, replica, lanes: int, step=0) -> np.ndarray:
     """Raw 64-bit words of steps step + j, j < lanes.
 
@@ -93,15 +118,15 @@ def counter_words(seed: int, replica, lanes: int, step=0) -> np.ndarray:
         np.asarray(replica, dtype=np.uint64), np.asarray(step, dtype=np.uint64)
     )
     first = step >> _LANE_BITS
-    lane = (step & _LANE_MASK)[..., None] + np.arange(lanes, dtype=np.uint64)
-    spans = 1 + int(lane[..., -1].max(initial=0)) // BLOCK_LANES if lanes else 1
+    lane = step & _LANE_MASK
+    spans = 1 + (int(lane.max(initial=0)) + lanes - 1) // BLOCK_LANES if lanes else 1
     if spans == 1:  # the usual case: one key per row, no gather
-        words = lane  # the lanes are not read again: mix their words in place
-        words ^= _key(seed, replica, first)[..., None]
-    else:
-        keys = np.stack([_key(seed, replica, first + np.uint64(k)) for k in range(spans)], -1)
-        words = np.take_along_axis(keys, (lane >> _LANE_BITS).astype(np.intp), -1)
-        words ^= lane & _LANE_MASK
+        out = np.empty((*lane.shape, lanes), dtype=np.uint64)
+        return _keyed_words(_key(seed, replica, first), lane, out)
+    lane = lane[..., None] + np.arange(lanes, dtype=np.uint64)
+    keys = np.stack([_key(seed, replica, first + np.uint64(k)) for k in range(spans)], -1)
+    words = np.take_along_axis(keys, (lane >> _LANE_BITS).astype(np.intp), -1)
+    words ^= lane & _LANE_MASK
     _mix_inplace(words)
     return words
 
@@ -120,8 +145,9 @@ def _cut(p: float) -> int:
     return min(max(math.ceil(p * 2.0**53), 0), 1 << 53)
 
 
-def _below(words: np.ndarray, p: float) -> np.ndarray:
-    """(w >> 11) * 2^-53 < p, tested on the raw words.
+def _below(words: np.ndarray, p: float, out: np.ndarray | None = None) -> np.ndarray:
+    """(w >> 11) * 2^-53 < p, tested on the raw words, into the bool
+    array `out` when one is given.
 
     The test is (w >> 11) < cut, that is w < cut * 2^11: bit for bit the
     float definition, without converting any word.  The clamped cut keeps
@@ -129,8 +155,10 @@ def _below(words: np.ndarray, p: float) -> np.ndarray:
     """
     cut = _cut(p)
     if cut == 0:
-        return np.zeros(words.shape, dtype=bool)
-    return words <= np.uint64((cut << 11) - 1)
+        out = np.empty(words.shape, dtype=bool) if out is None else out
+        out[...] = False
+        return out
+    return np.less_equal(words, np.uint64((cut << 11) - 1), out=out)
 
 
 def counter_steps(p: float, seed: int, replica, lanes: int, step=0) -> np.ndarray:

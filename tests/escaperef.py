@@ -4,7 +4,9 @@
 each 8-step round from byte tables.  This reference walks all replicas
 of a list together until the last has escaped, and reads each round
 with a cumulative sum and a running maximum over the (replicas, 8)
-steps, in the same rounds of the same streams.
+steps, in the same rounds of the same streams.  A decision whose step
+lies inside the round just drawn reads a word already drawn, so it
+counts no new word.
 """
 
 import numpy as np
@@ -26,13 +28,14 @@ def reference_escape(params, seed, replica_ids, start, first_step, lo, hi):
     pos = np.full(len(ids), start, dtype=np.int64)
     step = np.full(len(ids), first_step, dtype=np.int64)
     gap = start - hi  # how far above hi the replicas waiting to decide stand
+    drawn = np.zeros(len(ids), dtype=bool)  # the decision word was in the last round
     hit_rows, hit_sites = [rows[:0]], [pos[:0]]
     words = steps = 0
     while len(rows):
         above = pos > hi
         if above.any():
             back = counter_steps(h**gap, seed, ids[above], 1, step[above])[:, 0] > 0
-            words += len(back)
+            words += int((~drawn[above]).sum())
             hit_rows.append(rows[above][back])
             hit_sites.append(np.full(int(back.sum()), hi, dtype=np.int64))
             keep = ~above
@@ -41,6 +44,7 @@ def reference_escape(params, seed, replica_ids, start, first_step, lo, hi):
             step[above] += 1
             steps += int((step[~keep] - first_step).sum())
             ids, rows, pos, step = ids[keep], rows[keep], pos[keep], step[keep]
+            drawn = drawn[keep]
             if not len(rows):
                 break
         gap = 1
@@ -53,6 +57,7 @@ def reference_escape(params, seed, replica_ids, start, first_step, lo, hi):
         hit_sites.append(path[r, c])
         used = live.sum(axis=1)
         out = used < ROUND
+        drawn = used < ROUND - 1
         step += used + out
         pos = np.where(out, hi + 1, path[:, -1])
     return np.concatenate(hit_rows), np.concatenate(hit_sites), words, steps

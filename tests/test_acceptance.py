@@ -3,6 +3,8 @@ tolerances.  Each test prints one PASS/FAIL line with the measured and
 expected values (run pytest with -s or read captured output on
 failure)."""
 
+import math
+
 import pytest
 
 from walklab import verify
@@ -63,3 +65,24 @@ def test_criterion_over_p(number, p):
     status = "PASS" if passed else "FAIL"
     print(f"[{status}] criterion {number} at p={p}: {name} | measured: {measured} | expected: {expected}")
     assert passed, f"criterion {number} ({name}) failed at p={p}: {measured}; expected {expected}"
+
+
+def test_single_path_lln_bands_follow_the_expected_counts():
+    """Each Qtilde(k, n) band is 5% or 4 / sqrt(expected count): 5% for
+    every k at p = 0.75; at p = 0.999, where about 40 sites are visited
+    3 times by n = 10^7, the k = 3 band is about 63%."""
+    n = 10**7
+    assert [band for _, band in verify._lln_bands(PARAMS, n).values()] == [0.05] * 3
+    bands = verify._lln_bands(make_params(0.999), n)
+    assert [band for _, band in bands.values()][:2] == [0.05, 0.05]
+    limit, band = bands[3]
+    assert 39 < n * limit < 41 and band == pytest.approx(4 / math.sqrt(n * limit))
+
+
+def test_single_path_lln_near_one():
+    """Criterion 8 at p = 0.999, where a fixed 5% band on Qtilde(3, n)
+    was under one standard deviation of its count."""
+    name, fn = verify._CRITERIA[8]
+    passed, measured, expected = fn(make_params(0.999), SEED)
+    print(f"criterion 8 at p=0.999: {name} | measured: {measured} | expected: {expected}")
+    assert passed, f"criterion 8 failed at p=0.999: {measured}; expected {expected}"

@@ -268,24 +268,24 @@ def test_xi_star_over_several_slices():
 
 
 def test_path_continuation_is_replica_0_from_step_n(monkeypatch):
-    """The path draws no counter_steps word; its walk after the horizon
-    reads the counter_steps words of replica 0 at steps n, n + 1, ...
-    in one unbroken run, and eta_max counts those visits."""
+    """The path draws no replica word; its walk after the horizon reads
+    the words of replica 0 at steps n, n + 1, ... in one unbroken run,
+    and eta_max counts those visits."""
     calls = []
 
-    def recording(p, seed, replica, lanes, step=0):
-        calls.append((np.asarray(replica).tolist(), np.asarray(step).tolist(), lanes))
-        return rng.counter_steps(p, seed, replica, lanes, step)
+    def recording(keys, lane, out, scratch=None):
+        calls.append((np.asarray(keys).tolist(), np.asarray(lane).tolist(), out.shape[-1]))
+        return rng._keyed_words(keys, lane, out, scratch)
 
-    monkeypatch.setattr(mc, "counter_steps", recording)
+    monkeypatch.setattr(mc, "_keyed_words", recording)
     n, seed = 3000, 237
     field = mc.simulate_path(P75, n, seed)
     assert calls == []
     rep = mc.path_report(mc.SimConfig(params=P75, n=n, seed=seed))
     drawn = set()
-    for replicas, steps, lanes in calls:
-        assert replicas == [0]
-        drawn.update(range(steps[0], steps[0] + lanes))
+    for keys, lane, lanes in calls:
+        assert keys == [int(rng._key(seed, 0, 0))]  # replica 0 in block 0: n < 2^16
+        drawn.update(range(lane[0], lane[0] + lanes))
     assert min(drawn) == n and len(drawn) == max(drawn) - n + 1
     totals = field.counts.copy()
     mc._escape_visits(
@@ -367,11 +367,11 @@ def test_exact_escape_agrees_with_margin_escape(p, statistic):
 def test_escape_step_budget_guard(monkeypatch):
     """A stream that only ever steps down never escapes: the budget chosen
     from p stops it after a few hundred steps instead of running on."""
-    def always_down(p, seed, replica, lanes, step=0):
-        shape = np.broadcast(np.asarray(replica), np.asarray(step)).shape
-        return np.full((*shape, lanes), -1, dtype=np.int8)
+    def always_down(keys, lane, out, scratch=None):
+        out[...] = np.uint64(2**64 - 1)  # no uniform is below p
+        return out
 
-    monkeypatch.setattr(mc, "counter_steps", always_down)
+    monkeypatch.setattr(mc, "_keyed_words", always_down)
     config = mc.SimConfig(params=P75, n=1, replicas=64, seed=0)
     with pytest.raises(BudgetError, match="within 319 steps"):
         mc.ensemble(config, "local_time:0")
@@ -655,12 +655,25 @@ def _pool_visits(params, seed, share, start, first_step, lo, hi):
 @pytest.mark.parametrize("p", [0.52, 0.6, 0.9, 0.999])
 @pytest.mark.parametrize(
     "start, first_step, lo, hi",
-    [(0, 0, -1, 1), (3, 0, -2, 1), (0, 0, -3, -3), (0, (1 << 16) - 3, 0, 2), (-4, 7, -2, 3)],
+    [
+        (0, 0, -1, 1),
+        (3, 0, -2, 1),
+        (0, 0, -3, -3),
+        (0, (1 << 16) - 3, 0, 2),
+        (-4, 7, -2, 3),
+        (0, (1 << 16) - 40, -1, 1),
+        (0, (1 << 16) - 9, -1, 1),
+    ],
 )
 def test_escape_visits_match_the_reference(monkeypatch, p, start, first_step, lo, hi):
     """The pool gives the (replica, site) visit multiset, words and steps
     of the cumsum walk of escaperef.py, with more replicas than walkers,
-    starts above hi and rounds across a 2^16-step block edge."""
+    starts above hi and rounds across a 2^16-step block edge.  From
+    2^16 - 40, walkers at p = 0.52 reach the edge in the middle of their
+    walks, so their cached keys are made again and rounds straddle it.
+    From 2^16 - 9, a walker that leaves at the last lane of its first
+    round decides at step 2^16 - 1 and, if it goes back, walks on in the
+    next block."""
     params, seed, share = make_params(p), 4, range(100, 400)
     monkeypatch.setattr(mc, "_POOL", 37)
     rows, sites, words, steps = reference_escape(

@@ -137,3 +137,35 @@ def test_path_key_is_no_replica_key():
         path_keys = rng._path_key(seed, blocks) >> np.uint64(16)
         replica_keys = rng._key(seed, np.arange(4096, dtype=np.uint64)[:, None], blocks)
         assert not np.isin(path_keys, replica_keys >> np.uint64(16)).any()
+
+
+def _keyed_row(seed, replica, step, lanes):
+    """Lanes step + j, j < lanes, of one replica through `_keyed_words`,
+    with the key of the block that `step` lies in."""
+    key = rng._key(seed, np.uint64(replica), np.uint64(step >> 16))
+    lane = np.uint64(step & 0xFFFF)
+    return rng._keyed_words(key, lane, np.empty(lanes, dtype=np.uint64))
+
+
+def test_keyed_words_match_counter_words():
+    """Word j of key block b's lane l is the word of step b * 2^16 + l,
+    for random rows drawn together into one buffer with a scratch array,
+    and one at a time at steps 2^16 - 9 ... 2^16 + 8, where a cached key
+    must be made again as the step enters block 1."""
+    gen = np.random.default_rng(5)
+    replicas = gen.integers(0, 2**63, 500, dtype=np.uint64)
+    steps = gen.integers(0, 2**40, 500, dtype=np.uint64) & ~np.uint64(15)  # lanes 0..8 of 16 fit
+    keys = rng._key(3, replicas, steps >> np.uint64(16))
+    out = np.empty((500, 9), dtype=np.uint64)
+    got = rng._keyed_words(keys, steps & np.uint64(0xFFFF), out, np.empty_like(out))
+    assert got is out
+    assert np.array_equal(out, rng.counter_words(3, replicas, 9, steps))
+    edge = range((1 << 16) - 9, (1 << 16) + 9)
+    for replica in (0, 7):
+        whole = rng.counter_words(3, replica, len(edge) + 8, edge.start)
+        one_by_one = [_keyed_row(3, replica, t, 1)[0] for t in edge]
+        assert np.array_equal(whole[: len(edge)], one_by_one)
+        for t in edge:  # 8 lanes, or as many as the block holds
+            lanes = min(8, (1 << 16) - (t & 0xFFFF))
+            row = whole[t - edge.start :][:lanes]
+            assert np.array_equal(_keyed_row(3, replica, t, lanes), row), t
