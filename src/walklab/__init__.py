@@ -5,7 +5,7 @@ The package provides closed-form distributions of visit counts
 (closedform), their rational generating functions (genfunc), the
 admissible joint-growth region and its boundary (boundary), exact
 finite-horizon oracles by enumeration and dynamic programming (oracle),
-a deterministic parallel Monte Carlo engine (montecarlo), a built-in
+a deterministic Monte Carlo engine (montecarlo), a built-in
 cross-validation suite (verify) and a command-line interface (cli).
 
 The top level holds the names of the README example and the errors;

@@ -202,18 +202,14 @@ def cmd_simulate(args) -> int:
     if args.replicas == 1:
         payload = montecarlo.path_report(config).to_dict()
     else:
-        payload = montecarlo.ensemble(
-            config, args.statistic, threads=args.threads
-        ).to_dict()
+        payload = montecarlo.ensemble(config, args.statistic).to_dict()
     payload["seed"] = args.seed
     _write_outputs(args, payload)
     return 0
 
 
 def cmd_verify(args) -> int:
-    results = verify.run_suite(
-        p=args.p, level=args.level, seed=args.seed, threads=args.threads
-    )
+    results = verify.run_suite(p=args.p, level=args.level, seed=args.seed)
     for r in results:
         status = "PASS" if r.passed else "FAIL"
         print(f"[{status}] {r.number:2d} {r.name} ({r.seconds:.1f}s)")
@@ -298,14 +294,11 @@ def build_parser() -> argparse.ArgumentParser:
         "local_time:Z, sphere_occupation, ball_occupation, two_point_pos:Z, "
         "two_point_neg:Z, no_return",
     )
-    sp.add_argument("--threads", type=int, default=1,
-                    help="worker threads (never changes results)")
     sp.set_defaults(func=cmd_simulate)
 
     sp = sub.add_parser("verify", help="run the built-in verification suite")
     common(sp, seed=True)
     sp.add_argument("--level", choices=sorted(verify.LEVELS), default="desk")
-    sp.add_argument("--threads", type=int, default=1)
     sp.set_defaults(func=cmd_verify)
 
     return parser

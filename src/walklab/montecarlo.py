@@ -11,12 +11,12 @@ independent replicas.
 "Infinite-time" quantities are exact: a walk that steps just above every
 tracked site returns to the highest one with probability exactly h, so
 one uniform decides between a return and escape for good, and no count
-is truncated.  Ensembles walk their replicas in a refilled pool of up to
-2^14 walkers, 8 steps a round, and each thread walks one contiguous
-share of the replicas (`_escape_visits`, `ensemble`).  A walker keeps
-the stream key of its current 2^16-step block, each round is drawn into
-buffers made once per call, and a walker that steps above the tracked
-sites is decided by the next word of its round when the round drew it.
+is truncated.  Ensembles walk their replicas on the calling thread, in
+a refilled pool of up to 2^14 walkers, 8 steps a round (`_escape_visits`,
+`ensemble`).  A walker keeps the stream key of its current 2^16-step
+block, each round is drawn into buffers made once per call, and a walker
+that steps above the tracked sites is decided by the next word of its
+round when the round drew it.
 A replica still walking after the step budget that a Chernoff bound sets
 from p raises BudgetError, and so does a walk whose budget exceeds what
 its step counter holds.
@@ -32,21 +32,18 @@ dense counts alone:
 
 Every quantity is a pure function of (config, seed): step t of replica r
 is the same counter-based draw in every routine (see `rng`), and a
-replica's visits do not depend on which walkers share its rounds or on
-which thread's share it is in, so results are identical under any
-parallel schedule.  A single path's steps are the bit-sliced path
-stream of its seed (`rng.path_step_bits`), 16 key blocks per draw; its
-walk after the horizon (`path_report`) is replica 0 of the same seed
-from step n on, a stream that shares no word with the path, so the
-pair has the law of one walk.
+replica's visits do not depend on which walkers share its rounds, so
+results do not depend on the size of the pool.  A single path's steps
+are the bit-sliced path stream of its seed (`rng.path_step_bits`), 16
+key blocks per draw; its walk after the horizon (`path_report`) is
+replica 0 of the same seed from step n on, a stream that shares no word
+with the path, so the pair has the law of one walk.
 """
 
 from __future__ import annotations
 
 import math
-import numbers
 import re
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
@@ -69,7 +66,6 @@ __all__ = [
 ]
 
 _POOL = 1 << 14  # walkers of an escape walk that draw their rounds together
-_MAX_THREADS = 256
 _PATH_BLOCKS = 16  # key blocks of path steps drawn per path_step_bits call
 _ROUND = 8  # steps a walker draws per round of an escape walk, one byte of up-steps
 _LANE_MASK = BLOCK_LANES - 1  # a step's lane in its key block
@@ -197,8 +193,7 @@ class EnsembleReport:
     words the replicas drew and `steps` the number of steps they walked,
     decision steps included.  A decision read from a word its round
     already drew costs no word, so words - steps is still the number of
-    lanes drawn past an exit.  Like every other field they do not depend
-    on the thread count.
+    lanes drawn past an exit.
     """
 
     statistic: str
@@ -336,15 +331,15 @@ def _round(pattern: np.ndarray, headroom: np.ndarray, width: int):
 def _escape_visits(
     params: WalkParams,
     seed: int,
-    share: range,
+    replicas: int,
     start: int,
     first_step: int,
     lo: int,
     hi: int,
     visit,
 ) -> tuple[int, int]:
-    """Every visit at steps >= first_step to the sites lo..hi of the
-    replicas in `share`, with each walk run to the end of time.
+    """Every visit at steps >= first_step to the sites lo..hi of
+    replicas 0..replicas-1, with each walk run to the end of time.
 
     Each replica walks from `start`, reading its stream from step
     `first_step` on.  Above hi the walk visits no site of lo..hi, and
@@ -365,11 +360,11 @@ def _escape_visits(
     steps to hi + 1 at lane j < `_ROUND` - 1 is decided by lane j + 1 of
     the same round; one that does so at the last lane is decided next
     round by one more word.  The slots of finished walkers take the next
-    replicas of the share, so the rounds stay full until it runs out;
-    then walkers from the end of the pool move into the free slots.
+    replicas, so the rounds stay full until they run out; then walkers
+    from the end of the pool move into the free slots.
 
     Calls `visit(rows, sites)` with the visits of each round, rows being
-    replica - share.start, in no fixed order.  Returns the words drawn,
+    replica indices, in no fixed order.  Returns the words drawn,
     so a decision read from its round costs none, and the steps walked,
     decision steps included: words - steps is the number of lanes drawn
     past an exit.  A replica still walking after `_step_budget` steps
@@ -385,8 +380,8 @@ def _escape_visits(
     width = hi - lo
     above = start > hi  # replicas are decided on admission, and walk on from hi
     entry, entry_step = (0, first_step + 1) if above else (hi - start, first_step)
-    size = min(_POOL, len(share))
-    rows = np.empty(size, dtype=np.int64)  # the pool's slots: replica - share.start,
+    size = min(_POOL, replicas)
+    rows = np.empty(size, dtype=np.int64)  # the pool's slots: replica,
     headroom = np.empty_like(rows)  # hi - x,
     step = np.empty_like(rows)  # the next step of each walker
     key = np.empty(size, dtype=np.uint64)  # and the stream key of its block
@@ -401,7 +396,7 @@ def _escape_visits(
 
     def rekey(slots):
         if len(slots):
-            key[slots] = _key(seed, share.start + rows[slots], step[slots] // BLOCK_LANES)
+            key[slots] = _key(seed, rows[slots], step[slots] // BLOCK_LANES)
 
     def decide(slots, w, h_d):
         """The walkers in `slots`, each at hi + d with decision word w, go
@@ -425,10 +420,10 @@ def _escape_visits(
             back, done = decide(pending, w[:, 0], h)
             rekey(back[(step[back] & _LANE_MASK) == 0])  # their next step opens a block
             free = np.concatenate([free, done])
-        new = np.arange(queued, min(queued + len(free) + size - n, len(share)))
+        new = np.arange(queued, min(queued + len(free) + size - n, replicas))
         queued += len(new)
         if above and len(new):
-            w = counter_words(seed, share.start + new, 1, first_step)[:, 0]
+            w = counter_words(seed, new, 1, first_step)[:, 0]
             words += len(new)
             back = _below(w, h ** (start - hi))
             steps += len(new) - int(back.sum())
@@ -439,13 +434,13 @@ def _escape_visits(
         rows[fill], headroom[fill], step[fill] = new, entry, entry_step
         rekey(fill)
         holes, n = free[len(new) :], n + max(len(new) - len(free), 0)
-        if len(holes):  # the share ran short: walkers past the new end fill the holes
+        if len(holes):  # the replicas ran short: walkers past the new end fill the holes
             n -= len(holes)
             movers = np.setdiff1d(np.arange(n, n + len(holes)), holes, assume_unique=True)
             targets = holes[holes < n]
             for a in (rows, headroom, step, key):
                 a[targets] = a[movers]
-        if not n and queued == len(share):
+        if not n and queued == replicas:
             return words, steps
         # a round may be empty when every replica admitted so far escaped at once
         lane = step[:n] & _LANE_MASK
@@ -453,7 +448,7 @@ def _escape_visits(
         near = np.flatnonzero(lane >= BLOCK_LANES - _ROUND)  # may enter a new block
         edge = near[lane[near] > BLOCK_LANES - _ROUND]  # its lanes cross a block edge
         if len(edge):
-            w[edge] = counter_words(seed, share.start + rows[edge], _ROUND, step[edge])
+            w[edge] = counter_words(seed, rows[edge], _ROUND, step[edge])
         words += w.size
         _below(w, p, out=up_steps[:, :n].T)
         # byte i of a row's word j is lane j of slot i: shifted by j and or-ed
@@ -546,8 +541,8 @@ def path_report(config: SimConfig, xi_star_z: tuple[int, ...] = (1,)) -> PathRep
     field_ = simulate_path(params, n, seed)
     counts = field_.counts
 
-    # the same walk after the horizon, a share of one replica: replica 0
-    # from step n, a stream independent of the path's (see `rng`).
+    # the same walk after the horizon: replica 0 from step n, a stream
+    # independent of the path's (see `rng`).
     # eta_max and the path variant look at the sites on the path: by fact
     # (a) these are all sites of the range, the start site 0 among them
     # when it lies in the range
@@ -555,7 +550,7 @@ def path_report(config: SimConfig, xi_star_z: tuple[int, ...] = (1,)) -> PathRep
     _escape_visits(
         params,
         seed,
-        range(1),
+        1,
         start=field_.final_position,
         first_step=n,
         lo=field_.min_site,
@@ -604,48 +599,34 @@ def _stat_sites(statistic: str) -> tuple[int, ...]:
 
 
 def ensemble(config: SimConfig, statistic: str, threads: int = 1) -> EnsembleReport:
-    """Replica ensemble of a total-count statistic with merged histogram.
+    """Replica ensemble of a total-count statistic with its histogram.
 
     `statistic` is "local_time:z", "sphere_occupation", "ball_occupation",
     "two_point_pos:z", "two_point_neg:z" (the total visits to those sites)
     or "no_return" (1 if the walk never returns to 0, else 0: the
     indicator that "local_time:0" is 0).  Each replica is walked until it
     escapes for good (see `_escape_visits`), so every value is exact and
-    `config.n` plays no part.
+    `config.n` plays no part.  All replicas are walked in one pool on the
+    calling thread, and each round's visits are added into their
+    per-replica counts.
 
-    The replicas are cut into min(threads, replicas) contiguous shares of
-    near-equal size, one per worker thread (1 <= threads <= 256), and
-    each round's visits are added into the share's per-replica counts.
-    Replicas use counter-based streams keyed by their index, so the
-    result does not depend on `threads`.
+    `threads` is neither read nor checked.  It is kept only because the
+    benchmark harness in perfbench/ still passes it; it goes once that
+    harness stops.
     """
-    if not (isinstance(threads, numbers.Integral) and 1 <= threads <= _MAX_THREADS):
-        raise ValidationError(f"threads must be an integer in 1..{_MAX_THREADS}, got {threads!r}")
     name = str(statistic)
     sites = np.asarray(_stat_sites(name), dtype=np.int64)
     site_lo, site_hi = int(sites.min()), int(sites.max())
     member = np.zeros(site_hi - site_lo + 1, dtype=bool)  # member[s - site_lo]: s tracked
     member[sites - site_lo] = True
     params, seed, replicas = config.params, config.seed, config.replicas
-    shares = min(threads, replicas)
+    vals = np.zeros(replicas, dtype=np.int64)
 
-    def run_share(i: int) -> tuple[np.ndarray, int, int]:
-        share = range(replicas * i // shares, replicas * (i + 1) // shares)
-        vals = np.zeros(len(share), dtype=np.int64)
+    def visit(rows, visited):
+        np.add.at(vals, rows[member[visited - site_lo]], 1)
 
-        def visit(rows, visited):
-            np.add.at(vals, rows[member[visited - site_lo]], 1)
-
-        words, steps = _escape_visits(params, seed, share, 0, 0, site_lo, site_hi, visit)
-        return (vals == 0).astype(np.int64) if name == "no_return" else vals, words, steps
-
-    if shares > 1:
-        with ThreadPoolExecutor(max_workers=shares) as pool:
-            results = list(pool.map(run_share, range(shares)))
-    else:
-        results = [run_share(0)]
-
-    hist = np.bincount(np.concatenate([vals for vals, _, _ in results]))
+    words, steps = _escape_visits(params, seed, replicas, 0, 0, site_lo, site_hi, visit)
+    hist = np.bincount((vals == 0).astype(np.int64) if name == "no_return" else vals)
     k = np.arange(len(hist))
     mean = (k * hist).sum() / replicas  # integer sums, exact below 2^53
     variance = max((k * k * hist).sum() / replicas - mean ** 2, 0.0)
@@ -658,6 +639,6 @@ def ensemble(config: SimConfig, statistic: str, threads: int = 1) -> EnsembleRep
         sem=sem,
         ci95=(float(mean - 1.96 * sem), float(mean + 1.96 * sem)),
         histogram=hist,
-        words=sum(words for _, words, _ in results),
-        steps=sum(steps for _, _, steps in results),
+        words=words,
+        steps=steps,
     )

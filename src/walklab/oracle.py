@@ -337,6 +337,27 @@ def _chain(params: WalkParams, sites: list[int]) -> np.ndarray:
     return move
 
 
+def _visit_bound(move: np.ndarray, eps: float, most: float) -> float:
+    """The smallest power of two m for which every row of move^m sums to
+    less than eps: after m visits less than eps of the mass is left from
+    any start.  move^m is found by squaring, and the squaring stops once
+    m passes `most` visits; m then goes on doubling on paper, since the
+    row sums of a square are at most the square of the largest.  A row
+    sum that rounds to 1 gives an infinite bound."""
+    visits, power = 1, move
+    rows = float(power.sum(axis=1).max())
+    while rows >= eps and visits <= most:
+        power = power @ power
+        visits *= 2
+        rows = float(power.sum(axis=1).max())
+    if rows < eps:
+        return visits
+    if rows >= 1.0:
+        return math.inf
+    # the least number of doublings d with rows^(2^d) < eps
+    return visits * 2.0 ** (math.floor(math.log2(math.log(eps) / math.log(rows))) + 1)
+
+
 def infinite_law(params: WalkParams, functionals, eps: float) -> JointLaw:
     """Infinite-horizon law from the chain of visits to the tracked sites
     and 0, swept one visit at a time until less than eps of its mass is
@@ -345,9 +366,9 @@ def infinite_law(params: WalkParams, functionals, eps: float) -> JointLaw:
     state then moves and the counters of the visited site are raised.
     The left-over mass, the certificate, enters the table at its present
     counters, so each entry is within it of its exact value; `horizon` is
-    the number of visits run.  From any site the walk escapes within
-    len(sites) visits with probability at least gamma0 times every
-    up-move, which bounds the work up front.
+    the number of visits run.  The mass left after m visits is at most
+    the largest row sum of move^m, so the smallest power of two m with
+    that sum below eps bounds the work up front (`_visit_bound`).
     """
     if not eps > 0.0:
         raise ValidationError(f"eps must be positive, got {eps}")
@@ -356,9 +377,9 @@ def infinite_law(params: WalkParams, functionals, eps: float) -> JointLaw:
     move = _chain(params, sites)
     dims = (len(sites),) + tuple(f.cap + 1 for f in fns)
     n_states = math.prod(dims)
-    escape = params.gamma0 * np.prod(np.diag(move, 1))  # within len(sites) visits
-    visits = len(sites) * math.log(eps) / np.log1p(-escape)
-    seconds = visits * (VISIT_COST_S + STATE_COST_S * n_states)
+    cost = VISIT_COST_S + STATE_COST_S * n_states
+    visits = _visit_bound(move, eps, WORK_BUDGET_S / cost)
+    seconds = visits * cost
     if seconds > WORK_BUDGET_S or n_states > DP_STATE_BUDGET:
         raise BudgetError(
             f"eps={eps} may need {visits:.3g} visits of {n_states} states, about {seconds:.3g} s;"

@@ -2,7 +2,7 @@
 
 Every random draw is a pure function of (seed, replica, step) through a
 chain of 64-bit finalizing mixes, so any replica can generate its own
-stream independently of how work is scheduled across rounds or threads.
+stream independently of how work is scheduled across rounds.
 Callers address a draw by its step alone.  Inside this module step t is
 lane t mod 2^16 of key block t div 2^16: the block index enters the
 replica's key and the lane is mixed into that key.  Identical keys give

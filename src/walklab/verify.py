@@ -216,7 +216,7 @@ def _band_and_chisq(histogram: np.ndarray, replicas: int, pmf) -> tuple[bool, fl
     return band_ok and pvalue > 0.01, pvalue
 
 
-def _check_mc_distributions(params: WalkParams, seed: int, threads: int) -> tuple:
+def _check_mc_distributions(params: WalkParams, seed: int) -> tuple:
     replicas = 1_000_000
     config = montecarlo.SimConfig(params=params, n=1, replicas=replicas, seed=seed)
     checks = [
@@ -232,7 +232,7 @@ def _check_mc_distributions(params: WalkParams, seed: int, threads: int) -> tupl
     details = []
     all_ok = True
     for name, pmf in checks:
-        rep = montecarlo.ensemble(config, name, threads=threads)
+        rep = montecarlo.ensemble(config, name)
         ok, pvalue = _band_and_chisq(rep.histogram, replicas, pmf)
         all_ok = all_ok and ok
         details.append(f"{name} p={pvalue:.3f}{'' if ok else ' FAIL'}")
@@ -328,17 +328,17 @@ def _check_limit_trends(params: WalkParams, seed: int) -> tuple:
 
 def _check_determinism(params: WalkParams, seed: int) -> tuple:
     config = montecarlo.SimConfig(params=params, n=200, replicas=20_000, seed=seed)
-    rep1 = montecarlo.ensemble(config, "ball_occupation", threads=1)
-    rep4 = montecarlo.ensemble(config, "ball_occupation", threads=4)
-    # the mean and every other summary are functions of the histogram
-    same_hist = np.array_equal(rep1.histogram, rep4.histogram)
+    ra = montecarlo.ensemble(config, "ball_occupation")
+    rb = montecarlo.ensemble(config, "ball_occupation")
+    # to_dict holds words, steps, the summaries and the histogram as a list
+    same_ensemble = ra.to_dict() == rb.to_dict() and np.array_equal(ra.histogram, rb.histogram)
     pa = montecarlo.path_report(montecarlo.SimConfig(params=params, n=50_000, seed=seed))
     pb = montecarlo.path_report(montecarlo.SimConfig(params=params, n=50_000, seed=seed))
     # to_dict holds qtilde; the cloud is a function of counts
     same_path = pa.to_dict() == pb.to_dict() and np.array_equal(pa.counts, pb.counts)
-    ok = same_hist and same_path
+    ok = same_ensemble and same_path
     return ok, (
-        f"threads 1 vs 4 identical: {same_hist}; path rerun identical: {same_path}"
+        f"ensemble rerun identical: {same_ensemble}; path rerun identical: {same_path}"
     ), "bit-identical"
 
 
@@ -352,13 +352,11 @@ _CRITERIA = {
     7: ("Monte Carlo distributional checks", _check_mc_distributions),
     8: ("single-path law of large numbers", _check_single_path_lln),
     9: ("limit-theorem trend checks", _check_limit_trends),
-    10: ("determinism under threading", _check_determinism),
+    10: ("determinism under rerun", _check_determinism),
 }
 
 
-def run_suite(
-    p: float = 0.75, level: str = "desk", seed: int = 0, threads: int = 1
-) -> list[CriterionResult]:
+def run_suite(p: float = 0.75, level: str = "desk", seed: int = 0) -> list[CriterionResult]:
     """Run the verification criteria for one level and return results.
 
     A criterion that cannot run at this p, because its work is beyond its
@@ -371,10 +369,9 @@ def run_suite(
     results = []
     for number in LEVELS[level]:
         name, fn = _CRITERIA[number]
-        args = (params, seed, threads) if number == 7 else (params, seed)
         start = time.perf_counter()
         try:
-            passed, measured, expected = fn(*args)
+            passed, measured, expected = fn(params, seed)
         except (BudgetError, ValidationError) as err:
             passed, measured, expected = False, f"refused: {err}", "a result"
         results.append(

@@ -3,6 +3,7 @@ tolerances.  Each test prints one PASS/FAIL line with the measured and
 expected values (run pytest with -s or read captured output on
 failure)."""
 
+import dataclasses
 import math
 
 import pytest
@@ -17,13 +18,32 @@ SEED = 0
 @pytest.mark.parametrize("number", sorted(verify._CRITERIA))
 def test_criterion(number):
     name, fn = verify._CRITERIA[number]
-    if number == 7:
-        passed, measured, expected = fn(PARAMS, SEED, 4)
-    else:
-        passed, measured, expected = fn(PARAMS, SEED)
+    passed, measured, expected = fn(PARAMS, SEED)
     status = "PASS" if passed else "FAIL"
     print(f"[{status}] criterion {number}: {name} | measured: {measured} | expected: {expected}")
     assert passed, f"criterion {number} ({name}) failed: {measured}; expected {expected}"
+
+
+def test_determinism_fails_when_a_rerun_differs(monkeypatch):
+    """Criterion 10 fails, and says which rerun differed, when the
+    second of two identical ensemble calls gives another histogram."""
+    ensemble, calls = verify.montecarlo.ensemble, []
+
+    def drifting(config, statistic):
+        rep = ensemble(config, statistic)
+        calls.append(statistic)
+        if len(calls) == 2:
+            hist = rep.histogram.copy()
+            hist[0] -= 1
+            hist[1] += 1
+            rep = dataclasses.replace(rep, histogram=hist)
+        return rep
+
+    monkeypatch.setattr(verify.montecarlo, "ensemble", drifting)
+    passed, measured, _ = verify._check_determinism(PARAMS, SEED)
+    assert len(calls) == 2
+    assert not passed
+    assert measured == "ensemble rerun identical: False; path rerun identical: True"
 
 
 @pytest.mark.parametrize("p", [0.5 + 2.0**-30, 0.5 + 2.0**-40])

@@ -3,6 +3,7 @@
 import functools
 import hashlib
 import math
+import threading
 
 import numpy as np
 import pytest
@@ -289,7 +290,7 @@ def test_path_continuation_is_replica_0_from_step_n(monkeypatch):
     assert min(drawn) == n and len(drawn) == max(drawn) - n + 1
     totals = field.counts.copy()
     mc._escape_visits(
-        P75, seed, range(1), field.final_position, n, field.min_site, field.max_site,
+        P75, seed, 1, field.final_position, n, field.min_site, field.max_site,
         lambda _, sites: np.add.at(totals, sites - field.min_site, 1),
     )
     assert rep.eta_max == totals.max() > rep.xi_max
@@ -497,60 +498,21 @@ def test_first_hitting_frequencies_match_hitting_prob():
 # --- ensembles --------------------------------------------------------------
 
 
-def test_ensemble_thread_invariance():
+def test_ensemble_thread_invariance(monkeypatch):
+    """`threads` is accepted and ignored: the ensemble is walked on the
+    calling thread and equals the call without the keyword."""
     config = mc.SimConfig(params=P75, n=50, replicas=30_000, seed=9)
-    reports = [
-        mc.ensemble(config, "sphere_occupation", threads=t) for t in (1, 2, 4)
-    ]
-    for rep in reports[1:]:
-        assert np.array_equal(rep.histogram, reports[0].histogram)
-        assert rep.mean == reports[0].mean
-        assert rep.variance == reports[0].variance
-        assert rep.words == reports[0].words > 0
-        assert rep.steps == reports[0].steps > 0
-        assert rep.to_dict() == reports[0].to_dict()
+    base = mc.ensemble(config, "sphere_occupation")
 
+    def no_thread(self):
+        raise AssertionError("a thread was started")
 
-@pytest.mark.parametrize(
-    "replicas, threads",
-    [(30_000, 4), (20_000, 4), (10, 3), (5, 8), (7, 1), (3, 256), (131_072, 2)],
-)
-def test_ensemble_shares_split_the_replicas(monkeypatch, replicas, threads):
-    """Each worker walks one contiguous share: min(threads, replicas)
-    disjoint shares that cover every replica, on as many threads (none
-    for one share), even at the largest thread count."""
-    shares, workers = [], []
-    pools = mc.ThreadPoolExecutor
-
-    def recording_pool(max_workers):
-        workers.append(max_workers)
-        return pools(max_workers=max_workers)
-
-    def recording_escape(params, seed, share, *args):
-        shares.append(share)
-        return 0, 0  # no visits: only the split is under test
-
-    monkeypatch.setattr(mc, "ThreadPoolExecutor", recording_pool)
-    monkeypatch.setattr(mc, "_escape_visits", recording_escape)
-    config = mc.SimConfig(params=P75, n=1, replicas=replicas, seed=0)
-    mc.ensemble(config, "ball_occupation", threads)
-    expected = min(threads, replicas)
-    assert len(shares) == expected
-    assert workers == ([expected] if expected > 1 else [])
-    assert all(share.step == 1 for share in shares)
-    assert sorted(r for share in shares for r in share) == list(range(replicas))
-    assert max(map(len, shares)) == -(-replicas // expected)
-
-
-@pytest.mark.parametrize("threads", [0, -3, 257, 2.5])
-def test_ensemble_refuses_threads_out_of_range(monkeypatch, threads):
-    def no_pool(*args, **kwargs):
-        raise AssertionError("a thread pool was started")
-
-    monkeypatch.setattr(mc, "ThreadPoolExecutor", no_pool)
-    config = mc.SimConfig(params=P75, n=1, replicas=1000, seed=0)
-    with pytest.raises(ValidationError, match=r"threads must be an integer in 1\.\.256"):
-        mc.ensemble(config, "ball_occupation", threads=threads)
+    monkeypatch.setattr(threading.Thread, "start", no_thread)
+    rep = mc.ensemble(config, "sphere_occupation", threads=2)
+    assert np.array_equal(rep.histogram, base.histogram)
+    assert rep.words == base.words > 0
+    assert rep.steps == base.steps > 0
+    assert rep.to_dict() == base.to_dict()
 
 
 def test_ensemble_two_point_law():
@@ -605,7 +567,7 @@ def test_escape_visits_do_not_depend_on_pool_size(monkeypatch, pool):
     config = mc.SimConfig(params=make_params(0.6), n=1, replicas=3000, seed=8)
     base = mc.ensemble(config, "two_point_neg:2")
     monkeypatch.setattr(mc, "_POOL", pool)
-    rep = mc.ensemble(config, "two_point_neg:2", threads=2)
+    rep = mc.ensemble(config, "two_point_neg:2")
     assert np.array_equal(rep.histogram, base.histogram)
     assert rep.to_dict() == base.to_dict()
 
@@ -641,10 +603,10 @@ def test_round_tables_match_a_step_by_step_walk():
             assert lands.tolist() == [m for _, m in expected], (headroom, low)
 
 
-def _pool_visits(params, seed, share, start, first_step, lo, hi):
+def _pool_visits(params, seed, replicas, start, first_step, lo, hi):
     got = []
     words, steps = mc._escape_visits(
-        params, seed, share, start, first_step, lo, hi,
+        params, seed, replicas, start, first_step, lo, hi,
         lambda rows, sites: got.append((rows.copy(), sites.copy())),
     )
     rows = np.concatenate([r for r, _ in got])
@@ -674,14 +636,16 @@ def test_escape_visits_match_the_reference(monkeypatch, p, start, first_step, lo
     From 2^16 - 9, a walker that leaves at the last lane of its first
     round decides at step 2^16 - 1 and, if it goes back, walks on in the
     next block."""
-    params, seed, share = make_params(p), 4, range(100, 400)
+    params, seed, replicas = make_params(p), 4, 300
     monkeypatch.setattr(mc, "_POOL", 37)
     rows, sites, words, steps = reference_escape(
-        params, seed, np.arange(share.start, share.stop), start, first_step, lo, hi
+        params, seed, np.arange(replicas), start, first_step, lo, hi
     )
     expected = sorted(zip(rows.tolist(), sites.tolist()))
-    assert _pool_visits(params, seed, share, start, first_step, lo, hi) == (expected, words, steps)
-    assert words >= steps >= len(share)
+    assert _pool_visits(params, seed, replicas, start, first_step, lo, hi) == (
+        expected, words, steps
+    )
+    assert words >= steps >= replicas
 
 
 @pytest.mark.parametrize("statistic", ["ball_occupation", "two_point_pos:2", "local_time:-1"])
@@ -691,13 +655,12 @@ def test_ensemble_words_and_steps_match_the_reference(statistic):
     to the tracked sites."""
     replicas, seed, params = 3000, 13, make_params(0.6)
     config = mc.SimConfig(params=params, n=1, replicas=replicas, seed=seed)
-    reports = [mc.ensemble(config, statistic, threads=t) for t in (1, 3)]
+    rep = mc.ensemble(config, statistic)
     sites = mc._stat_sites(statistic)
     rows, visited, words, steps = reference_escape(
         params, seed, np.arange(replicas), 0, 0, min(sites), max(sites)
     )
     counts = np.bincount(rows[np.isin(visited, sites)], minlength=replicas)
-    for rep in reports:
-        assert (rep.words, rep.steps) == (words, steps)
-        assert rep.to_dict()["steps"] == steps
-        assert np.array_equal(rep.histogram, np.bincount(counts))
+    assert (rep.words, rep.steps) == (words, steps)
+    assert rep.to_dict()["steps"] == steps
+    assert np.array_equal(rep.histogram, np.bincount(counts))

@@ -303,10 +303,23 @@ def test_infinite_law_horizon_reaches_far_sites():
 
 def test_infinite_law_budget_error():
     """Just above p = 1/2 the origin alone would take about 10^7 visits at
-    eps = 1e-9; the law is refused up front, with no visit run."""
+    eps = 1e-9; the law is refused up front, with no visit run.  The
+    squaring stops at 2^20 visits, past the budget, and the bound doubles
+    on from there to 2^24."""
     start = time.perf_counter()
-    with pytest.raises(BudgetError, match=r"1\.09e\+07 visits of 5 states.*budgets are"):
+    with pytest.raises(BudgetError, match=r"1\.68e\+07 visits of 5 states.*budgets are"):
         oracle.infinite_law(make_params(0.5 + 2.0**-20), [oracle.local_time(0, 4)], eps=1e-9)
+    assert time.perf_counter() - start < 0.01
+
+
+def test_infinite_law_refuses_too_many_states():
+    """2 x 10^10 states take over the work budget per visit, so the move
+    matrix is not squared even once and its row sums of 1 give no finite
+    bound; the law is refused at once, naming the states."""
+    fns = [oracle.local_time(0, 10**5), oracle.local_time(1, 10**5)]
+    start = time.perf_counter()
+    with pytest.raises(BudgetError, match=r"inf visits of 20000400002 states"):
+        oracle.infinite_law(P75, fns, eps=1e-9)
     assert time.perf_counter() - start < 0.01
 
 
@@ -364,15 +377,30 @@ def test_infinite_law_certificate_is_left_over_mass(p, sites):
 @pytest.mark.parametrize("p", [0.52, 0.6, 0.9, 0.999])
 @pytest.mark.parametrize("funcs", CHAIN_CASES)
 def test_infinite_law_visits_within_bound(p, funcs):
-    """From any site the walk escapes within len(sites) visits with
-    probability at least c = gamma0 times every up-move of the chain, so
-    len(sites) ceil(log eps / log(1 - c)) visits always suffice."""
+    """After m visits the mass left is at most the largest row sum of
+    move^m, so the smallest power of two m with that sum below eps bounds
+    the visits run.  The bound, doubled on paper from an early stop of
+    the squaring, is never below it."""
     params = make_params(p)
     sites = sorted({0, *(s for f in funcs for s in f.sites)})
-    escape = params.gamma0 * np.prod(np.diag(oracle._chain(params, sites), 1))
-    bound = len(sites) * math.ceil(math.log(1e-12) / math.log1p(-escape))
+    move = oracle._chain(params, sites)
+    bound = 1
+    while np.linalg.matrix_power(move, bound).sum(axis=1).max() >= 1e-12:
+        bound *= 2
+    assert oracle._visit_bound(move, 1e-12, math.inf) == bound
+    assert oracle._visit_bound(move, 1e-12, 1) >= bound
     law = oracle.infinite_law(params, funcs, 1e-12)
     assert law.horizon <= bound
+
+
+def test_infinite_law_far_site_near_half():
+    """{-40} at p = 0.501 takes 26,518 visits within a bound of 2^15; the
+    bound of len(sites) log eps / log(1 - escape within len(sites)
+    visits), 2.0e6 visits, refused it."""
+    law = oracle.infinite_law(make_params(0.501), [oracle.local_time(-40, 4)], 1e-12)
+    assert law.horizon <= 1 << 15
+    assert law.certificate < 1e-12
+    assert law.table.sum() == pytest.approx(1.0, abs=1e-12)
 
 
 @pytest.mark.parametrize("p", [0.501, 0.6, 0.75, 0.999])
