@@ -74,13 +74,6 @@ class PmfTable:
         """Mean over the listed support (ignores the tail)."""
         return float(np.dot(self.support, self.mass))
 
-    def to_dict(self) -> dict:
-        return {
-            "support": self.support.tolist(),
-            "mass": self.mass.tolist(),
-            "tail_bound": self.tail_bound,
-        }
-
 
 @dataclass(frozen=True)
 class ExcursionLaw:

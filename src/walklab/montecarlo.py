@@ -75,27 +75,18 @@ _SLICE = 1 << 16  # sites per slice of the pair sums in _xi_star
 
 @dataclass(frozen=True)
 class HeavyPointConfig:
-    """Window and threshold for the profile around heavily visited sites.
+    """Threshold for the profile around heavily visited sites.
 
     delta_n   slack in the heaviness threshold (1 - delta_n) * rate * log n
-    c         window radius coefficient, |z| <= c * log log n
+
+    The window |z| <= c * log log n is chosen from p (`heavy_deviation`).
     """
 
     delta_n: float = 0.2
-    c: float = 0.5
 
     def __post_init__(self):
         if not 0.0 <= self.delta_n < 1.0:
             raise ValidationError(f"delta_n must be in [0, 1), got {self.delta_n}")
-        if self.c <= 0.0:
-            raise ValidationError(f"c must be positive, got {self.c}")
-
-    def check_window(self, params: WalkParams) -> None:
-        alpha = math.log(1.0 / params.h)
-        if alpha * self.c >= 1.0:
-            raise ValidationError(
-                f"window too wide: alpha*c = {alpha * self.c:.6g} must be < 1"
-            )
 
 
 @dataclass(frozen=True)
@@ -509,12 +500,15 @@ def heavy_deviation(
 
     `counts` are dense visit counts of consecutive sites, such as
     `LocalTimeField.counts` at horizon n; `path_report` also applies this
-    to the path's total counts.
+    to the path's total counts.  The window is |z| <= c * log log n, at
+    least one site, with c = 1 / (2 max(1, alpha)), alpha = log(1/h): the
+    profile result needs alpha * c < 1.  Its radius is 1 for every
+    n < e^(e^4), about 5 * 10^23.
     """
-    heavy.check_window(params)
+    c = 0.5 / max(1.0, -params.log_h)
     rate_log_n = derived_constants(params).lambda0 * math.log(n)
     threshold = (1.0 - heavy.delta_n) * rate_log_n
-    radius = max(1, int(heavy.c * math.log(max(math.log(n), math.e))))
+    radius = max(1, int(c * math.log(max(math.log(n), math.e))))
     heavy_idx = np.flatnonzero(counts >= threshold)
     if len(heavy_idx) == 0:
         return {"set_size": 0, "deviation": None, "radius": radius}
@@ -594,7 +588,11 @@ def _stat_sites(statistic: str) -> tuple[int, ...]:
         return _NAMED_SITES[statistic]
     kind, _, arg = statistic.partition(":")
     if kind in _SITE_FAMILIES and re.fullmatch(r"[+-]?\d+", arg):
-        return tuple(c * int(arg) for c in _SITE_FAMILIES[kind])
+        z = int(arg)
+        # one spelling per pair: two_point_pos:-z is two_point_neg:z
+        if kind != "local_time" and z < 1:
+            raise ValidationError(f"{statistic!r}: two-point distances need z >= 1, got {z}")
+        return tuple(c * z for c in _SITE_FAMILIES[kind])
     raise ValidationError(f"unknown ensemble statistic {statistic!r}")
 
 

@@ -106,19 +106,6 @@ class JointLaw:
         other = tuple(i for i in range(self.table.ndim) if i != axis)
         return self.table.sum(axis=other) if other else self.table.copy()
 
-    def to_dict(self) -> dict:
-        nz = np.argwhere(self.table > 0.0)
-        return {
-            "axes": [{"sites": list(f.sites), "cap": f.cap} for f in self.axes],
-            "horizon": self.horizon,
-            "certificate": self.certificate,
-            "overflow_mass": self.overflow_mass,
-            "entries": [
-                {"counts": idx.tolist(), "mass": float(self.table[tuple(idx)])}
-                for idx in nz
-            ],
-        }
-
 
 def _validate_functionals(functionals) -> tuple[Functional, ...]:
     fns = tuple(functionals)

@@ -9,11 +9,12 @@ replica's key and the lane is mixed into that key.  Identical keys give
 bit-identical streams on every platform.
 
 Replica streams (`counter_words`, `counter_uniforms`, `counter_steps`)
-spend one word on each step.  The word of lane l under a block's key is
-mix(key ^ l), drawn by one keyed primitive (`_keyed_words`) into a
-caller's buffer: `counter_words` makes the key of each row and draws
-through it, and an ensemble walker keeps its key while its steps stay in
-one block, so a round costs one mix per word and no key mixes.  A
+spend one word on each step.  `counter_words` is their definition: the
+word of step t is mix(key ^ l), l = t mod 2^16, under the key of t's own
+block.  Ensemble rounds draw the same words through `_keyed_words`
+instead, into a caller's buffer from a key the walker keeps while its
+steps stay in one block, so a round costs one mix per word and no key
+mixes; that primitive is tested against `counter_words`.  A
 single long path is drawn bit-sliced instead (`path_step_bits`): step t
 is bit t mod 64 of group (t mod 2^16) div 64 of key block t div 2^16,
 and its 53-bit uniform is spread over 53 plane words of its group, which
@@ -96,10 +97,9 @@ def _keyed_words(keys, lane, out: np.ndarray, scratch: np.ndarray | None = None)
 
     `keys` and `lane` are uint64 arrays of out's shape without its last
     axis, and every lane + j must stay below 2^16, inside the key's block.
-    `scratch` is passed on to `_mix_inplace`.  This is the one definition
-    of a replica's word: `counter_words` draws every row that stays in one
-    block through it, and so do the ensemble rounds of `montecarlo`,
-    which keep each walker's key.
+    `scratch` is passed on to `_mix_inplace`.  The ensemble rounds of
+    `montecarlo` draw through it with the key each walker keeps; for a
+    key made by `_key`, the words are those of `counter_words`.
     """
     np.add(lane[..., None], np.arange(out.shape[-1], dtype=np.uint64), out=out)
     out ^= keys[..., None]
@@ -108,25 +108,21 @@ def _keyed_words(keys, lane, out: np.ndarray, scratch: np.ndarray | None = None)
 
 
 def counter_words(seed: int, replica, lanes: int, step=0) -> np.ndarray:
-    """Raw 64-bit words of steps step + j, j < lanes.
+    """Raw 64-bit words of steps step + j, j < lanes: the definition of
+    a replica's stream.
 
-    `replica` and `step` may be scalars or integer arrays that broadcast
-    together; the result has shape (*broadcast shape, lanes).  A row may
-    run past the end of one key block into the next ones.
+    The word of step t is mix(key ^ (t mod 2^16)) under the key
+    `_key(seed, replica, t >> 16)` of t's own block, so a row may run
+    past the end of one key block into the next ones.  `replica` and
+    `step` may be scalars or integer arrays that broadcast together; the
+    result has shape (*broadcast shape, lanes).
     """
     replica, step = np.broadcast_arrays(
         np.asarray(replica, dtype=np.uint64), np.asarray(step, dtype=np.uint64)
     )
-    first = step >> _LANE_BITS
-    lane = step & _LANE_MASK
-    spans = 1 + (int(lane.max(initial=0)) + lanes - 1) // BLOCK_LANES if lanes else 1
-    if spans == 1:  # the usual case: one key per row, no gather
-        out = np.empty((*lane.shape, lanes), dtype=np.uint64)
-        return _keyed_words(_key(seed, replica, first), lane, out)
-    lane = lane[..., None] + np.arange(lanes, dtype=np.uint64)
-    keys = np.stack([_key(seed, replica, first + np.uint64(k)) for k in range(spans)], -1)
-    words = np.take_along_axis(keys, (lane >> _LANE_BITS).astype(np.intp), -1)
-    words ^= lane & _LANE_MASK
+    t = step[..., None] + np.arange(lanes, dtype=np.uint64)
+    words = _key(seed, replica[..., None], t >> _LANE_BITS)
+    words ^= t & _LANE_MASK
     _mix_inplace(words)
     return words
 

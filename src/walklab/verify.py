@@ -193,20 +193,20 @@ def _check_weight_limit(params: WalkParams, seed: int) -> tuple:
     ), "all routes finite, spread / wlimit < 1e-8; ~3.47606; ratio 2/3"
 
 
-def _band_and_chisq(histogram: np.ndarray, replicas: int, pmf) -> tuple[bool, float]:
-    """4-sigma multinomial band check per bin plus a chi-square test at
-    the 1% level; bins with expected count < 10 are pooled into the tail."""
-    probs = np.array([pmf(k) for k in range(len(histogram))])
+def _band_and_chisq(histogram: np.ndarray, replicas: int, table) -> tuple[bool, float]:
+    """Chi-square test at the 1% level against the PmfTable `table`, bins
+    with expected count < 10 pooled into the tail, and a 4-sigma
+    multinomial band on each bin the chi-square keeps: a bin that
+    expects far less than one count says nothing on its own."""
+    probs = np.zeros(len(histogram))
+    listed = table.support < len(histogram)
+    probs[table.support[listed]] = table.mass[listed]
     tail_p = max(1.0 - probs.sum(), 0.0)
-    emp = histogram / replicas
-
-    band_ok = True
-    for k in range(len(histogram)):
-        sigma = math.sqrt(max(probs[k] * (1 - probs[k]), 1e-300) / replicas)
-        if abs(emp[k] - probs[k]) > 4 * sigma:
-            band_ok = False
 
     keep = probs * replicas >= 10
+    sigma = np.sqrt(probs[keep] * (1 - probs[keep]) / replicas)
+    band_ok = bool((np.abs(histogram[keep] / replicas - probs[keep]) <= 4 * sigma).all())
+
     obs = np.append(histogram[keep], histogram[~keep].sum() + 0.0)
     exp = np.append(probs[keep], probs[~keep].sum() + tail_p) * replicas
     # replicas not in any retained bin fall in the pooled remainder
@@ -216,27 +216,39 @@ def _band_and_chisq(histogram: np.ndarray, replicas: int, pmf) -> tuple[bool, fl
     return band_ok and pvalue > 0.01, pvalue
 
 
+def _cut_table(build):
+    """build(kmax) with kmax doubled from 16 until the table's tail_bound
+    is below 1e-13, so that the cut is chosen from p."""
+    kmax = 16
+    while (table := build(kmax)).tail_bound >= 1e-13:
+        kmax *= 2
+    return table
+
+
 def _check_mc_distributions(params: WalkParams, seed: int) -> tuple:
     replicas = 1_000_000
     config = montecarlo.SimConfig(params=params, n=1, replicas=replicas, seed=seed)
-    checks = [
-        ("local_time:0", closedform.local_time_pmf(params, 0, 80).prob),
-        ("local_time:-2", closedform.local_time_pmf(params, -2, 80).prob),
-        ("sphere_occupation", closedform.sphere_occupation_pmf(params, 120).prob),
-        ("ball_occupation", closedform.ball_occupation_pmf(params, 160).prob),
-        (
-            "two_point_pos:1",
-            closedform.two_point_occupation_pmf(params, 1, "pos", 120).prob,
-        ),
-    ]
+    checks = {
+        "local_time:0": lambda k: closedform.local_time_pmf(params, 0, k),
+        "local_time:-2": lambda k: closedform.local_time_pmf(params, -2, k),
+        "sphere_occupation": lambda k: closedform.sphere_occupation_pmf(params, k),
+        "ball_occupation": lambda k: closedform.ball_occupation_pmf(params, k),
+        "two_point_pos:1": lambda k: closedform.two_point_occupation_pmf(params, 1, "pos", k),
+    }
     details = []
     all_ok = True
-    for name, pmf in checks:
+    for name, build in checks.items():
+        table = _cut_table(build)
         rep = montecarlo.ensemble(config, name)
-        ok, pvalue = _band_and_chisq(rep.histogram, replicas, pmf)
+        ok, pvalue = _band_and_chisq(rep.histogram, replicas, table)
         all_ok = all_ok and ok
-        details.append(f"{name} p={pvalue:.3f}{'' if ok else ' FAIL'}")
-    return all_ok, "; ".join(details), "4-sigma bands and chi-square p > 0.01"
+        details.append(
+            f"{name} p={pvalue:.3g} (cut at {table.support[-1]}){'' if ok else ' FAIL'}"
+        )
+    return all_ok, "; ".join(details), (
+        "chi-square p > 0.01 and 4-sigma bands on the bins expecting >= 10 counts, "
+        "tables cut where the tail is < 1e-13"
+    )
 
 
 def _lln_bands(params: WalkParams, n: int) -> dict:

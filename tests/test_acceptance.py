@@ -64,15 +64,43 @@ def test_fast_suite_returns_near_half(p):
 
 
 def test_suite_reports_a_criterion_that_cannot_run(monkeypatch):
-    """At p = 0.9 criterion 9's heavy-site window has alpha*c >= 1 and
-    raises ValidationError; the suite reports it as failed, with the
-    reason, and goes on to the criteria after it."""
+    """A criterion that raises ValidationError is reported as failed,
+    with the reason, and the suite goes on to the criteria after it."""
+
+    def refuses(params, seed):
+        raise verify.ValidationError("setting out of range")
+
+    monkeypatch.setitem(verify._CRITERIA, 9, ("refuses", refuses))
     monkeypatch.setitem(verify.LEVELS, "desk", (1, 9, 5))
     results = verify.run_suite(p=0.9, level="desk")
     assert [r.number for r in results] == [1, 9, 5]
     assert results[0].passed and results[2].passed
     assert not results[1].passed
-    assert results[1].measured.startswith("refused") and "alpha*c" in results[1].measured
+    assert results[1].measured == "refused: setting out of range"
+
+
+@pytest.mark.parametrize("p", [0.6, 0.9])
+def test_mc_distributions_over_p(p):
+    """Criterion 7 with its tables cut where the tail is below 1e-13 and
+    its bands on the bins that expect >= 10 counts."""
+    passed, measured, expected = verify._check_mc_distributions(make_params(p), SEED)
+    print(f"criterion 7 at p={p} | measured: {measured} | expected: {expected}")
+    assert passed, f"criterion 7 failed at p={p}: {measured}; expected {expected}"
+
+
+def test_mc_distributions_fail_for_a_shifted_sampler(monkeypatch):
+    """Replicas drawn at p + 0.002 and checked against the laws at p fail
+    criterion 7 at every statistic."""
+    ensemble = verify.montecarlo.ensemble
+
+    def shifted(config, statistic):
+        params = make_params(config.params.p + 0.002)
+        return ensemble(dataclasses.replace(config, params=params), statistic)
+
+    monkeypatch.setattr(verify.montecarlo, "ensemble", shifted)
+    passed, measured, _ = verify._check_mc_distributions(PARAMS, SEED)
+    assert not passed
+    assert measured.count("FAIL") == 5, measured
 
 
 # criteria 1-6 over the whole range of p; criterion 2 compares the closed

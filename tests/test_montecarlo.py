@@ -99,7 +99,7 @@ RECORDED_PATHS = {
         },
     ),
     (0.9, 70000, 77): (
-        mc.HeavyPointConfig(c=0.4),
+        mc.HeavyPointConfig(),
         [0, 44966, 9053, 1672, 357, 66, 15, 8, 1],
         56138, 8, 8, {1: 14, 2: 11, 3: 10}, (56140, 2), "197c99123d4cae58",
         {
@@ -243,7 +243,7 @@ def test_path_facts_on_short_paths(p, n, seed):
     for z in (1, 2, 3, 5, 9):
         assert mc._xi_star(field.counts, z) == _reference_xi_star(field.counts, z)
     assert np.array_equal(mc._cloud(field.counts, n), _reference_cloud(field.counts, n))
-    heavy = mc.HeavyPointConfig(delta_n=0.5, c=0.1)
+    heavy = mc.HeavyPointConfig(delta_n=0.5)
     rate_log_n = mc.derived_constants(params).lambda0 * math.log(n)
     profile = mc.heavy_deviation(params, field.counts, n, heavy)
     if profile["set_size"]:
@@ -425,9 +425,6 @@ def test_sim_config_validation():
         mc.path_report(mc.SimConfig(params=P75, n=1, seed=0))
     with pytest.raises(ValidationError):
         mc.HeavyPointConfig(delta_n=1.5)
-    # window coefficient must satisfy c * log(1/h) < 1
-    with pytest.raises(ValidationError):
-        mc.HeavyPointConfig(c=2.0).check_window(P75)
 
 
 # --- total (infinite-horizon) counts ---------------------------------------
@@ -536,6 +533,17 @@ def test_ensemble_rejects_unknown_statistic():
             mc.ensemble(config, statistic)
 
 
+def test_two_point_statistics_need_a_positive_distance():
+    """two_point_pos:-z would be two_point_neg:z again, and z = 0 tracks
+    {0, 0}, which has no closed form: both are refused."""
+    config = mc.SimConfig(params=P75, n=10, replicas=10, seed=0)
+    for statistic in ("two_point_pos:0", "two_point_pos:-2", "two_point_neg:0", "two_point_neg:-1"):
+        with pytest.raises(ValidationError, match="z >= 1"):
+            mc.ensemble(config, statistic)
+    assert mc._stat_sites("two_point_neg:2") == (0, -2)
+    assert mc._stat_sites("local_time:-2") == (-2,)
+
+
 # --- structure statistics ----------------------------------------------------
 
 
@@ -549,6 +557,20 @@ def test_heavy_point_profile_runs_and_bounds():
         assert report["radius"] >= 1
         if report["set_size"] > 0:
             assert report["deviation"] >= 0.0
+
+
+def test_heavy_profile_window_near_one():
+    """At p = 0.95, alpha = log(1/h) is about 2.94, above 1: the window
+    coefficient becomes 1 / (2 alpha) and both profiles come back with
+    radius 1."""
+    config = mc.SimConfig(
+        params=make_params(0.95), n=10**5, seed=4, heavy=mc.HeavyPointConfig()
+    )
+    heavy = mc.path_report(config).heavy
+    assert sorted(heavy) == ["path_variant", "site_variant"]
+    for report in heavy.values():
+        assert report["radius"] == 1
+        assert report["set_size"] > 0 and report["deviation"] >= 0.0
 
 
 def test_cloud_points_are_normalized_pairs():

@@ -150,8 +150,9 @@ def _keyed_row(seed, replica, step, lanes):
 def test_keyed_words_match_counter_words():
     """Word j of key block b's lane l is the word of step b * 2^16 + l,
     for random rows drawn together into one buffer with a scratch array,
-    and one at a time at steps 2^16 - 9 ... 2^16 + 8, where a cached key
-    must be made again as the step enters block 1."""
+    one at a time at steps 2^16 - 9 ... 2^16 + 8, where a cached key
+    must be made again as the step enters block 1, and block by block
+    on rows of `counter_words` that span 2 and 3 key blocks."""
     gen = np.random.default_rng(5)
     replicas = gen.integers(0, 2**63, 500, dtype=np.uint64)
     steps = gen.integers(0, 2**40, 500, dtype=np.uint64) & ~np.uint64(15)  # lanes 0..8 of 16 fit
@@ -169,3 +170,9 @@ def test_keyed_words_match_counter_words():
             lanes = min(8, (1 << 16) - (t & 0xFFFF))
             row = whole[t - edge.start :][:lanes]
             assert np.array_equal(_keyed_row(3, replica, t, lanes), row), t
+        start = (1 << 16) - 5
+        for end in (start + 20, (2 << 16) + 5):  # the row ends in block 1 or 2
+            whole = rng.counter_words(3, replica, end - start, start)
+            edges = [start] + [e for e in (1 << 16, 2 << 16) if e < end] + [end]
+            parts = [_keyed_row(3, replica, a, b - a) for a, b in zip(edges, edges[1:])]
+            assert np.array_equal(whole, np.concatenate(parts)), end
