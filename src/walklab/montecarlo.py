@@ -2,12 +2,11 @@
 
 Single-path statistics (visit-count spectra, new-maximum counts, maximal
 local and occupation times, heavy-site profiles) come from one path's
-local-time field, built block by block without keeping the trajectory:
-each block is binned over its own range, and the bins are added into a
-field allocated once at the size of the whole range.  `PathReport` keeps
-that field, and its (local time, sphere occupation) cloud is derived
-from it when read.  Distributional checks come from ensembles of
-independent replicas.
+local-time field, counted from the landing sites of its down-steps
+without forming a position (fact (c) below).  `PathReport` keeps that
+field, and its (local time, sphere occupation) cloud is derived from it
+when read.  Distributional checks come from ensembles of independent
+replicas.
 "Infinite-time" quantities are exact: a walk that steps just above every
 tracked site returns to the highest one with probability exactly h, so
 one uniform decides between a return and escape for good, and no count
@@ -21,14 +20,22 @@ A replica still walking after the step budget that a Chernoff bound sets
 from p raises BudgetError, and so does a walk whose budget exceeds what
 its step counter holds.
 
-Two facts of the +-1 walk let every path statistic be read from the
-dense counts alone:
+Three facts of the +-1 walk build the dense counts and let every path
+statistic be read from them alone:
 
 (a) Every site is visited: S_1..S_n move by one at a time, so they cover
     exactly the interval min_site..max_site, and each count in it is > 0.
 (b) New maxima step by one: a strict new maximum above 0 and every
     earlier position is exactly one above the previous one, so their
     number nu_n is max(0, max_site).
+(c) Visits are counted from the down-steps: each up-crossing of the edge
+    (s - 1, s) is matched by a down-crossing, but for one net crossing,
+    so V(s) = D(s) + D(s - 1) + c(s), with D(s) the down-steps that land
+    on s and c(s) = [0 < s <= S_n] - [S_n < s <= 0].  Down-step k (from
+    0), at step T (from 0), lands on T - 2k - 1, and S_n = n - 2 * (the
+    number of down-steps).  min_site is the least of S_1 and the
+    landings; max_site is the greatest of S_1, S_n and one above each
+    landing of a down-step after step 1, which leaves the site above it.
 
 Every quantity is a pure function of (config, seed): step t of replica r
 is the same counter-based draw in every routine (see `rng`), and a
@@ -211,56 +218,48 @@ class EnsembleReport:
         }
 
 
-def _position_blocks(params: WalkParams, n: int, seed: int):
-    """S_1..S_n as consecutive int32 arrays, one per 2^16-step block.
-
-    The steps are drawn as packed bits `_PATH_BLOCKS` key blocks at a
-    time and unpacked one block at a time.  The carry is added in place:
-    one more block-sized temporary per block raised the peak RSS of six
-    10^7-step path reports from 128 to 149 MB (int64 positions gave
-    113 MB, but their cumulative sum cost about 15% of `path_report`)."""
-    carry = 0
-    chunk = _PATH_BLOCKS * BLOCK_LANES
-    for first in range(0, n, chunk):
-        size = min(chunk, n - first)
-        bits = path_step_bits(params.p, seed, size, first)
-        # step t of the draw is bit t mod 8 of byte t div 8
-        packed = bits.astype("<u8", copy=False).view(np.uint8)
-        for start in range(0, size, BLOCK_LANES):
-            width = min(BLOCK_LANES, size - start)
-            steps = np.unpackbits(packed[start // 8 :], count=width, bitorder="little")
-            steps = steps.view(np.int8)
-            steps += steps
-            steps -= 1
-            pos = np.cumsum(steps, dtype=np.int32)
-            pos += carry
-            carry = pos[-1]
-            yield pos
-
-
 def simulate_path(params: WalkParams, n: int, seed: int) -> LocalTimeField:
     """One sampled path's local-time field; bit-reproducible in
     (params, n, seed).
 
-    The path is made one block at a time, and each block is binned over
-    its own range b_lo..b_hi.  The field is then allocated once at the
-    size of the whole range and each block's bins are added into it.
-    The bins of all blocks together are about the size of the range.
+    The field is counted from the down-steps by fact (c).  The steps are
+    drawn as packed bits `_PATH_BLOCKS` key blocks at a time, and only
+    the landing sites of their down-steps are kept, about q * n.  One
+    bincount of them at the exact size of the range gives D; each count
+    then takes the one below it in place, _SLICE sites at a time from the
+    top down, with no second array of the range's size; c(s) comes last.
     """
     if n < 1:
         raise ValidationError(f"n must be >= 1, got {n}")
-    bins = []
-    for pos in _position_blocks(params, n, seed):
-        b_lo = int(pos.min())
-        bins.append((b_lo, np.bincount(pos - b_lo)))
-    lo = min(b_lo for b_lo, _ in bins)
-    hi = max(b_lo + len(b) - 1 for b_lo, b in bins)
-    counts = np.zeros(hi - lo + 1, dtype=np.int64)
-    for b_lo, b in bins:
-        counts[b_lo - lo : b_lo - lo + len(b)] += b
-    return LocalTimeField(
-        counts=counts, min_site=lo, max_site=hi, n=n, final_position=int(pos[-1])
-    )
+    chunk, landings, downs = _PATH_BLOCKS * BLOCK_LANES, [], 0
+    for first in range(0, n, chunk):
+        size = min(chunk, n - first)
+        bits = path_step_bits(params.p, seed, size, first).astype("<u8", copy=False)
+        np.invert(bits, out=bits)  # bit set: the step goes down
+        # step t of the draw is bit t mod 8 of byte t div 8
+        down = np.unpackbits(bits.view(np.uint8), count=size, bitorder="little")
+        steps = np.flatnonzero(down.view(bool))
+        # down-step k, at step T = first + t, lands on T - 2k - 1
+        start = 2 * downs + 1 - first
+        steps -= np.arange(start, start + 2 * len(steps), 2)
+        landings.append(steps)
+        downs += len(steps)
+    land = np.concatenate(landings)
+    del landings  # the bincount's peak holds only the landings and the field
+    final = n - 2 * downs
+    s1 = -1 if downs and land[0] == -1 else 1  # down-step 0 lands on -1 only at step 0
+    lo = int(land.min(initial=s1))
+    # a site above S_1 and S_n is left by a down-step, which lands just below it
+    hi = max(s1, final, int(land[int(s1 < 0) :].max(initial=s1 - 1)) + 1)
+    land -= lo
+    counts = np.bincount(land, minlength=hi - lo + 1)
+    del land
+    for e in range(len(counts), 1, -_SLICE):  # V(s) = D(s) + D(s - 1) + c(s)
+        s = max(e - _SLICE, 1)
+        counts[s:e] += counts[s - 1 : e - 1]
+    below, above = sorted((0, final))
+    counts[below + 1 - lo : min(above, hi) + 1 - lo] += 1 if final > 0 else -1
+    return LocalTimeField(counts=counts, min_site=lo, max_site=hi, n=n, final_position=final)
 
 
 def _step_budget(params: WalkParams, rise: int) -> int:
@@ -526,49 +525,45 @@ def heavy_deviation(
 
 def path_report(config: SimConfig, xi_star_z: tuple[int, ...] = (1,)) -> PathReport:
     """All single-path statistics of one path of length config.n >= 2,
-    read from its local-time field (the rates are per log n)."""
+    read from its local-time field (the rates are per log n).
+
+    The horizon's statistics are read first.  eta_max and the path
+    variant read the total counts: the few visits of the walk after the
+    horizon are added into the field in place and taken out again after,
+    so no copy of the field is made and `PathReport.counts` is the field
+    at the horizon.
+    """
     if config.n < 2:
         raise ValidationError(f"path_report needs n >= 2, got {config.n}")
     if any(z < 1 for z in xi_star_z):
         raise ValidationError(f"xi_star_z must hold distances >= 1, got {xi_star_z}")
-    params, n, seed = config.params, config.n, config.seed
+    params, n, seed, heavy = config.params, config.n, config.seed, config.heavy
     field_ = simulate_path(params, n, seed)
-    counts = field_.counts
+    counts, lo = field_.counts, field_.min_site
+    qtilde, xi_max = field_.spectrum(), int(counts.max())
+    xi_star = {z: _xi_star(counts, z) for z in xi_star_z}
+    profiles = {}
+    if heavy is not None:
+        profiles["site_variant"] = heavy_deviation(params, counts, n, heavy)
 
     # the same walk after the horizon: replica 0 from step n, a stream
-    # independent of the path's (see `rng`).
-    # eta_max and the path variant look at the sites on the path: by fact
-    # (a) these are all sites of the range, the start site 0 among them
-    # when it lies in the range
-    totals = counts.copy()
-    _escape_visits(
-        params,
-        seed,
-        1,
-        start=field_.final_position,
-        first_step=n,
-        lo=field_.min_site,
-        hi=field_.max_site,
-        visit=lambda _, sites: np.add.at(totals, sites - field_.min_site, 1),
-    )
+    # independent of the path's (see `rng`).  Its visits are to sites of
+    # the range, all of them on the path by fact (a).
+    after = []  # the indices into counts of its visits, one array a round
 
-    heavy = None
-    if config.heavy is not None:
-        heavy = {
-            "site_variant": heavy_deviation(params, counts, n, config.heavy),
-            "path_variant": heavy_deviation(params, totals, n, config.heavy),
-        }
+    def visit(_, sites):
+        after.append(sites - lo)
+        np.add.at(counts, after[-1], 1)
 
+    _escape_visits(params, seed, 1, field_.final_position, n, lo, field_.max_site, visit)
+    eta_max = int(counts.max())
+    if heavy is not None:
+        profiles["path_variant"] = heavy_deviation(params, counts, n, heavy)
+    for sites in after:
+        np.subtract.at(counts, sites, 1)
     return PathReport(
-        n=n,
-        seed=seed,
-        qtilde=field_.spectrum(),
-        nu_n=field_.new_maxima(),
-        xi_max=int(counts.max()),
-        eta_max=int(totals.max()),
-        xi_star={z: _xi_star(counts, z) for z in xi_star_z},
-        counts=counts,
-        heavy=heavy,
+        n=n, seed=seed, qtilde=qtilde, nu_n=field_.new_maxima(), xi_max=xi_max,
+        eta_max=eta_max, xi_star=xi_star, counts=counts, heavy=profiles or None,
     )
 
 

@@ -143,19 +143,16 @@ def _reference_trajectory(p, seed):
 @pytest.mark.parametrize("p", [0.501, 0.55, 0.75, 0.9, 0.999, 0.5 + 2.0**-40])
 @pytest.mark.parametrize("n", PATH_NS)
 def test_local_times_match_positions(p, n):
-    """The path's positions are the first n of the reference path, which
-    compares each step's whole 53-bit uniform with the cut, so the path
-    at n is a prefix of the path at every longer horizon; and the
-    streamed field is the bincount of those positions.  n runs over both
-    edges of a 64-step group and of a key block.  At p = 0.501 and the
-    largest n, seed 7 falls from -80 in its first block to -176, so later
-    blocks reach below the first one's range."""
+    """The field is the bincount of the first n positions of the
+    reference path, which compares each step's whole 53-bit uniform with
+    the cut, so the path at n is a prefix of the path at every longer
+    horizon.  n runs over both edges of a 64-step group and of a key
+    block.  At p = 0.501 and the largest n, seed 7 falls from -80 in its
+    first block to -176, so later blocks reach below the first one's
+    range."""
     params = make_params(p)
     for seed in (2, 7):
         positions = _reference_trajectory(p, seed)[:n]
-        blocks = list(mc._position_blocks(params, n, seed))
-        assert [len(b) for b in blocks[:-1]] == [rng.BLOCK_LANES] * (len(blocks) - 1)
-        assert np.array_equal(np.concatenate(blocks), positions)
         field = mc.simulate_path(params, n, seed)
         lo, hi = int(positions.min()), int(positions.max())
         assert (field.min_site, field.max_site) == (lo, hi)
@@ -196,6 +193,35 @@ def test_new_maxima_below_the_start():
             assert rep.nu_n == 0
             seen.add(positions)
     assert seen == {(-1, 0), (-1, -2)}
+
+
+def test_down_step_identity_at_its_edges():
+    """The field counted from the down-steps (fact (c)) is the bincount
+    of the reference positions on short paths that meet each edge of the
+    identity: a first step down at n = 1, whose field is the one site -1
+    and not -1..0; S_n below the start (c(s) = -1) and at it; a minimum
+    reached only at S_1; and a maximum reached only at S_n."""
+    cases = {
+        "first step down at n = 1": lambda pos: len(pos) == 1 and pos[0] == -1,
+        "S_n < 0": lambda pos: pos[-1] < 0,
+        "S_n = 0": lambda pos: pos[-1] == 0,
+        "minimum only at S_1": lambda pos: len(pos) > 1 and (pos[1:] > pos[0]).all(),
+        "maximum only at S_n": lambda pos: len(pos) > 1 and (pos[:-1] < pos[-1]).all(),
+    }
+    for p in (0.501, 0.75):
+        params, seen = make_params(p), set()
+        for seed in range(64):
+            path = reference_positions(params, 5, seed)
+            for n in (1, 2, 3, 5):
+                pos = path[:n]
+                field = mc.simulate_path(params, n, seed)
+                lo, hi = int(pos.min()), int(pos.max())
+                assert (field.min_site, field.max_site, field.final_position) == (
+                    lo, hi, pos[-1],
+                )
+                assert np.array_equal(field.counts, np.bincount(pos - lo))
+                seen.update(name for name, meets in cases.items() if meets(pos))
+        assert seen == set(cases), p
 
 
 def _reference_xi_star(counts, z):
@@ -297,11 +323,15 @@ def test_path_continuation_is_replica_0_from_step_n(monkeypatch):
 
 
 def test_path_report_keeps_the_field_and_derives_the_cloud():
-    n, seed = 300_000, 5
-    rep = mc.path_report(mc.SimConfig(params=P75, n=n, seed=seed))
-    assert np.array_equal(rep.counts, mc.simulate_path(P75, n, seed).counts)
-    assert np.array_equal(rep.cloud, _reference_cloud(rep.counts, n))
-    assert rep.to_dict()["cloud_size"] == rep.cloud.shape[0]
+    """The report's counts are the field at the horizon: the visits after
+    it that eta_max reads are taken back out.  At seed 237 they make
+    eta_max exceed xi_max, so visits left in would show."""
+    for n, seed in ((300_000, 5), (3000, 237)):
+        rep = mc.path_report(mc.SimConfig(params=P75, n=n, seed=seed))
+        assert np.array_equal(rep.counts, mc.simulate_path(P75, n, seed).counts)
+        assert np.array_equal(rep.cloud, _reference_cloud(rep.counts, n))
+        assert rep.to_dict()["cloud_size"] == rep.cloud.shape[0]
+    assert rep.eta_max > rep.xi_max
 
 
 def test_counter_steps_offsets_cross_block_boundary():
