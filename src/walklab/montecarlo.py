@@ -529,7 +529,7 @@ def path_report(config: SimConfig, xi_star_z: tuple[int, ...] = (1,)) -> PathRep
 
     The horizon's statistics are read first.  eta_max and the path
     variant read the total counts: the few visits of the walk after the
-    horizon are added into the field in place and taken out again after,
+    horizon are added into the field in place, read, and taken out again,
     so no copy of the field is made and `PathReport.counts` is the field
     at the horizon.
     """
