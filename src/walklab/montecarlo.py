@@ -11,14 +11,13 @@ replicas.
 tracked site returns to the highest one with probability exactly h, so
 one uniform decides between a return and escape for good, and no count
 is truncated.  Ensembles walk their replicas on the calling thread, in
-a refilled pool of up to 2^14 walkers, 8 steps a round (`_escape_visits`,
-`ensemble`).  A walker keeps the stream key of its current 2^16-step
-block, each round is drawn into buffers made once per call, and a walker
-that steps above the tracked sites is decided by the next word of its
-round when the round drew it.
-A replica still walking after the step budget that a Chernoff bound sets
-from p raises BudgetError, and so does a walk whose budget exceeds what
-its step counter holds.
+a refilled pool of up to 2^14 walkers, 8 steps a round, and count each
+round's visits to the tracked sites from a table of its landings
+(`_escape_visits`).  A single path walks on after its horizon alone,
+1023 steps a `counter_words` draw (`_walk_on`).  A walk still going
+after the step budget that a Chernoff bound sets from p raises
+BudgetError, and so does a walk whose budget exceeds what its step
+counter holds (`_step_budget`).
 
 Three facts of the +-1 walk build the dense counts and let every path
 statistic be read from them alone:
@@ -51,7 +50,7 @@ from __future__ import annotations
 
 import math
 import re
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 
 import numpy as np
 
@@ -75,6 +74,7 @@ __all__ = [
 _POOL = 1 << 14  # walkers of an escape walk that draw their rounds together
 _PATH_BLOCKS = 16  # key blocks of path steps drawn per path_step_bits call
 _ROUND = 8  # steps a walker draws per round of an escape walk, one byte of up-steps
+_WALK_LANES = 1023  # steps of a path's walk after its horizon per counter_words draw
 _LANE_MASK = BLOCK_LANES - 1  # a step's lane in its key block
 _BUDGET_MISS = 1e-18  # chance that a correct replica outruns its step budget
 _SLICE = 1 << 16  # sites per slice of the pair sums in _xi_star
@@ -196,26 +196,16 @@ class EnsembleReport:
 
     statistic: str
     replicas: int
+    words: int
+    steps: int
     mean: float
     variance: float
     sem: float
     ci95: tuple[float, float]
-    words: int
-    steps: int
     histogram: np.ndarray
 
     def to_dict(self) -> dict:
-        return {
-            "statistic": self.statistic,
-            "replicas": self.replicas,
-            "words": self.words,
-            "steps": self.steps,
-            "mean": self.mean,
-            "variance": self.variance,
-            "sem": self.sem,
-            "ci95": list(self.ci95),
-            "histogram": self.histogram.tolist(),
-        }
+        return {**asdict(self), "ci95": list(self.ci95), "histogram": self.histogram.tolist()}
 
 
 def simulate_path(params: WalkParams, n: int, seed: int) -> LocalTimeField:
@@ -262,9 +252,9 @@ def simulate_path(params: WalkParams, n: int, seed: int) -> LocalTimeField:
     return LocalTimeField(counts=counts, min_site=lo, max_site=hi, n=n, final_position=final)
 
 
-def _step_budget(params: WalkParams, rise: int) -> int:
-    """Steps after which a replica that walks from hi - rise has left
-    the sites <= hi for good, except with probability _BUDGET_MISS.
+def _step_budget(params: WalkParams, rise: int, first_step: int) -> int:
+    """Steps after which a walk from hi - rise has left the sites <= hi
+    for good, except with probability _BUDGET_MISS.
 
     By the Chernoff bound P(S_t = s) <= rho^t h^(-s/2), rho = 2 sqrt(pq),
     a visit at step m or later to sites of weight W = sum of h^(-s/2) has
@@ -274,6 +264,8 @@ def _step_budget(params: WalkParams, rise: int) -> int:
     and 1 - rho = gamma0^2 / (1 + rho) do not cancel as p nears 1/2.  An
     exact-escape walk takes no more steps than the walk it stands for,
     and its last round draws up to _ROUND more words and a decision.
+    A walk that reads its stream from `first_step` and could pass the
+    2^63 steps that its step counter holds raises BudgetError.
     """
     g2 = params.gamma0 * params.gamma0
     log_weight = -0.5 * rise * params.log_h - math.log(
@@ -281,7 +273,13 @@ def _step_budget(params: WalkParams, rise: int) -> int:
     )
     log_gap = math.log(g2 / (1.0 + math.sqrt(4.0 * params.p * params.q)))
     steps = (math.log(_BUDGET_MISS) - log_weight + log_gap) / (0.5 * math.log1p(-g2))
-    return max(math.ceil(steps), 0) + _ROUND + 2
+    budget = max(math.ceil(steps), 0) + _ROUND + 2
+    if first_step + budget >= 1 << 63:
+        raise BudgetError(
+            f"escape needs up to {budget} steps, beyond the 2^63 that a "
+            f"replica's step counter holds"
+        )
+    return budget
 
 
 def _round_tables():
@@ -291,53 +289,35 @@ def _round_tables():
     _OFFSET[b, j]  position after step j, relative to the round's start;
     _USED[b * 9 + r]  steps taken before the walk passes hi from headroom
         r = hi - x (8 if it does not pass; r >= 8 acts as 8);
-    _VISITS[(b * 9 + r) * 18 + e + 8]  byte of the steps among those that
-        land at or above lo, for lo - x = e (e <= -8 acts as -8, e >= 9
-        as 9: no step lands there).
+    _LANDS[(b * 9 + r) * 17 + e + 8]  how many of those steps land on
+        x + e, for -8 <= e <= 8.
     """
     up = (np.arange(256)[:, None] >> np.arange(_ROUND)) & 1
     offset = np.cumsum(2 * up - 1, axis=1)
     headroom = np.arange(_ROUND + 1)
     live = np.maximum.accumulate(offset, axis=1)[:, None, :] <= headroom[:, None]
-    low = np.arange(-_ROUND, _ROUND + 2)
-    lands = live[:, :, None, :] & (offset[:, None, None, :] >= low[:, None])
-    visits = np.packbits(lands, axis=-1, bitorder="little")
-    return offset, live.sum(axis=2).astype(np.uint8).ravel(), visits.ravel()
+    reach = np.arange(-_ROUND, _ROUND + 1)
+    lands = live[:, :, None, :] & (offset[:, None, None, :] == reach[:, None])
+    return offset, live.sum(axis=2).astype(np.uint8).ravel(), lands.sum(axis=3, dtype=np.int8).ravel()
 
 
-_OFFSET, _USED, _VISITS = _round_tables()
+_OFFSET, _USED, _LANDS = _round_tables()
 _LANE_SHIFTS = np.arange(_ROUND, dtype=np.uint64)[:, None]
 
 
-def _round(pattern: np.ndarray, headroom: np.ndarray, width: int):
-    """Steps used before passing hi, and the byte of those that land in
-    lo..hi, for walkers with up-step bytes `pattern`, headroom hi - x
-    and width = hi - lo."""
-    code = pattern * (_ROUND + 1) + np.minimum(headroom, _ROUND)
-    low = np.clip(headroom - width, -_ROUND, _ROUND + 1) + _ROUND
-    return _USED[code], _VISITS[code * (2 * _ROUND + 2) + low]
-
-
 def _escape_visits(
-    params: WalkParams,
-    seed: int,
-    replicas: int,
-    start: int,
-    first_step: int,
-    lo: int,
-    hi: int,
-    visit,
+    params: WalkParams, seed: int, replicas: int, first_step: int, hi: int, below, vals
 ) -> tuple[int, int]:
-    """Every visit at steps >= first_step to the sites lo..hi of
-    replicas 0..replicas-1, with each walk run to the end of time.
+    """Add to vals[r] the visits at steps >= first_step of replica r <
+    `replicas`, walked from 0 to the end of time, to the tracked sites
+    hi - d, d in `below` (sorted, and holding 0: hi is tracked).
 
-    Each replica walks from `start`, reading its stream from step
-    `first_step` on.  Above hi the walk visits no site of lo..hi, and
-    from hi + d it ever returns to hi with probability exactly h^d.  So a
-    replica that steps to hi + 1 decides with the uniform u of its next
-    step: if u < h it is counted at hi and walks on from there, otherwise
-    it is done.  A replica that starts above hi is decided on admission
-    with h^(start - hi).  The counts are exact, with no truncation.
+    Above hi the walk visits no tracked site, and from hi + d it ever
+    returns to hi with probability exactly h^d.  So a replica that steps
+    to hi + 1 decides with the uniform u of its next step: if u < h it is
+    counted at hi and walks on from there, otherwise it is done.  When hi
+    < 0 a replica is decided on admission with h^(-hi).  The counts are
+    exact, with no truncation.
 
     The replicas walk in a pool of at most `_POOL` slots.  Each walker
     keeps the stream key of the block its next step lies in, made once
@@ -345,31 +325,27 @@ def _escape_visits(
     block.  Each round, every walker draws the next `_ROUND` words of
     its key into buffers made once per call (a row whose lanes cross a
     block edge is drawn by `counter_words`).  A round's up-steps are
-    packed into one byte per walker, and `_round` reads from tables how
-    far each walks and which of its steps land in lo..hi.  A walker that
-    steps to hi + 1 at lane j < `_ROUND` - 1 is decided by lane j + 1 of
-    the same round; one that does so at the last lane is decided next
-    round by one more word.  The slots of finished walkers take the next
-    replicas, so the rounds stay full until they run out; then walkers
-    from the end of the pool move into the free slots.
+    packed into one byte per walker, and `_USED` reads how far each
+    walks.  Only a walker within max(below) + 8 of hi can land on a
+    tracked site, and for those `_LANDS` reads how many of its steps land
+    on each.  A walker that steps to hi + 1 at lane j < `_ROUND` - 1 is
+    decided by lane j + 1 of the same round; one that does so at the last
+    lane is decided next round by one more word.  The slots of finished
+    walkers take the next replicas, so the rounds stay full until they
+    run out; then walkers from the end of the pool move into the free
+    slots.
 
-    Calls `visit(rows, sites)` with the visits of each round, rows being
-    replica indices, in no fixed order.  Returns the words drawn,
-    so a decision read from its round costs none, and the steps walked,
-    decision steps included: words - steps is the number of lanes drawn
-    past an exit.  A replica still walking after `_step_budget` steps
-    raises BudgetError.
+    Returns the words drawn, so a decision read from its round costs
+    none, and the steps walked, decision steps included: words - steps is
+    the number of lanes drawn past an exit.  A replica still walking
+    after `_step_budget` steps raises BudgetError.
     """
     p, h = params.p, params.h
-    budget = _step_budget(params, hi - start)
-    if first_step + budget >= 1 << 63:
-        raise BudgetError(
-            f"escape needs up to {budget} steps, beyond the 2^63 that a "
-            f"replica's step counter holds"
-        )
-    width = hi - lo
-    above = start > hi  # replicas are decided on admission, and walk on from hi
-    entry, entry_step = (0, first_step + 1) if above else (hi - start, first_step)
+    budget = _step_budget(params, hi, first_step)
+    below = np.asarray(below)[:, None]
+    reach = below[-1, 0] + _ROUND  # a walker further below hi lands on no tracked site
+    above = hi < 0  # replicas are decided on admission, and walk on from hi
+    entry, entry_step = (0, first_step + 1) if above else (hi, first_step)
     size = min(_POOL, replicas)
     rows = np.empty(size, dtype=np.int64)  # the pool's slots: replica,
     headroom = np.empty_like(rows)  # hi - x,
@@ -396,8 +372,7 @@ def _escape_visits(
         back = _below(w, h_d)
         step[slots] += 1
         back, done = slots[back], slots[~back]
-        if len(back):
-            visit(rows[back], np.full(len(back), hi))
+        vals[rows[back]] += 1
         headroom[back] = 0
         steps += int(step[done].sum()) - first_step * len(done)
         return back, done
@@ -415,10 +390,10 @@ def _escape_visits(
         if above and len(new):
             w = counter_words(seed, new, 1, first_step)[:, 0]
             words += len(new)
-            back = _below(w, h ** (start - hi))
+            back = _below(w, h ** -hi)
             steps += len(new) - int(back.sum())
             new = new[back]
-            visit(new, np.full(len(new), hi))
+            vals[new] += 1
         # new replicas take the free slots first, then the slots past n
         fill = np.concatenate([free[: len(new)], np.arange(n, n + len(new) - len(free))])
         rows[fill], headroom[fill], step[fill] = new, entry, entry_step
@@ -445,12 +420,15 @@ def _escape_visits(
         # over the lanes, byte i is the byte of slot i's up-steps
         bits = up_steps[:, : -(-n // 8) * 8].view("<u8") << _LANE_SHIFTS
         pattern = np.bitwise_or.reduce(bits, axis=0).view(np.uint8)[:n].astype(np.intp)
-        used, lands = _round(pattern, headroom[:n], width)
-        # bit j of walker i's byte is entry 8i + j; a bool view finds them fastest
-        hits = np.flatnonzero(np.unpackbits(lands, bitorder="little").view(bool))
-        if len(hits):
-            i = hits >> 3
-            visit(rows[i], hi - headroom[i] + _OFFSET.ravel()[(pattern[i] << 3) | (hits & 7)])
+        code = pattern * (_ROUND + 1) + np.minimum(headroom[:n], _ROUND)
+        close = np.flatnonzero(headroom[:n] <= reach)
+        e = headroom[close] - below  # tracked site hi - d is x + e, e = headroom - d
+        lands = np.abs(e) <= _ROUND
+        np.clip(e, -_ROUND, _ROUND, out=e)  # in place: e is (distances, walkers)
+        e += code[close] * (2 * _ROUND + 1) + _ROUND
+        got = np.where(lands, _LANDS[e], 0)
+        vals[rows[close]] += got.sum(axis=0)  # the pool's rows are distinct
+        used = _USED[code]
         step[:n] += used
         headroom[:n] -= _OFFSET[pattern, -1]
         out = np.flatnonzero(used < _ROUND)  # stepped to hi + 1 at lane used[out]
@@ -461,6 +439,38 @@ def _escape_visits(
         rekey(near[(step[near] & _LANE_MASK) < lane[near]])
         if step[:n].max(initial=first_step) - first_step > budget:
             raise BudgetError(f"escape not reached within {budget} steps")
+
+
+def _walk_on(
+    params: WalkParams, seed: int, start: int, first_step: int, min_site: int, hi: int
+) -> np.ndarray:
+    """The sites >= min_site that replica 0 visits at steps >= first_step,
+    walked from start <= hi to the end of time, one entry per visit.
+
+    This is the walk of `_escape_visits` for one replica on its own: a
+    step to hi + 1 is decided by the word of the next step, and a return
+    is a visit to hi from which the walk goes on.  Each `counter_words`
+    draw holds `_WALK_LANES` steps and one more word, so an exit at the
+    last lane reads its decision from the same draw.  The walk never
+    passes first_step + `_step_budget`; reaching it raises BudgetError.
+    """
+    budget = _step_budget(params, hi - start, first_step)
+    x, step, visits = start, first_step, []
+    while step < first_step + budget:
+        lanes = min(_WALK_LANES, first_step + budget - step)
+        w = counter_words(seed, 0, lanes + 1, step)
+        pos = x + np.cumsum(np.where(_below(w[:lanes], params.p), 1, -1))
+        j = int((pos > hi).argmax())  # the first step to hi + 1, when pos[j] > hi
+        if pos[j] <= hi:
+            visits.append(pos)
+            x, step = int(pos[-1]), step + lanes
+        elif _below(w[j + 1], params.h):  # back to hi
+            visits += [pos[:j], [hi]]
+            x, step = hi, step + j + 2
+        else:  # escaped for good
+            sites = np.concatenate(visits + [pos[:j]])
+            return sites[sites >= min_site]
+    raise BudgetError(f"escape not reached within {budget} steps")
 
 
 def _xi_star(counts: np.ndarray, z: int) -> int:
@@ -528,10 +538,11 @@ def path_report(config: SimConfig, xi_star_z: tuple[int, ...] = (1,)) -> PathRep
     read from its local-time field (the rates are per log n).
 
     The horizon's statistics are read first.  eta_max and the path
-    variant read the total counts: the few visits of the walk after the
-    horizon are added into the field in place, read, and taken out again,
-    so no copy of the field is made and `PathReport.counts` is the field
-    at the horizon.
+    variant read the total counts: the path walks on alone until it
+    escapes for good (`_walk_on`), and the few visits of that walk are
+    added into the field in place, read, and taken out again, so no copy
+    of the field is made and `PathReport.counts` is the field at the
+    horizon.
     """
     if config.n < 2:
         raise ValidationError(f"path_report needs n >= 2, got {config.n}")
@@ -549,18 +560,12 @@ def path_report(config: SimConfig, xi_star_z: tuple[int, ...] = (1,)) -> PathRep
     # the same walk after the horizon: replica 0 from step n, a stream
     # independent of the path's (see `rng`).  Its visits are to sites of
     # the range, all of them on the path by fact (a).
-    after = []  # the indices into counts of its visits, one array a round
-
-    def visit(_, sites):
-        after.append(sites - lo)
-        np.add.at(counts, after[-1], 1)
-
-    _escape_visits(params, seed, 1, field_.final_position, n, lo, field_.max_site, visit)
+    after = _walk_on(params, seed, field_.final_position, n, lo, field_.max_site) - lo
+    np.add.at(counts, after, 1)
     eta_max = int(counts.max())
     if heavy is not None:
         profiles["path_variant"] = heavy_deviation(params, counts, n, heavy)
-    for sites in after:
-        np.subtract.at(counts, sites, 1)
+    np.subtract.at(counts, after, 1)
     return PathReport(
         n=n, seed=seed, qtilde=qtilde, nu_n=field_.new_maxima(), xi_max=xi_max,
         eta_max=eta_max, xi_star=xi_star, counts=counts, heavy=profiles or None,
@@ -600,25 +605,20 @@ def ensemble(config: SimConfig, statistic: str, threads: int = 1) -> EnsembleRep
     indicator that "local_time:0" is 0).  Each replica is walked until it
     escapes for good (see `_escape_visits`), so every value is exact and
     `config.n` plays no part.  All replicas are walked in one pool on the
-    calling thread, and each round's visits are added into their
-    per-replica counts.
+    calling thread, which adds each round's visits to the tracked sites
+    straight into the per-replica counts.
 
     `threads` is neither read nor checked.  It is kept only because the
     benchmark harness in perfbench/ still passes it; it goes once that
     harness stops.
     """
     name = str(statistic)
-    sites = np.asarray(_stat_sites(name), dtype=np.int64)
-    site_lo, site_hi = int(sites.min()), int(sites.max())
-    member = np.zeros(site_hi - site_lo + 1, dtype=bool)  # member[s - site_lo]: s tracked
-    member[sites - site_lo] = True
+    sites = _stat_sites(name)
+    hi = max(sites)
     params, seed, replicas = config.params, config.seed, config.replicas
     vals = np.zeros(replicas, dtype=np.int64)
-
-    def visit(rows, visited):
-        np.add.at(vals, rows[member[visited - site_lo]], 1)
-
-    words, steps = _escape_visits(params, seed, replicas, 0, 0, site_lo, site_hi, visit)
+    below = sorted(hi - s for s in sites)
+    words, steps = _escape_visits(params, seed, replicas, 0, hi, below, vals)
     hist = np.bincount((vals == 0).astype(np.int64) if name == "no_return" else vals)
     k = np.arange(len(hist))
     mean = (k * hist).sum() / replicas  # integer sums, exact below 2^53

@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import math
 import time
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 
 import numpy as np
 from scipy import stats as sstats
@@ -36,14 +36,7 @@ class CriterionResult:
     seconds: float
 
     def to_dict(self) -> dict:
-        return {
-            "number": self.number,
-            "name": self.name,
-            "passed": self.passed,
-            "measured": self.measured,
-            "expected": self.expected,
-            "seconds": round(self.seconds, 3),
-        }
+        return {**asdict(self), "seconds": round(self.seconds, 3)}
 
 
 def _check_closedform_vs_genfunc(params: WalkParams, seed: int) -> tuple:

@@ -75,8 +75,8 @@ def test_final_position_lln_band():
 # profiles.  They were computed from the reference path of pathref.py by
 # direct counting, _reference_xi_star, _reference_cloud and
 # _reference_heavy_deviation, with the walk after the horizon taken from
-# _escape_visits on replica 0 from step n (the exact escape has no
-# brute-force twin).  n = 70000 crosses a 2^16-step block boundary; seed
+# _walk_on, replica 0 from step n (the exact escape has no brute-force
+# twin).  n = 70000 crosses a 2^16-step block boundary; seed
 # 237 dips to site -1, and its walk after the horizon makes eta_max and
 # the path variant differ.
 RECORDED_PATHS = {
@@ -297,28 +297,30 @@ def test_xi_star_over_several_slices():
 def test_path_continuation_is_replica_0_from_step_n(monkeypatch):
     """The path draws no replica word; its walk after the horizon reads
     the words of replica 0 at steps n, n + 1, ... in one unbroken run,
-    and eta_max counts those visits."""
+    and eta_max counts the visits of the reference walk from there."""
     calls = []
 
-    def recording(keys, lane, out, scratch=None):
-        calls.append((np.asarray(keys).tolist(), np.asarray(lane).tolist(), out.shape[-1]))
-        return rng._keyed_words(keys, lane, out, scratch)
+    def recording(seed, replica, lanes, step=0):
+        calls.append((seed, replica, lanes, step))
+        return rng.counter_words(seed, replica, lanes, step)
 
-    monkeypatch.setattr(mc, "_keyed_words", recording)
+    monkeypatch.setattr(mc, "counter_words", recording)
+    monkeypatch.setattr(mc, "_WALK_LANES", 7)  # several draws, so the run shows
     n, seed = 3000, 237
     field = mc.simulate_path(P75, n, seed)
     assert calls == []
     rep = mc.path_report(mc.SimConfig(params=P75, n=n, seed=seed))
+    assert len(calls) > 1
     drawn = set()
-    for keys, lane, lanes in calls:
-        assert keys == [int(rng._key(seed, 0, 0))]  # replica 0 in block 0: n < 2^16
-        drawn.update(range(lane[0], lane[0] + lanes))
+    for call_seed, replica, lanes, step in calls:
+        assert (call_seed, replica) == (seed, 0)
+        drawn.update(range(step, step + lanes))
     assert min(drawn) == n and len(drawn) == max(drawn) - n + 1
-    totals = field.counts.copy()
-    mc._escape_visits(
-        P75, seed, 1, field.final_position, n, field.min_site, field.max_site,
-        lambda _, sites: np.add.at(totals, sites - field.min_site, 1),
+    _, sites, _, _ = reference_escape(
+        P75, seed, [0], field.final_position, n, field.min_site, field.max_site
     )
+    totals = field.counts.copy()
+    np.add.at(totals, sites - field.min_site, 1)
     assert rep.eta_max == totals.max() > rep.xi_max
 
 
@@ -397,16 +399,25 @@ def test_exact_escape_agrees_with_margin_escape(p, statistic):
 
 def test_escape_step_budget_guard(monkeypatch):
     """A stream that only ever steps down never escapes: the budget chosen
-    from p stops it after a few hundred steps instead of running on."""
+    from p stops the ensemble's pool and the path's walk after its horizon
+    after a few hundred steps instead of running on."""
     def always_down(keys, lane, out, scratch=None):
         out[...] = np.uint64(2**64 - 1)  # no uniform is below p
         return out
 
+    def always_down_words(seed, replica, lanes, step=0):
+        shape = np.broadcast(np.asarray(replica), np.asarray(step)).shape
+        return np.full((*shape, lanes), 2**64 - 1, dtype=np.uint64)
+
     monkeypatch.setattr(mc, "_keyed_words", always_down)
+    monkeypatch.setattr(mc, "counter_words", always_down_words)
     config = mc.SimConfig(params=P75, n=1, replicas=64, seed=0)
     with pytest.raises(BudgetError, match="within 319 steps"):
         mc.ensemble(config, "local_time:0")
-    with pytest.raises(BudgetError):
+    field = mc.simulate_path(P75, 100, 0)
+    rise = field.max_site - field.final_position
+    budget = mc._step_budget(P75, rise, 100)
+    with pytest.raises(BudgetError, match=f"within {budget} steps"):
         mc.path_report(mc.SimConfig(params=P75, n=100, seed=0))
 
 
@@ -421,7 +432,7 @@ def test_escape_step_budget_is_the_shortest_certified(p, rise):
     params = make_params(p)
     rho = 2 * math.sqrt(params.p * params.q)
     weight = params.h ** (-rise / 2) / (1 - math.sqrt(params.h))
-    m = mc._step_budget(params, rise) - mc._ROUND - 2
+    m = mc._step_budget(params, rise, 0) - mc._ROUND - 2
 
     def bound(k):
         return rho**k * weight / (1 - rho)
@@ -434,10 +445,14 @@ def test_escape_step_budget_is_the_shortest_certified(p, rise):
 
 def test_escape_refused_beyond_the_step_counter():
     """Just above p = 1/2 the budget exceeds what a replica's int64 step
-    counter holds: the ensemble refuses at once instead of walking on."""
-    config = mc.SimConfig(params=make_params(0.5 + 2.0**-30), n=1, replicas=4, seed=0)
+    counter holds: the ensemble and the path's walk after its horizon
+    refuse at once instead of walking on."""
+    params = make_params(0.5 + 2.0**-30)
+    config = mc.SimConfig(params=params, n=1, replicas=4, seed=0)
     with pytest.raises(BudgetError, match=r"2\^63"):
         mc.ensemble(config, "ball_occupation")
+    with pytest.raises(BudgetError, match=r"2\^63"):
+        mc.path_report(mc.SimConfig(params=params, n=100, seed=0))
 
 
 def test_sim_config_validation():
@@ -624,46 +639,34 @@ def test_escape_visits_do_not_depend_on_pool_size(monkeypatch, pool):
     assert rep.to_dict() == base.to_dict()
 
 
-def _brute_force_round(pattern, headroom, low):
-    """Walk the 8 steps of `pattern` one at a time from x = 0, with hi =
-    headroom and lo = low: the steps taken before the walk passes hi, and
-    the byte of those that land at or above lo."""
-    x = used = lands = 0
+def _brute_force_round(pattern, headroom):
+    """Walk the 8 steps of `pattern` one at a time from x = 0 with hi =
+    headroom: the steps taken before the walk passes hi, and how many of
+    them land on each site x + e, -8 <= e <= 8."""
+    x = used = 0
+    lands = [0] * 17
     for j in range(8):
         x += 1 if pattern >> j & 1 else -1
         if x > headroom:
             break
         used += 1
-        if x >= low:
-            lands |= 1 << j
+        lands[x + 8] += 1
     return used, lands
 
 
 def test_round_tables_match_a_step_by_step_walk():
-    """Every pattern, every headroom 0..12 and every lo - x from -12 up to
-    the headroom, through `_round` with its clipping."""
+    """Every pattern, every headroom 0..12 (8 and up read the same entry)
+    and every landing offset -8..8."""
     patterns = np.arange(256)
     offsets = np.cumsum(np.where((patterns[:, None] >> np.arange(8)) & 1, 1, -1), axis=1)
     assert np.array_equal(mc._OFFSET, offsets)
     for headroom in range(13):
-        for low in range(-12, headroom + 1):
-            used, lands = mc._round(
-                patterns, np.full(256, headroom, dtype=np.int64), headroom - low
-            )
-            expected = [_brute_force_round(b, headroom, low) for b in range(256)]
-            assert used.tolist() == [u for u, _ in expected], (headroom, low)
-            assert lands.tolist() == [m for _, m in expected], (headroom, low)
-
-
-def _pool_visits(params, seed, replicas, start, first_step, lo, hi):
-    got = []
-    words, steps = mc._escape_visits(
-        params, seed, replicas, start, first_step, lo, hi,
-        lambda rows, sites: got.append((rows.copy(), sites.copy())),
-    )
-    rows = np.concatenate([r for r, _ in got])
-    sites = np.concatenate([s for _, s in got])
-    return sorted(zip(rows.tolist(), sites.tolist())), words, steps
+        code = patterns * 9 + min(headroom, 8)
+        expected = [_brute_force_round(b, headroom) for b in range(256)]
+        assert mc._USED[code].tolist() == [u for u, _ in expected], headroom
+        for e in range(-8, 9):
+            lands = mc._LANDS[code * 17 + e + 8].tolist()
+            assert lands == [m[e + 8] for _, m in expected], (headroom, e)
 
 
 @pytest.mark.parametrize("p", [0.52, 0.6, 0.9, 0.999])
@@ -680,12 +683,15 @@ def _pool_visits(params, seed, replicas, start, first_step, lo, hi):
     ],
 )
 def test_escape_visits_match_the_reference(monkeypatch, p, start, first_step, lo, hi):
-    """The pool gives the (replica, site) visit multiset, words and steps
-    of the cumsum walk of escaperef.py, with more replicas than walkers,
-    starts above hi and rounds across a 2^16-step block edge.  From
-    2^16 - 40, walkers at p = 0.52 reach the edge in the middle of their
-    walks, so their cached keys are made again and rounds straddle it.
-    From 2^16 - 9, a walker that leaves at the last lane of its first
+    """The pool gives the per-replica visit counts, words and steps of the
+    cumsum walk of escaperef.py, with more replicas than walkers.  The
+    pool walks from 0, so the reference's start is folded into the sites:
+    sites lo..hi seen from `start` are lo - start..hi - start seen from 0,
+    and a start above hi is an hi below 0.  Both every site of lo..hi and
+    only its two ends are tracked.  Rounds cross a 2^16-step block edge:
+    from 2^16 - 40, walkers at p = 0.52 reach the edge in the middle of
+    their walks, so their cached keys are made again and rounds straddle
+    it.  From 2^16 - 9, a walker that leaves at the last lane of its first
     round decides at step 2^16 - 1 and, if it goes back, walks on in the
     next block."""
     params, seed, replicas = make_params(p), 4, 300
@@ -693,11 +699,39 @@ def test_escape_visits_match_the_reference(monkeypatch, p, start, first_step, lo
     rows, sites, words, steps = reference_escape(
         params, seed, np.arange(replicas), start, first_step, lo, hi
     )
-    expected = sorted(zip(rows.tolist(), sites.tolist()))
-    assert _pool_visits(params, seed, replicas, start, first_step, lo, hi) == (
-        expected, words, steps
-    )
+    for below in (list(range(hi - lo + 1)), sorted({0, hi - lo})):
+        tracked = np.isin(sites, [hi - d for d in below])
+        expected = np.bincount(rows[tracked], minlength=replicas)
+        vals = np.zeros(replicas, dtype=np.int64)
+        got = mc._escape_visits(params, seed, replicas, first_step, hi - start, below, vals)
+        assert got == (words, steps)
+        assert np.array_equal(vals, expected), below
     assert words >= steps >= replicas
+
+
+@pytest.mark.parametrize("p", [0.501, 0.52, 0.6, 0.9, 0.999])
+@pytest.mark.parametrize(
+    "start, first_step, lo, hi",
+    [
+        (0, 0, -3, 2),
+        (-2, (1 << 16) - 3, -5, 0),
+        (1, (1 << 16) - 9, -1, 1),
+        (0, (1 << 16) - 40, -2, 3),
+    ],
+)
+def test_walk_on_matches_the_reference(monkeypatch, p, start, first_step, lo, hi):
+    """The path's walk after its horizon is replica 0 of the cumsum walk
+    of escaperef.py: the same visits in the same order, whatever the
+    draw size, with exits at the last lane of a draw (1 and 7 lanes) and
+    draws across a 2^16-step block edge.  At p = 0.501 a walk of 1-step
+    draws costs about 0.1 ms a step; with seed 1 these walks take
+    12,000-18,000 steps."""
+    params, seed = make_params(p), 1
+    _, sites, _, _ = reference_escape(params, seed, [0], start, first_step, lo, hi)
+    for lanes in (1, 7, 1023):
+        monkeypatch.setattr(mc, "_WALK_LANES", lanes)
+        got = mc._walk_on(params, seed, start, first_step, lo, hi)
+        assert np.array_equal(got, sites), lanes
 
 
 @pytest.mark.parametrize("statistic", ["ball_occupation", "two_point_pos:2", "local_time:-1"])
