@@ -16,7 +16,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ValidationError
-from .model import WalkParams, derived_constants
+from .model import WalkParams
 from .genfunc import ball_gf
 
 __all__ = [
@@ -99,7 +99,7 @@ def boundary_solve(params: WalkParams, x: float) -> list[BoundaryPoint]:
     holds at most one root: one root below the two-solution threshold and
     at the right endpoint, two roots in between.
     """
-    xmax = derived_constants(params).lambda0
+    xmax = params.lambda0
     if not 0.0 <= x <= xmax + 1e-9:
         raise ValidationError(
             f"x={x} outside [0, {xmax:.12g}] (the admissible rate range)"
@@ -128,11 +128,11 @@ def extremal_points(params: WalkParams) -> dict[str, BoundaryPoint]:
     """The three closed-form landmarks of the boundary: rightmost point,
     topmost point and the x = 0 intercept."""
     p, q = params.p, params.q
-    c = derived_constants(params)
+    lam0, kap0 = params.lambda0, params.kappa0
     return {
-        "x_max": BoundaryPoint(x=c.lambda0, y=c.lambda0 / p, branch="tangent"),
+        "x_max": BoundaryPoint(x=lam0, y=lam0 / p, branch="tangent"),
         "y_max": BoundaryPoint(
-            x=2.0 * p * c.kappa0 / (2.0 * p + 1.0), y=c.kappa0, branch="upper"
+            x=2.0 * p * kap0 / (2.0 * p + 1.0), y=kap0, branch="upper"
         ),
         "x_zero": BoundaryPoint(x=0.0, y=-1.0 / math.log(q), branch="upper"),
     }
@@ -205,8 +205,7 @@ def weight_limit(params: WalkParams) -> WeightLimit:
     occupation generating function.  The optimum splits in the fixed
     proportion x : y = (beta - 1) : (beta + 1).
     """
-    c = derived_constants(params)
-    closed, beta = c.wlimit, params.beta
+    closed, beta = params.wlimit, params.beta
     x_opt = (beta - 1.0) / (2.0 * beta) * closed
     y_opt = (beta + 1.0) / (2.0 * beta) * closed
 
@@ -214,7 +213,7 @@ def weight_limit(params: WalkParams) -> WeightLimit:
         pts = boundary_solve(params, x)
         return max(pt.y for pt in pts)
 
-    x_num = _golden_max(lambda x: x + upper_y(x), 0.0, c.lambda0)
+    x_num = _golden_max(lambda x: x + upper_y(x), 0.0, params.lambda0)
     numeric = x_num + upper_y(x_num)
 
     from_gf = -1.0 / math.log(_ball_series_ratio(params))
@@ -235,7 +234,7 @@ def boundary_polyline(params: WalkParams, gridsize: int) -> list[tuple[float, fl
     """
     if gridsize < 2:
         raise ValidationError(f"gridsize must be >= 2, got {gridsize}")
-    xmax = derived_constants(params).lambda0
+    xmax = params.lambda0
     xs = [xmax * i / (gridsize - 1) for i in range(gridsize)]
     lower: list[tuple[float, float, str]] = []
     upper: list[tuple[float, float, str]] = []

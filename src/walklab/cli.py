@@ -21,7 +21,7 @@ import time
 
 from . import __version__, boundary, closedform, montecarlo, oracle, verify
 from .errors import BudgetError, DomainError, ValidationError
-from .model import derived_constants, make_params
+from .model import make_params
 
 __all__ = ["main", "build_parser"]
 
@@ -80,18 +80,17 @@ def _write_outputs(args, payload: dict, csv_rows=None, csv_header=None) -> None:
 
 def cmd_constants(args) -> int:
     params = make_params(args.p)
-    consts = derived_constants(params)
     pts = boundary.extremal_points(params)
     payload = {
         "p": params.p,
         "q": params.q,
         "h": params.h,
         "gamma0": params.gamma0,
-        "lambda0": consts.lambda0,
-        "kappa0": consts.kappa0,
+        "lambda0": params.lambda0,
+        "kappa0": params.kappa0,
         "beta": params.beta,
-        "wlimit": consts.wlimit,
-        "theta": {str(z): consts.theta(z) for z in range(1, 6)},
+        "wlimit": params.wlimit,
+        "theta": {str(z): params.theta(z) for z in range(1, 6)},
         "extremal_points": {
             name: {"x": pt.x, "y": pt.y} for name, pt in pts.items()
         },

@@ -15,7 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DomainError, ValidationError
-from .model import WalkParams, two_point_bases
+from .model import WalkParams
 
 __all__ = [
     "PmfTable",
@@ -293,7 +293,7 @@ def two_point_occupation_pmf(
     """
     if side not in ("pos", "neg"):
         raise ValidationError(f"side must be 'pos' or 'neg', got {side!r}")
-    a, b = two_point_bases(params, z)
+    a, b = params.two_point_bases(z)
     s = math.exp(0.5 * z * params.log_h)
     gamma0 = params.gamma0
     if side == "pos":

@@ -14,8 +14,8 @@ is truncated.  Ensembles walk their replicas on the calling thread, in
 a refilled pool of up to 2^14 walkers, 8 steps a round, and count each
 round's visits to the tracked sites from a table of its landings
 (`_escape_visits`).  A single path walks on after its horizon alone,
-1023 steps a `counter_words` draw (`_walk_on`).  A walk still going
-after the step budget that a Chernoff bound sets from p raises
+1023 steps a draw, tallying its visits by depth (`_walk_on`).  A walk
+still going after the step budget that a Chernoff bound sets from p raises
 BudgetError, and so does a walk whose budget exceeds what its step
 counter holds (`_step_budget`).
 
@@ -55,7 +55,7 @@ from dataclasses import asdict, dataclass
 import numpy as np
 
 from .errors import BudgetError, ValidationError
-from .model import WalkParams, derived_constants
+from .model import WalkParams
 from .closedform import excursion_mean_visits
 from .rng import BLOCK_LANES, _below, _key, _keyed_words, counter_words, path_step_bits
 
@@ -444,32 +444,37 @@ def _escape_visits(
 def _walk_on(
     params: WalkParams, seed: int, start: int, first_step: int, min_site: int, hi: int
 ) -> np.ndarray:
-    """The sites >= min_site that replica 0 visits at steps >= first_step,
-    walked from start <= hi to the end of time, one entry per visit.
+    """Visits by depth below hi that replica 0 makes at steps >= first_step,
+    walked from start <= hi to the end of time: entry d counts the visits
+    to hi - d, cut at d = hi - min_site.
 
     This is the walk of `_escape_visits` for one replica on its own: a
     step to hi + 1 is decided by the word of the next step, and a return
     is a visit to hi from which the walk goes on.  Each `counter_words`
     draw holds `_WALK_LANES` steps and one more word, so an exit at the
-    last lane reads its decision from the same draw.  The walk never
-    passes first_step + `_step_budget`; reaching it raises BudgetError.
+    last lane reads its decision from the same draw.  Each draw's visits
+    are added into the tally, which grows only with the depth the walk
+    reaches.  The walk never passes first_step + `_step_budget`; reaching
+    it raises BudgetError.
     """
     budget = _step_budget(params, hi - start, first_step)
-    x, step, visits = start, first_step, []
+    x, step, tally = start, first_step, np.zeros(0, dtype=np.int64)
     while step < first_step + budget:
         lanes = min(_WALK_LANES, first_step + budget - step)
         w = counter_words(seed, 0, lanes + 1, step)
         pos = x + np.cumsum(np.where(_below(w[:lanes], params.p), 1, -1))
         j = int((pos > hi).argmax())  # the first step to hi + 1, when pos[j] > hi
         if pos[j] <= hi:
-            visits.append(pos)
-            x, step = int(pos[-1]), step + lanes
+            visited, x, step = pos, int(pos[-1]), step + lanes
         elif _below(w[j + 1], params.h):  # back to hi
-            visits += [pos[:j], [hi]]
-            x, step = hi, step + j + 2
-        else:  # escaped for good
-            sites = np.concatenate(visits + [pos[:j]])
-            return sites[sites >= min_site]
+            visited, x, step = np.append(pos[:j], hi), hi, step + j + 2
+        else:  # escaped for good: no position left
+            visited, x = pos[:j], None
+        more = np.bincount(hi - visited, minlength=len(tally))
+        more[: len(tally)] += tally
+        tally = more
+        if x is None:
+            return tally[: hi - min_site + 1]
     raise BudgetError(f"escape not reached within {budget} steps")
 
 
@@ -515,7 +520,7 @@ def heavy_deviation(
     n < e^(e^4), about 5 * 10^23.
     """
     c = 0.5 / max(1.0, -params.log_h)
-    rate_log_n = derived_constants(params).lambda0 * math.log(n)
+    rate_log_n = params.lambda0 * math.log(n)
     threshold = (1.0 - heavy.delta_n) * rate_log_n
     radius = max(1, int(c * math.log(max(math.log(n), math.e))))
     heavy_idx = np.flatnonzero(counts >= threshold)
@@ -539,10 +544,10 @@ def path_report(config: SimConfig, xi_star_z: tuple[int, ...] = (1,)) -> PathRep
 
     The horizon's statistics are read first.  eta_max and the path
     variant read the total counts: the path walks on alone until it
-    escapes for good (`_walk_on`), and the few visits of that walk are
-    added into the field in place, read, and taken out again, so no copy
-    of the field is made and `PathReport.counts` is the field at the
-    horizon.
+    escapes for good (`_walk_on`).  That walk's tally of visits by depth
+    below the path's maximum is added into the field in place, read, and
+    taken out again, so no copy of the field is made and
+    `PathReport.counts` is the field at the horizon.
     """
     if config.n < 2:
         raise ValidationError(f"path_report needs n >= 2, got {config.n}")
@@ -559,13 +564,15 @@ def path_report(config: SimConfig, xi_star_z: tuple[int, ...] = (1,)) -> PathRep
 
     # the same walk after the horizon: replica 0 from step n, a stream
     # independent of the path's (see `rng`).  Its visits are to sites of
-    # the range, all of them on the path by fact (a).
-    after = _walk_on(params, seed, field_.final_position, n, lo, field_.max_site) - lo
-    np.add.at(counts, after, 1)
+    # the range, all on the path by fact (a); `top`, the field by depth
+    # below max_site, is a view, so the tally goes in and out in place.
+    tally = _walk_on(params, seed, field_.final_position, n, lo, field_.max_site)
+    top = counts[::-1][: len(tally)]
+    top += tally
     eta_max = int(counts.max())
     if heavy is not None:
         profiles["path_variant"] = heavy_deviation(params, counts, n, heavy)
-    np.subtract.at(counts, after, 1)
+    top -= tally
     return PathReport(
         n=n, seed=seed, qtilde=qtilde, nu_n=field_.new_maxima(), xi_max=xi_max,
         eta_max=eta_max, xi_star=xi_star, counts=counts, heavy=profiles or None,

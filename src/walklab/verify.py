@@ -19,7 +19,7 @@ from scipy import stats as sstats
 
 from . import boundary, closedform, genfunc, montecarlo, oracle
 from .errors import BudgetError, ValidationError
-from .model import WalkParams, derived_constants, make_params
+from .model import WalkParams, make_params
 
 __all__ = ["CriterionResult", "run_suite", "LEVELS"]
 
@@ -136,7 +136,6 @@ def _g_scale(params: WalkParams, x: float, y: float) -> float:
 
 
 def _check_boundary_geometry(params: WalkParams, seed: int) -> tuple:
-    consts = derived_constants(params)
     worst_g = max(
         abs(boundary.g(params, pt.x, pt.y) - 1.0) / _g_scale(params, pt.x, pt.y)
         for pt in boundary.extremal_points(params).values()
@@ -144,7 +143,7 @@ def _check_boundary_geometry(params: WalkParams, seed: int) -> tuple:
 
     threshold = -1.0 / math.log(2 * params.p * params.q)
     pattern_ok = True
-    for x in np.linspace(1e-6, consts.lambda0 * (1 - 1e-9), 200):
+    for x in np.linspace(1e-6, params.lambda0 * (1 - 1e-9), 200):
         roots = boundary.boundary_solve(params, float(x))
         want = 1 if x < threshold else 2
         if len(roots) != want:
@@ -152,9 +151,9 @@ def _check_boundary_geometry(params: WalkParams, seed: int) -> tuple:
             break
 
     worst_min = max(
-        abs(boundary.g(params, x, x / params.p) - x / consts.lambda0)
+        abs(boundary.g(params, x, x / params.p) - x / params.lambda0)
         / _g_scale(params, x, x / params.p)
-        for x in map(float, np.linspace(1e-6, consts.lambda0, 50))
+        for x in map(float, np.linspace(1e-6, params.lambda0, 50))
     )
     ok = worst_g < 5e-15 and pattern_ok and worst_min < 5e-15
     return ok, (
@@ -271,8 +270,7 @@ def _check_single_path_lln(params: WalkParams, seed: int) -> tuple:
 
 
 def _check_limit_trends(params: WalkParams, seed: int) -> tuple:
-    consts = derived_constants(params)
-    lam0 = consts.lambda0
+    lam0 = params.lambda0
     horizons = (10**4, 10**5, 10**6)
 
     xi_medians = []
@@ -302,7 +300,7 @@ def _check_limit_trends(params: WalkParams, seed: int) -> tuple:
         and abs(xi_medians[-1] - lam0) <= abs(xi_medians[0] - lam0)
     )
     in_band = 0.7 * lam0 <= xi_medians[-1] <= 1.3 * lam0
-    star_bound = 1.3 * (1.0 / consts.theta(1))
+    star_bound = 1.3 * (1.0 / params.theta(1))
     star_ok = star_values[-1] < star_bound
 
     # heavy-point deviation with a slack sequence shrinking in n, as the

@@ -8,16 +8,15 @@ from hypothesis import given, settings, strategies as st
 
 from walklab import boundary, verify
 from walklab.errors import ValidationError
-from walklab.model import derived_constants, make_params
+from walklab.model import make_params
 
 P75 = make_params(0.75)
 P_STRAT = st.floats(min_value=0.51, max_value=0.98)
 
 
 def test_g_reference_value_at_optimum():
-    consts = derived_constants(P75)
     # at the tangent point (lambda0, lambda0/p) the curve height is 1
-    assert boundary.g(P75, consts.lambda0, consts.lambda0 / 0.75) == pytest.approx(
+    assert boundary.g(P75, P75.lambda0, P75.lambda0 / 0.75) == pytest.approx(
         1.0, abs=1e-12
     )
 
@@ -42,10 +41,9 @@ def test_g_is_positively_homogeneous(p, x, ratio, c):
 def test_g_minimum_in_y_sits_on_the_diagonal_ray(p, x):
     """min_y g(x, y) is attained at y = x/p with value x/lambda0."""
     params = make_params(p)
-    consts = derived_constants(params)
     y0 = x / p
     assert boundary.g(params, x, y0) == pytest.approx(
-        x / consts.lambda0, rel=1e-10, abs=1e-12
+        x / params.lambda0, rel=1e-10, abs=1e-12
     )
     for dy in (0.97, 1.03):
         if y0 * dy >= x:  # stay inside the domain y >= x
@@ -65,32 +63,29 @@ def test_g_on_the_domain_edge():
 
 
 def test_extremal_points_reference_values():
-    consts = derived_constants(P75)
     pts = boundary.extremal_points(P75)
-    assert pts["x_max"].x == pytest.approx(consts.lambda0, abs=1e-10)
-    assert pts["x_max"].y == pytest.approx(consts.lambda0 / 0.75, abs=1e-10)
-    assert pts["y_max"].y == pytest.approx(consts.kappa0, abs=1e-10)
+    assert pts["x_max"].x == pytest.approx(P75.lambda0, abs=1e-10)
+    assert pts["x_max"].y == pytest.approx(P75.lambda0 / 0.75, abs=1e-10)
+    assert pts["y_max"].y == pytest.approx(P75.kappa0, abs=1e-10)
     assert pts["y_max"].x == pytest.approx(
-        2 * 0.75 * consts.kappa0 / 2.5, abs=1e-10
+        2 * 0.75 * P75.kappa0 / 2.5, abs=1e-10
     )
     assert pts["x_zero"].x == 0.0
     assert pts["x_zero"].y == pytest.approx(-1.0 / math.log(0.25), abs=1e-12)
 
 
 def test_root_count_pattern():
-    consts = derived_constants(P75)
     threshold = -1.0 / math.log(2 * 0.75 * 0.25)
     assert len(boundary.boundary_solve(P75, 0.5)) == 1
     assert len(boundary.boundary_solve(P75, 1.2)) == 2
-    tangent = boundary.boundary_solve(P75, consts.lambda0)
+    tangent = boundary.boundary_solve(P75, P75.lambda0)
     assert len(tangent) == 1 and tangent[0].branch == "tangent"
     assert 0.5 < threshold < 1.2
 
 
 def test_boundary_solve_rejects_out_of_range():
-    consts = derived_constants(P75)
     with pytest.raises(ValidationError):
-        boundary.boundary_solve(P75, consts.lambda0 + 0.01)
+        boundary.boundary_solve(P75, P75.lambda0 + 0.01)
     with pytest.raises(ValidationError):
         boundary.boundary_solve(P75, -0.1)
     with pytest.raises(ValidationError):
@@ -167,11 +162,10 @@ def test_boundary_polyline_covers_both_branches():
 def test_region_summary():
     """The region spans x in [0, lambda0] and reaches up to y = kappa0; the
     lower boundary branch starts at x = -1/log(2pq)."""
-    consts = derived_constants(P75)
     with pytest.raises(ValidationError):
-        boundary.boundary_solve(P75, consts.lambda0 + 1e-6)
+        boundary.boundary_solve(P75, P75.lambda0 + 1e-6)
     assert boundary.extremal_points(P75)["y_max"].y == pytest.approx(
-        consts.kappa0, abs=1e-10
+        P75.kappa0, abs=1e-10
     )
     threshold = -1.0 / math.log(0.375)
     assert len(boundary.boundary_solve(P75, threshold - 1e-6)) == 1

@@ -206,7 +206,7 @@ def test_two_point_matches_series_up_to_p_near_one(p, z):
 
 
 def test_two_point_bases_values():
-    b_plus, b_minus = cf.two_point_bases(P75, 1)
+    b_plus, b_minus = P75.two_point_bases(1)
     s = math.sqrt(1.0 / 3.0)
     assert b_plus == pytest.approx((0.5 + s) / (1 + s), abs=1e-15)
     assert b_minus == pytest.approx((0.5 - s) / (1 - s), abs=1e-15)

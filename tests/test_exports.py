@@ -39,14 +39,15 @@ def test_package_reexports_are_the_module_objects():
 
 def test_one_spelling_per_concept():
     """A draw is addressed by its step alone; a counter is its site set and
-    cap; gamma0 and beta live on WalkParams only."""
+    cap; every quantity derived from p lives on WalkParams only."""
     for fn in (rng.counter_words, rng.counter_uniforms, rng.counter_steps, rng.path_step_bits):
         names = list(inspect.signature(fn).parameters)
         assert "block" not in names and names[-2:] == ["lanes", "step"], fn.__name__
     assert [f.name for f in dataclasses.fields(oracle.Functional)] == ["sites", "cap"]
-    assert [f.name for f in dataclasses.fields(model.Constants)] == [
-        "params", "lambda0", "kappa0", "wlimit"
-    ]
+    assert model.__all__ == ["WalkParams", "make_params"]
+    assert [f.name for f in dataclasses.fields(model.WalkParams)] == ["p", "q", "h"]
+    for name in ("gamma0", "beta", "lambda0", "kappa0", "wlimit", "theta", "two_point_bases"):
+        assert name in vars(model.WalkParams), name
 
 
 def test_readme_library_example_runs(capsys):

@@ -8,7 +8,7 @@ from hypothesis import given, settings, strategies as st
 from walklab import closedform as cf
 from walklab import genfunc as gf
 from walklab.errors import ValidationError
-from walklab.model import derived_constants, make_params
+from walklab.model import make_params
 
 P75 = make_params(0.75)
 P_STRAT = st.floats(min_value=0.51, max_value=0.98)
@@ -56,19 +56,17 @@ def test_coefficients_nonnegative_to_500():
 def test_two_point_coefficient_ratio_limit():
     """Successive coefficient ratios approach the dominant geometric
     base, which is exp(-theta(z))."""
-    consts = derived_constants(P75)
     for z in (1, 2, 4):
         coeffs = gf.series_coeffs(gf.two_point_gf(P75, z, "pos"), 400)
         ratio = coeffs[400] / coeffs[399]
-        assert ratio == pytest.approx(math.exp(-consts.theta(z)), rel=1e-10)
+        assert ratio == pytest.approx(math.exp(-P75.theta(z)), rel=1e-10)
 
 
 def test_ball_coefficient_ratio_limit():
     """The ball law's dominant base is exp(-1/wlimit)."""
-    consts = derived_constants(P75)
     coeffs = gf.series_coeffs(gf.ball_gf(P75), 400)
     assert coeffs[400] / coeffs[399] == pytest.approx(
-        math.exp(-1.0 / consts.wlimit), rel=1e-10
+        math.exp(-1.0 / P75.wlimit), rel=1e-10
     )
 
 

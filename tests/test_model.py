@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, strategies as st
 
 from walklab.errors import ValidationError
-from walklab.model import ball_weight_rate, derived_constants, make_params
+from walklab.model import make_params
 
 P_STRAT = st.floats(min_value=0.501, max_value=0.999)
 
@@ -25,37 +25,35 @@ def test_params_rejects_out_of_range(bad):
 
 def test_constants_reference_values():
     params = make_params(0.75)
-    consts = derived_constants(params)
     assert params.gamma0 == pytest.approx(0.5, abs=1e-15)
-    assert consts.lambda0 == pytest.approx(1.0 / math.log(2.0), abs=1e-15)
-    assert consts.kappa0 == pytest.approx(-1.0 / math.log(0.625), abs=1e-15)
+    assert params.lambda0 == pytest.approx(1.0 / math.log(2.0), abs=1e-15)
+    assert params.kappa0 == pytest.approx(-1.0 / math.log(0.625), abs=1e-15)
     assert params.beta == pytest.approx(5.0, abs=1e-12)
-    assert consts.wlimit == pytest.approx(3.476059496782, abs=1e-10)
+    assert params.wlimit == pytest.approx(3.476059496782, abs=1e-10)
 
 
 def test_theta_reference_value_and_monotonicity():
-    consts = derived_constants(make_params(0.75))
+    params = make_params(0.75)
     # theta(1) = -log((2q + sqrt(h)) / (1 + sqrt(h)))
     h = 1.0 / 3.0
     expected = -math.log((0.5 + math.sqrt(h)) / (1.0 + math.sqrt(h)))
-    assert consts.theta(1) == pytest.approx(expected, abs=1e-15)
-    values = [consts.theta(z) for z in range(1, 40)]
+    assert params.theta(1) == pytest.approx(expected, abs=1e-15)
+    values = [params.theta(z) for z in range(1, 40)]
     assert all(a < b for a, b in zip(values, values[1:]))
     # theta(z) increases to -log(2q), i.e. 1/theta decreases to lambda0
-    assert consts.theta(200) == pytest.approx(math.log(2.0), abs=1e-12)
+    assert params.theta(200) == pytest.approx(math.log(2.0), abs=1e-12)
     with pytest.raises(ValidationError):
-        consts.theta(0)
+        params.theta(0)
 
 
 @given(P_STRAT)
 def test_constants_orderings(p):
     params = make_params(p)
-    consts = derived_constants(params)
     assert params.gamma0 == pytest.approx(2 * p - 1, abs=1e-12)
-    assert 0.0 < consts.lambda0 < consts.kappa0
+    assert 0.0 < params.lambda0 < params.kappa0
     # the joint weight rate exceeds both single rates but not their sum
-    assert consts.wlimit > consts.kappa0
-    assert consts.wlimit < consts.lambda0 + consts.kappa0
+    assert params.wlimit > params.kappa0
+    assert params.wlimit < params.lambda0 + params.kappa0
 
 
 @given(P_STRAT)
@@ -63,4 +61,4 @@ def test_ball_weight_rate_closed_form(p):
     params = make_params(p)
     beta = math.sqrt(1.0 + 8.0 * p / params.q)
     expected = -1.0 / math.log(params.q * (1.0 + beta) / 2.0)
-    assert ball_weight_rate(params) == pytest.approx(expected, rel=1e-12)
+    assert params.wlimit == pytest.approx(expected, rel=1e-12)

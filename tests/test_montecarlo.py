@@ -4,6 +4,7 @@ import functools
 import hashlib
 import math
 import threading
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -270,7 +271,7 @@ def test_path_facts_on_short_paths(p, n, seed):
         assert mc._xi_star(field.counts, z) == _reference_xi_star(field.counts, z)
     assert np.array_equal(mc._cloud(field.counts, n), _reference_cloud(field.counts, n))
     heavy = mc.HeavyPointConfig(delta_n=0.5)
-    rate_log_n = mc.derived_constants(params).lambda0 * math.log(n)
+    rate_log_n = params.lambda0 * math.log(n)
     profile = mc.heavy_deviation(params, field.counts, n, heavy)
     if profile["set_size"]:
         assert profile["deviation"] == _reference_heavy_deviation(
@@ -721,17 +722,42 @@ def test_escape_visits_match_the_reference(monkeypatch, p, start, first_step, lo
 )
 def test_walk_on_matches_the_reference(monkeypatch, p, start, first_step, lo, hi):
     """The path's walk after its horizon is replica 0 of the cumsum walk
-    of escaperef.py: the same visits in the same order, whatever the
-    draw size, with exits at the last lane of a draw (1 and 7 lanes) and
-    draws across a 2^16-step block edge.  At p = 0.501 a walk of 1-step
-    draws costs about 0.1 ms a step; with seed 1 these walks take
-    12,000-18,000 steps."""
+    of escaperef.py: its tally by depth below hi counts the same visits
+    to the sites >= lo, whatever the draw size, with exits at the last
+    lane of a draw (1 and 7 lanes) and draws across a 2^16-step block
+    edge.  At p = 0.501 a walk of 1-step draws costs about 0.1 ms a step;
+    with seed 1 these walks take 12,000-18,000 steps."""
     params, seed = make_params(p), 1
     _, sites, _, _ = reference_escape(params, seed, [0], start, first_step, lo, hi)
+    expected = np.bincount(hi - sites[sites >= lo])
     for lanes in (1, 7, 1023):
         monkeypatch.setattr(mc, "_WALK_LANES", lanes)
         got = mc._walk_on(params, seed, start, first_step, lo, hi)
-        assert np.array_equal(got, sites), lanes
+        assert np.array_equal(got, expected), lanes
+
+
+def test_walk_on_memory_stays_flat_until_its_budget(monkeypatch):
+    """A walk that never escapes keeps a tally by depth, not its visits:
+    with steps that go up and down in turn from 0 below hi = 1 it runs
+    its whole budget of 1,119,357 steps at p = 0.505 and raises
+    BudgetError, while its traced peak stays under 1 MB (a list of every
+    visit holds 8 bytes a step)."""
+    params = make_params(0.505)
+
+    def alternating(seed, replica, lanes, step=0):
+        t = step + np.arange(lanes, dtype=np.uint64)
+        return np.where(t % 2 == 0, np.uint64(0), np.uint64(2**64 - 1))
+
+    monkeypatch.setattr(mc, "counter_words", alternating)
+    assert mc._step_budget(params, 1, 0) == 1_119_357
+    tracemalloc.start()
+    try:
+        with pytest.raises(BudgetError, match="1119357 steps"):
+            mc._walk_on(params, 0, 0, 0, -5, 1)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 1 << 20
 
 
 @pytest.mark.parametrize("statistic", ["ball_occupation", "two_point_pos:2", "local_time:-1"])
