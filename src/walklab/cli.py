@@ -122,20 +122,14 @@ def _dist_table(args):
         rows += [("infinite", int(k), m) for k, m in zip(infinite.support, infinite.mass)]
         return rows, ("branch", "visits", "mass"), finite.tail_bound + infinite.tail_bound
     elif law == "center-sphere-joint":
-        rows = []
-        for big_l in range(1, args.kmax + 1):
-            for big_k in range(0, big_l + 1):
-                try:
-                    rows.append(
-                        (big_l, big_k,
-                         closedform.center_sphere_joint_pmf(
-                             params, args.start, big_k, big_l))
-                    )
-                except ValidationError:
-                    continue
+        # the K with mass at each L: 0..L-1 from 0, 1..L from -1, 0..L from 1
+        low, high = {0: (0, 0), -1: (1, 1), 1: (0, 1)}[args.start]
+        rows = [
+            (big_l, big_k, closedform.center_sphere_joint_pmf(params, args.start, big_k, big_l))
+            for big_l in range(1, args.kmax + 1)
+            for big_k in range(low, big_l + high)
+        ]
         return rows, ("sphere_visits", "center_visits", "mass"), None
-    else:  # pragma: no cover - argparse restricts choices
-        raise ValidationError(f"unknown law {law!r}")
     rows = [(int(k), m) for k, m in zip(t.support, t.mass)]
     return rows, ("count", "mass"), t.tail_bound
 

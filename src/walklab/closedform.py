@@ -195,22 +195,16 @@ def excursion_mean_visits(params: WalkParams, z: int) -> float:
     return params.h ** abs(z) / (2.0 * params.q)
 
 
-def excursion_visits_pmf(
-    params: WalkParams, z: int, jmax: int, side: str = "pos"
-) -> tuple[PmfTable, PmfTable]:
-    """Joint law of the first-excursion visit count to +/-z and the
-    return event.
+def excursion_visits_pmf(params: WalkParams, z: int, jmax: int) -> tuple[PmfTable, PmfTable]:
+    """Joint law of the first-excursion visit count to +z and the return
+    event.
 
     Returns (finite_return, no_return) sub-probability tables.  The
-    finite-return branch is identical for the two sides; the no-return
-    branch is geometric for the upper site and a single atom at zero for
-    the mirrored one (escape to the right cannot touch -z without first
-    crossing the origin).
+    no-return branch starts at one visit: a walk that escapes to the
+    right passes +z.
     """
     if z < 1:
         raise ValidationError(f"z must be a positive integer, got {z}")
-    if side not in ("pos", "neg"):
-        raise ValidationError(f"side must be 'pos' or 'neg', got {side!r}")
     law = excursion_law(params, z)
     pz, qz = law.pz, law.qz
     hz = params.h ** z
@@ -224,15 +218,10 @@ def excursion_visits_pmf(
     fin_tail = hz * pz * qz ** jmax
     finite = PmfTable(support=js, mass=fin, tail_bound=float(fin_tail))
 
-    if side == "pos":
-        inf_js = np.arange(1, jmax + 1)
-        inf_mass = gamma0 * pz * qz ** (inf_js.astype(float) - 1.0)
-        inf_tail = gamma0 * qz ** jmax
-        infinite = PmfTable(support=inf_js, mass=inf_mass, tail_bound=float(inf_tail))
-    else:
-        infinite = PmfTable(
-            support=np.array([0]), mass=np.array([gamma0]), tail_bound=0.0
-        )
+    inf_js = np.arange(1, jmax + 1)
+    inf_mass = gamma0 * pz * qz ** (inf_js.astype(float) - 1.0)
+    inf_tail = gamma0 * qz ** jmax
+    infinite = PmfTable(support=inf_js, mass=inf_mass, tail_bound=float(inf_tail))
     return finite, infinite
 
 

@@ -11,13 +11,14 @@ replicas.
 tracked site returns to the highest one with probability exactly h, so
 one uniform decides between a return and escape for good, and no count
 is truncated.  Ensembles walk their replicas on the calling thread, in
-a refilled pool of up to 2^14 walkers, 8 steps a round, and count each
-round's visits to the tracked sites from a table of its landings
-(`_escape_visits`).  A single path walks on after its horizon alone,
-1023 steps a draw, tallying its visits by depth (`_walk_on`).  A walk
-still going after the step budget that a Chernoff bound sets from p raises
-BudgetError, and so does a walk whose budget exceeds what its step
-counter holds (`_step_budget`).
+a refilled pool of up to 2^14 walkers, 8 steps a round; they count each
+round's visits to the tracked sites from a table of its landings and
+decide each exit in the round that reaches it (`_escape_visits`).  A
+single path walks on after its horizon alone, 1023 steps a draw,
+tallying its visits by depth (`_walk_on`).  A walk still going after the
+step budget that a Chernoff bound sets from p raises BudgetError, and so
+does a walk whose budget exceeds what its step counter holds
+(`_step_budget`).
 
 Three facts of the +-1 walk build the dense counts and let every path
 statistic be read from them alone:
@@ -49,6 +50,7 @@ with the path, so the pair has the law of one walk.
 from __future__ import annotations
 
 import math
+import numbers
 import re
 from dataclasses import asdict, dataclass
 
@@ -105,6 +107,10 @@ class SimConfig:
     heavy: HeavyPointConfig | None = None
 
     def __post_init__(self):
+        for name in ("n", "replicas", "seed"):
+            value = getattr(self, name)
+            if not isinstance(value, numbers.Integral):
+                raise ValidationError(f"{name} must be an integer, got {value!r}")
         if self.n < 1:
             raise ValidationError(f"n must be >= 1, got {self.n}")
         if self.replicas < 1:
@@ -328,12 +334,15 @@ def _escape_visits(
     packed into one byte per walker, and `_USED` reads how far each
     walks.  Only a walker within max(below) + 8 of hi can land on a
     tracked site, and for those `_LANDS` reads how many of its steps land
-    on each.  A walker that steps to hi + 1 at lane j < `_ROUND` - 1 is
-    decided by lane j + 1 of the same round; one that does so at the last
-    lane is decided next round by one more word.  The slots of finished
-    walkers take the next replicas, so the rounds stay full until they
-    run out; then walkers from the end of the pool move into the free
-    slots.
+    on each.  Every exit is decided in the round that reaches it, so each
+    walker starts a round at or below hi: a walker that steps to hi + 1 at
+    lane j < `_ROUND` - 1 is decided by lane j + 1 of the round, and one
+    that does so at the last lane by one more word, drawn from the key of
+    its decision step's block (made again first if that step opens a
+    block).  A walker that goes back and whose next step opens a block
+    gets that block's key.  The slots of finished walkers take the next
+    replicas, so the rounds stay full until they run out; then walkers
+    from the end of the pool move into the free slots.
 
     Returns the words drawn, so a decision read from its round costs
     none, and the steps walked, decision steps included: words - steps is
@@ -357,34 +366,14 @@ def _escape_visits(
     drawn = np.empty((_ROUND, cols), dtype=np.uint64)
     scratch = np.empty_like(drawn)
     up_steps = np.zeros((_ROUND, cols), dtype=bool)
-    free = pending = rows[:0]  # slots of finished walkers, and of those at hi + 1
+    free = rows[:0]  # slots of finished walkers
     n = queued = words = steps = 0  # n: walkers in the pool, in slots 0..n-1
 
     def rekey(slots):
         if len(slots):
             key[slots] = _key(seed, rows[slots], step[slots] // BLOCK_LANES)
 
-    def decide(slots, w, h_d):
-        """The walkers in `slots`, each at hi + d with decision word w, go
-        back to hi where w is below h_d; the others are done.  Returns the
-        slots that went back and the finished ones."""
-        nonlocal steps
-        back = _below(w, h_d)
-        step[slots] += 1
-        back, done = slots[back], slots[~back]
-        vals[rows[back]] += 1
-        headroom[back] = 0
-        steps += int(step[done].sum()) - first_step * len(done)
-        return back, done
-
     while True:
-        if len(pending):  # walkers that stepped to hi + 1 at the last lane
-            lane = (step[pending] & _LANE_MASK).view(np.uint64)
-            w = _keyed_words(key[pending], lane, np.empty((len(pending), 1), np.uint64))
-            words += len(pending)
-            back, done = decide(pending, w[:, 0], h)
-            rekey(back[(step[back] & _LANE_MASK) == 0])  # their next step opens a block
-            free = np.concatenate([free, done])
         new = np.arange(queued, min(queued + len(free) + size - n, replicas))
         queued += len(new)
         if above and len(new):
@@ -432,11 +421,24 @@ def _escape_visits(
         step[:n] += used
         headroom[:n] -= _OFFSET[pattern, -1]
         out = np.flatnonzero(used < _ROUND)  # stepped to hi + 1 at lane used[out]
-        step[out] += 1
-        inside = used[out] < _ROUND - 1
-        now, pending = out[inside], out[~inside]
-        _, free = decide(now, w[now, used[now] + 1], h)
+        step[out] += 1  # to the decision step
         rekey(near[(step[near] & _LANE_MASK) < lane[near]])
+        j = used[out] + 1  # the decision's lane in the round; _ROUND lies past it
+        last = j == _ROUND
+        decision = w[out, np.minimum(j, _ROUND - 1)]
+        if last.any():  # left at the last lane: one more word, from the decision step's key
+            late = out[last]
+            word = np.empty((len(late), 1), np.uint64)
+            _keyed_words(key[late], (step[late] & _LANE_MASK).view(np.uint64), word)
+            decision[last] = word[:, 0]
+            words += len(late)
+        back = _below(decision, h)
+        step[out] += 1
+        back, free = out[back], out[~back]
+        vals[rows[back]] += 1
+        headroom[back] = 0
+        steps += int(step[free].sum()) - first_step * len(free)
+        rekey(back[(step[back] & _LANE_MASK) == 0])  # their next step opens a block
         if step[:n].max(initial=first_step) - first_step > budget:
             raise BudgetError(f"escape not reached within {budget} steps")
 
@@ -569,7 +571,7 @@ def path_report(config: SimConfig, xi_star_z: tuple[int, ...] = (1,)) -> PathRep
     tally = _walk_on(params, seed, field_.final_position, n, lo, field_.max_site)
     top = counts[::-1][: len(tally)]
     top += tally
-    eta_max = int(counts.max())
+    eta_max = max(xi_max, int(top.max(initial=0)))  # the tally raises only `top`
     if heavy is not None:
         profiles["path_variant"] = heavy_deviation(params, counts, n, heavy)
     top -= tally
@@ -594,7 +596,8 @@ def _stat_sites(statistic: str) -> tuple[int, ...]:
     if statistic in _NAMED_SITES:
         return _NAMED_SITES[statistic]
     kind, _, arg = statistic.partition(":")
-    if kind in _SITE_FAMILIES and re.fullmatch(r"[+-]?\d+", arg):
+    # one spelling per z: no "+" and no leading zeros
+    if kind in _SITE_FAMILIES and re.fullmatch(r"0|-?[1-9]\d*", arg):
         z = int(arg)
         # one spelling per pair: two_point_pos:-z is two_point_neg:z
         if kind != "local_time" and z < 1:

@@ -28,9 +28,10 @@ draws the next 8 steps of its own stream per round, and at so few steps
 per walker the per-plane work costs more than the words it saves
 (bit-sliced ensemble prototypes were 1.5-2x slower).  An escape decision
 reads the word of its step like any other step: an ensemble walker takes
-it from its round when the round drew it, and the walk after a path's
-horizon draws its steps with `counter_words` one word past each batch,
-so a decision at the batch's last step is in the same draw.
+it from its round when the round drew it, and otherwise draws that one
+word in the same round from the key of its step's block; the walk after
+a path's horizon draws its steps with `counter_words` one word past each
+batch, so a decision at the batch's last step is in the same draw.
 """
 
 from __future__ import annotations

@@ -6,7 +6,10 @@ import sys
 
 import pytest
 
+from walklab import closedform
 from walklab.cli import main
+from walklab.errors import ValidationError
+from walklab.model import make_params
 
 
 def run_cli(capsys, *argv):
@@ -53,6 +56,31 @@ def test_dist_local_time_atom(capsys):
     assert code == 0
     rows = dict((k, v) for k, v in json.loads(out)["rows"])
     assert rows[0] == pytest.approx(2.0 / 3.0, abs=1e-10)
+
+
+@pytest.mark.parametrize("start", [0, -1, 1])
+def test_dist_center_sphere_joint_rows(capsys, start):
+    """Each row is center_sphere_joint_pmf at its (L, K), and the rows are
+    every pair with L <= kmax that the law accepts: K in 0..L-1 from 0,
+    1..L from -1, 0..L from 1."""
+    params = make_params(0.75)
+    code, out, _ = run_cli(
+        capsys, "dist", "center-sphere-joint", "--p", "0.75", "--start", str(start),
+        "--kmax", "6",
+    )
+    assert code == 0
+    expected = []
+    for big_l in range(1, 7):
+        for big_k in range(-1, big_l + 2):
+            try:
+                mass = closedform.center_sphere_joint_pmf(params, start, big_k, big_l)
+            except ValidationError:
+                continue
+            expected.append([big_l, big_k, mass])
+    rows = json.loads(out)["rows"]  # masses printed to 12 significant digits
+    assert [row[:2] for row in rows] == [row[:2] for row in expected]
+    assert [row[2] for row in rows] == pytest.approx([row[2] for row in expected], rel=1e-11)
+    assert len(expected) == 21 + 6 * (start == 1)
 
 
 def test_dist_requires_site_flag(capsys):

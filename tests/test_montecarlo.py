@@ -461,6 +461,12 @@ def test_sim_config_validation():
         mc.SimConfig(params=P75, n=0, seed=0)
     with pytest.raises(ValidationError):
         mc.SimConfig(params=P75, n=10, replicas=0, seed=0)
+    for field, kwargs in (
+        ("n", dict(n=1000.0)), ("replicas", dict(n=10, replicas=100.0)),
+        ("seed", dict(n=10, seed=1.5)),
+    ):
+        with pytest.raises(ValidationError, match=f"{field} must be an integer"):
+            mc.SimConfig(params=P75, **kwargs)
     with pytest.raises(ValidationError):
         mc.simulate_path(P75, 0, 0)
     for z in (0, -1):
@@ -573,7 +579,8 @@ def test_ensemble_two_point_law():
 def test_ensemble_rejects_unknown_statistic():
     config = mc.SimConfig(params=P75, n=10, replicas=10, seed=0)
     for statistic in (
-        "nonsense", "local_time", "two_point_pos:x", lambda field: field.final_position
+        "nonsense", "local_time", "two_point_pos:x", lambda field: field.final_position,
+        "local_time:+3", "local_time:03", "local_time:-0", "two_point_neg:+2",
     ):
         with pytest.raises(ValidationError, match="unknown ensemble statistic"):
             mc.ensemble(config, statistic)
@@ -681,6 +688,7 @@ def test_round_tables_match_a_step_by_step_walk():
         (-4, 7, -2, 3),
         (0, (1 << 16) - 40, -1, 1),
         (0, (1 << 16) - 9, -1, 1),
+        (0, (1 << 16) - 8, -1, 1),
     ],
 )
 def test_escape_visits_match_the_reference(monkeypatch, p, start, first_step, lo, hi):
@@ -694,7 +702,8 @@ def test_escape_visits_match_the_reference(monkeypatch, p, start, first_step, lo
     their walks, so their cached keys are made again and rounds straddle
     it.  From 2^16 - 9, a walker that leaves at the last lane of its first
     round decides at step 2^16 - 1 and, if it goes back, walks on in the
-    next block."""
+    next block.  From 2^16 - 8, such a walker decides by lane 0 of the
+    next block, under that block's key."""
     params, seed, replicas = make_params(p), 4, 300
     monkeypatch.setattr(mc, "_POOL", 37)
     rows, sites, words, steps = reference_escape(
