@@ -2,10 +2,10 @@
 
 The pair (local-time rate, unit-sphere occupation rate), in units of
 log n, of any site lives a.s. in the convex-in-y region bounded by the
-level set g(x, y) = 1.  This module evaluates g, solves the boundary by
-bisection on the two monotone sides of its y-minimum, locates the three
-extremal points in closed form, and computes the maximal ball-weight rate
-by three mutually checking routes.
+level set g(x, y) = 1.  This module evaluates g and its rounding scale,
+solves the boundary by bisection along rays through the origin, locates
+the three extremal points in closed form, and computes the maximal
+ball-weight rate by three mutually checking routes.
 """
 
 from __future__ import annotations
@@ -23,6 +23,7 @@ __all__ = [
     "BoundaryPoint",
     "WeightLimit",
     "g",
+    "g_scale",
     "boundary_solve",
     "extremal_points",
     "in_region",
@@ -30,7 +31,8 @@ __all__ = [
     "boundary_polyline",
 ]
 
-MEMBER_BAND = 1e-12
+# rounding error of g in units of g_scale (criterion 5's bound on |g - 1|)
+G_ROUNDING = 5e-15
 _RATIO_TOL = 1e-17
 _GOLDEN_TOL = 1e-9
 
@@ -74,18 +76,25 @@ def g(params: WalkParams, x: float, y: float) -> float:
     )
 
 
-def _bisect_root(params: WalkParams, x: float, lo: float, hi: float) -> float:
-    """Bisection for g(x, .) = 1 on an interval with a sign change.
+def g_scale(params: WalkParams, x: float, y: float) -> float:
+    """max(1, M), M the sum of |terms| of g at (x, y): the rounding error
+    of g scales with it, and on the boundary it grows like 1/(p - 1/2)."""
+    logs = abs(x * math.log(2.0 * params.p)) + abs(y * math.log(params.q))
+    return max(1.0, sum(abs(_xlogx(t)) for t in (x, y, y - x)) + logs)
+
+
+def _bisect(f, lo: float, hi: float) -> float:
+    """Bisection for a root of f on an interval with a sign change.
 
     Stops when the midpoint is no longer strictly inside the bracket: the
     two ends are then adjacent floats.
     """
-    flo = g(params, x, lo) - 1.0
+    flo = f(lo)
     while True:
         mid = 0.5 * (lo + hi)
         if not lo < mid < hi:
             return mid
-        fmid = g(params, x, mid) - 1.0
+        fmid = f(mid)
         if flo * fmid <= 0.0:
             hi = mid
         else:
@@ -95,32 +104,32 @@ def _bisect_root(params: WalkParams, x: float, lo: float, hi: float) -> float:
 def boundary_solve(params: WalkParams, x: float) -> list[BoundaryPoint]:
     """All solutions y of g(x, y) = 1 for a fixed local-time rate x.
 
-    g is convex in y with its minimum at y = x/p, so each monotone side
-    holds at most one root: one root below the two-solution threshold and
-    at the right endpoint, two roots in between.
+    g is positively homogeneous, so the ray through (u, 1), u = x/y in
+    [0, 1], meets the curve at (u, 1)/g(u, 1), whose x rises from 0 to
+    lambda0 at u = p (the tangent point) and falls to -1/log(2pq) at
+    u = 1: [0, p] holds the upper root and [p, 1] at most a lower one.
     """
-    xmax = params.lambda0
+    xmax, p = params.lambda0, params.p
     if not 0.0 <= x <= xmax + 1e-9:
         raise ValidationError(
             f"x={x} outside [0, {xmax:.12g}] (the admissible rate range)"
         )
     x = min(x, xmax)
-    ystar = x / params.p
-    gmin = g(params, x, ystar) if x > 0.0 else 0.0
-    if abs(gmin - 1.0) < 1e-12:
+    if x == 0.0:
+        return [BoundaryPoint(x=0.0, y=1.0 / g(params, 0.0, 1.0), branch="upper")]
+    ystar = x / p
+    # g(x, ystar) = x/lambda0: half of criterion 5's bound keeps it passing
+    if xmax - x <= 0.5 * G_ROUNDING * g_scale(params, x, ystar) * xmax:
         return [BoundaryPoint(x=x, y=ystar, branch="tangent")]
 
+    def past(u: float) -> float:
+        # > 0 where the ray through (u, 1) meets the curve right of x
+        return u - x * g(params, u, 1.0)
+
     roots: list[BoundaryPoint] = []
-    # lower side: g decreases from g(x, x) to the minimum
-    if x > 0.0 and g(params, x, x) >= 1.0:
-        y = _bisect_root(params, x, x, ystar)
-        roots.append(BoundaryPoint(x=x, y=y, branch="lower"))
-    # upper side: g increases without bound, always one root
-    hi = max(2.0 * ystar, ystar + 1.0)
-    while g(params, x, hi) < 1.0:
-        hi *= 2.0
-    y = _bisect_root(params, x, ystar, hi)
-    roots.append(BoundaryPoint(x=x, y=y, branch="upper"))
+    if past(1.0) <= 0.0:
+        roots.append(BoundaryPoint(x=x, y=x / _bisect(past, p, 1.0), branch="lower"))
+    roots.append(BoundaryPoint(x=x, y=x / _bisect(past, 0.0, p), branch="upper"))
     return roots
 
 
@@ -140,10 +149,8 @@ def extremal_points(params: WalkParams) -> dict[str, BoundaryPoint]:
 
 def in_region(params: WalkParams, x: float, y: float) -> bool:
     """Membership in the closed admissible region g(x, y) <= 1; points
-    within MEMBER_BAND of the boundary count as members."""
-    if x < 0.0 or y < x:
-        return False
-    return bool(g(params, x, y) - 1.0 <= MEMBER_BAND)
+    within G_ROUNDING * g_scale of the boundary count as members."""
+    return 0.0 <= x <= y and g(params, x, y) - 1.0 <= G_ROUNDING * g_scale(params, x, y)
 
 
 def _golden_max(f, lo: float, hi: float) -> float:
@@ -209,12 +216,11 @@ def weight_limit(params: WalkParams) -> WeightLimit:
     x_opt = (beta - 1.0) / (2.0 * beta) * closed
     y_opt = (beta + 1.0) / (2.0 * beta) * closed
 
-    def upper_y(x: float) -> float:
-        pts = boundary_solve(params, x)
-        return max(pt.y for pt in pts)
+    def ray_weight(u: float) -> float:
+        # x + y where the ray through (u, 1) meets the curve
+        return (1.0 + u) / g(params, u, 1.0)
 
-    x_num = _golden_max(lambda x: x + upper_y(x), 0.0, params.lambda0)
-    numeric = x_num + upper_y(x_num)
+    numeric = ray_weight(_golden_max(ray_weight, 0.0, 1.0))
 
     from_gf = -1.0 / math.log(_ball_series_ratio(params))
 
@@ -240,8 +246,5 @@ def boundary_polyline(params: WalkParams, gridsize: int) -> list[tuple[float, fl
     upper: list[tuple[float, float, str]] = []
     for x in xs:
         for pt in boundary_solve(params, x):
-            if pt.branch == "lower":
-                lower.append((pt.x, pt.y, pt.branch))
-            else:
-                upper.append((pt.x, pt.y, pt.branch))
+            (lower if pt.branch == "lower" else upper).append((pt.x, pt.y, pt.branch))
     return lower + upper[::-1]

@@ -29,6 +29,10 @@ class WalkParams:
 
     @property
     def log_h(self) -> float:
+        """log h within 1 ulp: log(h) would lose the bits that rounding h
+        dropped as h nears 1, log1p those of gamma0/p as h nears 0."""
+        if self.h >= 0.5:
+            return math.log1p(-self.gamma0 / self.p)
         return math.log(self.h)
 
     @property

@@ -92,12 +92,11 @@ class JointLaw:
         total = float(self.table.sum())
         if abs(total - 1.0) > MASS_TOL:
             raise ValidationError(f"law mass {total} differs from 1 beyond tolerance")
-        overflow = 0.0
+        # each cell once, however many of its axes pool it
+        pooled = np.zeros(self.table.shape, dtype=bool)
         for axis, fn in enumerate(self.axes):
-            sl = [slice(None)] * self.table.ndim
-            sl[axis] = fn.cap
-            overflow += float(self.table[tuple(sl)].sum())
-        object.__setattr__(self, "overflow_mass", min(overflow, total))
+            np.moveaxis(pooled, axis, 0)[fn.cap] = True
+        object.__setattr__(self, "overflow_mass", float(self.table[pooled].sum()))
 
     def prob(self, counts: tuple[int, ...]) -> float:
         return float(self.table[counts])
@@ -307,11 +306,11 @@ def _chain(params: WalkParams, sites: list[int]) -> np.ndarray:
     one at sites[i] is at sites[j].  Between neighbours a < a + g the walk
     reaches a + g before a from a + 1 with the gambler's-ruin probability
     (1 - h)/(1 - h^g), and from a + g - 1 with (1 - h^(g-1))/(1 - h^g),
-    taken through expm1 of log h = log1p(-gamma0/p) so that nothing
-    cancels near p = 1/2.  Below the lowest site the walk surely comes
-    back; only the top row loses mass, the escape for good, gamma0.
+    taken through expm1 of `log_h` so that nothing cancels near p = 1/2.
+    Below the lowest site the walk surely comes back; only the top row
+    loses mass, the escape for good, gamma0.
     """
-    log_h = math.log1p(-params.gamma0 / params.p)
+    log_h = params.log_h
     gaps = np.diff(sites)
     whole = np.expm1(gaps * log_h)
     up = np.expm1(log_h) / whole

@@ -8,7 +8,7 @@ import math
 
 import pytest
 
-from walklab import verify
+from walklab import boundary, verify
 from walklab.model import make_params
 
 PARAMS = make_params(0.75)
@@ -77,6 +77,24 @@ def test_suite_reports_a_criterion_that_cannot_run(monkeypatch):
     assert results[0].passed and results[2].passed
     assert not results[1].passed
     assert results[1].measured == "refused: setting out of range"
+
+
+def test_boundary_geometry_fails_for_a_bracket_end(monkeypatch):
+    """Criterion 5 evaluates g at every root it gets: a solver that
+    returns the upper bracket end 2x/p instead of the upper root fails
+    it, though its root counts are right."""
+    solve = boundary.boundary_solve
+
+    def bracket_end(params, x):
+        return [
+            dataclasses.replace(pt, y=2.0 * x / params.p) if pt.branch == "upper" else pt
+            for pt in solve(params, x)
+        ]
+
+    monkeypatch.setattr(boundary, "boundary_solve", bracket_end)
+    passed, measured, _ = verify._check_boundary_geometry(PARAMS, SEED)
+    assert not passed
+    assert "root pattern ok" in measured
 
 
 @pytest.mark.parametrize("p", [0.6, 0.9])

@@ -92,6 +92,21 @@ def test_boundary_solve_rejects_out_of_range():
         boundary.boundary_solve(P75, math.nan)
 
 
+@pytest.mark.parametrize("p", [0.5 + 2.0**-30, 0.5 + 2.0**-20, 0.501, 0.75])
+def test_roots_on_the_criterion_grid_lie_on_the_curve(p):
+    """Every root on criterion 5's x grid has |g - 1| / M < 5e-15 and is
+    a member of the region.  Near p = 1/2, next to lambda0, the solver
+    once returned a bracket end (g - 1 = 2.8e8 at p = 0.5 + 2^-30), and
+    a band of 1e-12 rejected roots at p = 0.501."""
+    params = make_params(p)
+    grid = np.linspace(1e-6, params.lambda0 * (1 - 1e-9), 200)
+    roots = [pt for x in grid for pt in boundary.boundary_solve(params, float(x))]
+    for pt in roots:
+        scale = boundary.g_scale(params, pt.x, pt.y)
+        assert abs(boundary.g(params, pt.x, pt.y) - 1.0) / scale < 5e-15, pt
+        assert boundary.in_region(params, pt.x, pt.y), pt
+
+
 def test_classify_point():
     assert boundary.in_region(P75, 0.2, 0.5)
     assert not boundary.in_region(P75, 3.0, 4.0)

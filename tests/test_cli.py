@@ -205,6 +205,15 @@ def test_console_script_installed():
     assert proc.stdout.strip()
 
 
+def test_cli_import_loads_no_scipy():
+    """Only criterion 7's chi-square needs scipy, so no command pays for
+    importing it up front."""
+    code = "import sys, walklab.cli; print('scipy' in sys.modules)"
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "False"
+
+
 def test_verify_fast_level_via_cli(tmp_path, capsys):
     out = tmp_path / "verify.json"
     code, stdout, _ = run_cli(

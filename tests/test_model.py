@@ -1,6 +1,7 @@
 """Parameter validation and derived constants."""
 
 import math
+from decimal import Decimal, localcontext
 
 import pytest
 from hypothesis import given, strategies as st
@@ -62,3 +63,19 @@ def test_ball_weight_rate_closed_form(p):
     beta = math.sqrt(1.0 + 8.0 * p / params.q)
     expected = -1.0 / math.log(params.q * (1.0 + beta) / 2.0)
     assert params.wlimit == pytest.approx(expected, rel=1e-12)
+
+
+@pytest.mark.parametrize("p", [
+    0.5 + 2.0**-40, 0.5 + 2.0**-30, 0.5 + 2.0**-20, 0.5 + 2.0**-10, 0.501, 0.52,
+    0.6, 2.0 / 3.0, 0.75, 0.9, 0.9999, 1.0 - 2.0**-20, 1.0 - 2.0**-30,
+])
+def test_log_h_within_one_ulp(p):
+    """log(h) alone is off by 8.4e6 ulps at p = 0.5 + 2^-30, and
+    log1p(-gamma0/p) alone by 2.6e5 ulps at 1 - 2^-30; the branch at
+    h = 1/2 keeps log h within 1 ulp of log(q/p) over the whole range."""
+    params = make_params(p)
+    with localcontext() as ctx:
+        ctx.prec = 60
+        exact = (Decimal(params.q) / Decimal(params.p)).ln()
+        error = abs(Decimal(params.log_h) - exact)
+    assert error <= Decimal(math.ulp(float(exact)))

@@ -256,6 +256,16 @@ def test_joint_law_mass_and_overflow():
     assert law.overflow_mass == pytest.approx(0.5**4, abs=1e-3)
 
 
+def test_overflow_mass_counts_a_cell_pooled_on_two_axes_once():
+    """At p = 0.75, n = 200 the (3, 3) cell of 0.125 is pooled on both
+    axes; adding each axis's top slice would report 0.5156."""
+    law = oracle.dp_law(P75, 200, [oracle.local_time(0, 3), oracle.set_occupation((-1, 1), 3)])
+    pooled = law.table[3, :].sum() + law.table[:3, 3].sum()
+    assert law.table[3, 3] == pytest.approx(0.125, abs=1e-12)
+    assert law.overflow_mass == pytest.approx(pooled, abs=1e-15)
+    assert law.overflow_mass == pytest.approx(0.390625, abs=1e-12)
+
+
 def test_marginal_of_joint_matches_single_axis():
     funcs = [oracle.local_time(0, 10), oracle.set_occupation((-1, 1), 10)]
     joint = oracle.dp_law(P75, 60, funcs)
