@@ -241,7 +241,7 @@ def boundary_polyline(params: WalkParams, gridsize: int) -> list[tuple[float, fl
     if gridsize < 2:
         raise ValidationError(f"gridsize must be >= 2, got {gridsize}")
     xmax = params.lambda0
-    xs = [xmax * i / (gridsize - 1) for i in range(gridsize)]
+    xs = [xmax * (i / (gridsize - 1)) for i in range(gridsize)]  # never past xmax
     lower: list[tuple[float, float, str]] = []
     upper: list[tuple[float, float, str]] = []
     for x in xs:

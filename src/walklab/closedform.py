@@ -157,7 +157,7 @@ def local_time_pmf(params: WalkParams, z: int, kmax: int) -> PmfTable:
         mass = (1.0 - r) * r ** (ks.astype(float) - 1.0)
         tail = r ** kmax
     else:
-        atom = 1.0 - params.h ** (-z)
+        atom = -math.expm1(-z * params.log_h)
         hz = params.h ** (-z)
         ks = np.arange(0, kmax + 1)
         mass = np.empty(len(ks))
@@ -171,16 +171,15 @@ def gambler_ruin(params: WalkParams, a: int, b: int, c: int) -> float:
     """Probability that, started at b, the walk hits a before c."""
     if not (0 <= a < b < c):
         raise ValidationError(f"levels must satisfy 0 <= a < b < c, got {(a, b, c)}")
-    h = params.h
-    return 1.0 - (1.0 - h ** (b - a)) / (1.0 - h ** (c - a))
+    log_h = params.log_h
+    return params.h ** (b - a) * math.expm1((c - b) * log_h) / math.expm1((c - a) * log_h)
 
 
 def excursion_law(params: WalkParams, z: int) -> ExcursionLaw:
     """Hit-before-return probabilities for the level z > 0."""
     if z < 1:
         raise ValidationError(f"z must be a positive integer, got {z}")
-    p, h = params.p, params.h
-    pz = p * (1.0 - h) / (1.0 - h ** z)
+    pz = params.gamma0 / -math.expm1(z * params.log_h)
     return ExcursionLaw(z=z, pz=pz, qz=1.0 - pz)
 
 
@@ -203,8 +202,6 @@ def excursion_visits_pmf(params: WalkParams, z: int, jmax: int) -> tuple[PmfTabl
     no-return branch starts at one visit: a walk that escapes to the
     right passes +z.
     """
-    if z < 1:
-        raise ValidationError(f"z must be a positive integer, got {z}")
     law = excursion_law(params, z)
     pz, qz = law.pz, law.qz
     hz = params.h ** z

@@ -59,7 +59,7 @@ import numpy as np
 from .errors import BudgetError, ValidationError
 from .model import WalkParams
 from .closedform import excursion_mean_visits
-from .rng import BLOCK_LANES, _below, _key, _keyed_words, counter_words, path_step_bits
+from .rng import BLOCK_LANES, _below, _walker_words, counter_words, path_step_bits
 
 __all__ = [
     "SimConfig",
@@ -77,7 +77,6 @@ _POOL = 1 << 14  # walkers of an escape walk that draw their rounds together
 _PATH_BLOCKS = 16  # key blocks of path steps drawn per path_step_bits call
 _ROUND = 8  # steps a walker draws per round of an escape walk, one byte of up-steps
 _WALK_LANES = 1023  # steps of a path's walk after its horizon per counter_words draw
-_LANE_MASK = BLOCK_LANES - 1  # a step's lane in its key block
 _BUDGET_MISS = 1e-18  # chance that a correct replica outruns its step budget
 _SLICE = 1 << 16  # sites per slice of the pair sums in _xi_star
 
@@ -326,21 +325,18 @@ def _escape_visits(
     exact, with no truncation.
 
     The replicas walk in a pool of at most `_POOL` slots.  Each walker
-    keeps the stream key of the block its next step lies in, made once
-    on admission and again only when its step enters a new 2^16-step
-    block.  Each round, every walker draws the next `_ROUND` words of
-    its key into buffers made once per call (a row whose lanes cross a
-    block edge is drawn by `counter_words`).  A round's up-steps are
-    packed into one byte per walker, and `_USED` reads how far each
-    walks.  Only a walker within max(below) + 8 of hi can land on a
-    tracked site, and for those `_LANDS` reads how many of its steps land
-    on each.  Every exit is decided in the round that reaches it, so each
-    walker starts a round at or below hi: a walker that steps to hi + 1 at
-    lane j < `_ROUND` - 1 is decided by lane j + 1 of the round, and one
-    that does so at the last lane by one more word, drawn from the key of
-    its decision step's block (made again first if that step opens a
-    block).  A walker that goes back and whose next step opens a block
-    gets that block's key.  The slots of finished walkers take the next
+    keeps a stream key and the key block it was made for (none on
+    admission), and `rng._walker_words` makes the key again whenever the
+    walker's step has left that block.  Each round, every walker draws
+    the next `_ROUND` words of its stream into buffers made once per
+    call.  A round's up-steps are packed into one byte per walker, and
+    `_USED` reads how far each walks.  Only a walker within max(below) +
+    8 of hi can land on a tracked site, and for those `_LANDS` reads how
+    many of its steps land on each.  Every exit is decided in the round
+    that reaches it, so each walker starts a round at or below hi: a
+    walker that steps to hi + 1 at lane j < `_ROUND` - 1 is decided by
+    lane j + 1 of the round, and one that does so at the last lane by one
+    more word of its stream.  The slots of finished walkers take the next
     replicas, so the rounds stay full until they run out; then walkers
     from the end of the pool move into the free slots.
 
@@ -359,7 +355,8 @@ def _escape_visits(
     rows = np.empty(size, dtype=np.int64)  # the pool's slots: replica,
     headroom = np.empty_like(rows)  # hi - x,
     step = np.empty_like(rows)  # the next step of each walker
-    key = np.empty(size, dtype=np.uint64)  # and the stream key of its block
+    key = np.empty(size, dtype=np.uint64)  # its stream key
+    block = np.empty_like(rows)  # and the key block that key was made for
     # one round's words, the mix's scratch space and the up-steps, lane by
     # lane (lane j of slot i at [j, i]), in whole 8-slot columns
     cols = -(-size // 8) * 8
@@ -368,11 +365,6 @@ def _escape_visits(
     up_steps = np.zeros((_ROUND, cols), dtype=bool)
     free = rows[:0]  # slots of finished walkers
     n = queued = words = steps = 0  # n: walkers in the pool, in slots 0..n-1
-
-    def rekey(slots):
-        if len(slots):
-            key[slots] = _key(seed, rows[slots], step[slots] // BLOCK_LANES)
-
     while True:
         new = np.arange(queued, min(queued + len(free) + size - n, replicas))
         queued += len(new)
@@ -385,24 +377,19 @@ def _escape_visits(
             vals[new] += 1
         # new replicas take the free slots first, then the slots past n
         fill = np.concatenate([free[: len(new)], np.arange(n, n + len(new) - len(free))])
-        rows[fill], headroom[fill], step[fill] = new, entry, entry_step
-        rekey(fill)
+        rows[fill], headroom[fill], step[fill], block[fill] = new, entry, entry_step, -1
         holes, n = free[len(new) :], n + max(len(new) - len(free), 0)
         if len(holes):  # the replicas ran short: walkers past the new end fill the holes
             n -= len(holes)
             movers = np.setdiff1d(np.arange(n, n + len(holes)), holes, assume_unique=True)
             targets = holes[holes < n]
-            for a in (rows, headroom, step, key):
+            for a in (rows, headroom, step, key, block):
                 a[targets] = a[movers]
         if not n and queued == replicas:
             return words, steps
         # a round may be empty when every replica admitted so far escaped at once
-        lane = step[:n] & _LANE_MASK
-        w = _keyed_words(key[:n], lane.view(np.uint64), drawn[:, :n].T, scratch[:, :n].T)
-        near = np.flatnonzero(lane >= BLOCK_LANES - _ROUND)  # may enter a new block
-        edge = near[lane[near] > BLOCK_LANES - _ROUND]  # its lanes cross a block edge
-        if len(edge):
-            w[edge] = counter_words(seed, rows[edge], _ROUND, step[edge])
+        w = drawn[:, :n].T  # lane j of slot i at [i, j]
+        _walker_words(seed, rows[:n], step[:n], key[:n], block[:n], w, scratch[:, :n].T)
         words += w.size
         _below(w, p, out=up_steps[:, :n].T)
         # byte i of a row's word j is lane j of slot i: shifted by j and or-ed
@@ -422,14 +409,13 @@ def _escape_visits(
         headroom[:n] -= _OFFSET[pattern, -1]
         out = np.flatnonzero(used < _ROUND)  # stepped to hi + 1 at lane used[out]
         step[out] += 1  # to the decision step
-        rekey(near[(step[near] & _LANE_MASK) < lane[near]])
         j = used[out] + 1  # the decision's lane in the round; _ROUND lies past it
         last = j == _ROUND
         decision = w[out, np.minimum(j, _ROUND - 1)]
-        if last.any():  # left at the last lane: one more word, from the decision step's key
+        if last.any():  # left at the last lane: one more word
             late = out[last]
             word = np.empty((len(late), 1), np.uint64)
-            _keyed_words(key[late], (step[late] & _LANE_MASK).view(np.uint64), word)
+            _walker_words(seed, rows[late], step[late], key[late], block[late], word)
             decision[last] = word[:, 0]
             words += len(late)
         back = _below(decision, h)
@@ -438,7 +424,6 @@ def _escape_visits(
         vals[rows[back]] += 1
         headroom[back] = 0
         steps += int(step[free].sum()) - first_step * len(free)
-        rekey(back[(step[back] & _LANE_MASK) == 0])  # their next step opens a block
         if step[:n].max(initial=first_step) - first_step > budget:
             raise BudgetError(f"escape not reached within {budget} steps")
 

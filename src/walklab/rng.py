@@ -11,27 +11,29 @@ bit-identical streams on every platform.
 Replica streams (`counter_words`, `counter_uniforms`, `counter_steps`)
 spend one word on each step.  `counter_words` is their definition: the
 word of step t is mix(key ^ l), l = t mod 2^16, under the key of t's own
-block.  Ensemble rounds draw the same words through `_keyed_words`
-instead, into a caller's buffer from a key the walker keeps while its
-steps stay in one block, so a round costs one mix per word and no key
-mixes; that primitive is tested against `counter_words`.  A
-single long path is drawn bit-sliced instead (`path_step_bits`): step t
-is bit t mod 64 of group (t mod 2^16) div 64 of key block t div 2^16,
-and its 53-bit uniform is spread over 53 plane words of its group, which
-are compared with p from the top bit down and drawn only while a step of
-the group is still open, about 7.5 words per 64 steps for the same law
-bit for bit.  The path's planes are read under their own key domain (`_path_key`), so the
-path shares no word with any replica stream of its seed: the walk after
-a path's horizon, replica 0 from step n on, is independent of the path.
-Ensembles stay on one word per step: each walker of an escape pool
-draws the next 8 steps of its own stream per round, and at so few steps
-per walker the per-plane work costs more than the words it saves
-(bit-sliced ensemble prototypes were 1.5-2x slower).  An escape decision
-reads the word of its step like any other step: an ensemble walker takes
-it from its round when the round drew it, and otherwise draws that one
-word in the same round from the key of its step's block; the walk after
-a path's horizon draws its steps with `counter_words` one word past each
-batch, so a decision at the batch's last step is in the same draw.
+block.  Ensemble walkers draw the same words through `_walker_words`,
+the one keyed draw: each walker keeps a key and the block it was made
+for, the key is made again only when the walker's step has left that
+block, and a round costs one mix per word (a row that runs past its
+block is drawn by `counter_words`); it is tested against
+`counter_words`.  A single long path is drawn bit-sliced instead
+(`path_step_bits`): step t is bit t mod 64 of group (t mod 2^16) div 64
+of key block t div 2^16, and its 53-bit uniform is spread over 53 plane
+words of its group, which are compared with p from the top bit down and
+drawn only while a step of the group is still open, about 7.5 words per
+64 steps for the same law bit for bit.  The path's planes are read under
+their own key domain (`_path_key`), so the path shares no word with any
+replica stream of its seed: the walk after a path's horizon, replica 0
+from step n on, is independent of the path.  Ensembles stay on one word
+per step: each walker of an escape pool draws the next 8 steps of its
+own stream per round, and at so few steps per walker the per-plane work
+costs more than the words it saves (bit-sliced ensemble prototypes were
+1.5-2x slower).  An escape decision reads the word of its step like any
+other step: an ensemble walker takes it from its round when the round
+drew it, and otherwise draws that one word through `_walker_words` in
+the same round; the walk after a path's horizon draws its steps with
+`counter_words` one word past each batch, so a decision at the batch's
+last step is in the same draw.
 """
 
 from __future__ import annotations
@@ -94,19 +96,33 @@ def _key(seed: int, replica, block):
     return mix64(h ^ np.asarray(block, dtype=np.uint64))
 
 
-def _keyed_words(keys, lane, out: np.ndarray, scratch: np.ndarray | None = None) -> np.ndarray:
-    """Words of lanes lane + j, j < out.shape[-1], of the key blocks
-    `keys`, drawn into `out`: word j is mix(key ^ (lane + j)).
+def _walker_words(
+    seed: int, replica, step, keys, blocks, out: np.ndarray, scratch: np.ndarray | None = None
+) -> np.ndarray:
+    """Words of steps step + j, j < out.shape[-1], of each walker's
+    replica, drawn into `out` with the key each walker keeps: the words
+    of `counter_words`.
 
-    `keys` and `lane` are uint64 arrays of out's shape without its last
-    axis, and every lane + j must stay below 2^16, inside the key's block.
-    `scratch` is passed on to `_mix_inplace`.  The ensemble rounds of
-    `montecarlo` draw through it with the key each walker keeps; for a
-    key made by `_key`, the words are those of `counter_words`.
+    `replica` and `step` are int64 arrays with one entry per row of the
+    2-D `out`.  `keys` holds each walker's key and `blocks` the key block
+    it was made for (-1 for none): a walker whose step lies in another
+    block gets that block's key first, written into `keys` and `blocks`
+    in place.  Word j is then mix(key ^ (lane + j)), one mix per word,
+    with `scratch` passed on to `_mix_inplace`; a row whose lanes run
+    past its block is drawn again by `counter_words`.
     """
+    block = step >> 16
+    stale = np.flatnonzero(block != blocks)
+    if len(stale):
+        keys[stale] = _key(seed, replica[stale], block[stale])
+        blocks[stale] = block[stale]
+    lane = (step & (BLOCK_LANES - 1)).view(np.uint64)
     np.add(lane[..., None], np.arange(out.shape[-1], dtype=np.uint64), out=out)
     out ^= keys[..., None]
     _mix_inplace(out, scratch)
+    edge = np.flatnonzero(lane > BLOCK_LANES - out.shape[-1])
+    if len(edge):
+        out[edge] = counter_words(seed, replica[edge], out.shape[-1], step[edge])
     return out
 
 

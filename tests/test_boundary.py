@@ -198,3 +198,13 @@ def test_grid_membership_matches_g_sign():
             member = boundary.in_region(P75, float(x), float(y))
             if abs(val - 1.0) > 1e-6:
                 assert member == (val < 1.0)
+
+
+def test_boundary_polyline_grid_stays_within_lambda0():
+    """The grid's last x is lambda0 itself.  Written xmax * i / (gridsize
+    - 1), it rounded one ulp past lambda0 for some grids, which is beyond
+    boundary_solve's slack once lambda0 is about 2e7 (p - 1/2 <= 2.3e-8):
+    at this p the 8-point grid was refused."""
+    params = make_params(0.5000000223517418)
+    rows = boundary.boundary_polyline(params, 8)
+    assert max(x for x, _, _ in rows) == params.lambda0

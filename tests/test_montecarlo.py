@@ -402,7 +402,7 @@ def test_escape_step_budget_guard(monkeypatch):
     """A stream that only ever steps down never escapes: the budget chosen
     from p stops the ensemble's pool and the path's walk after its horizon
     after a few hundred steps instead of running on."""
-    def always_down(keys, lane, out, scratch=None):
+    def always_down(seed, replica, step, keys, blocks, out, scratch=None):
         out[...] = np.uint64(2**64 - 1)  # no uniform is below p
         return out
 
@@ -410,7 +410,7 @@ def test_escape_step_budget_guard(monkeypatch):
         shape = np.broadcast(np.asarray(replica), np.asarray(step)).shape
         return np.full((*shape, lanes), 2**64 - 1, dtype=np.uint64)
 
-    monkeypatch.setattr(mc, "_keyed_words", always_down)
+    monkeypatch.setattr(mc, "_walker_words", always_down)
     monkeypatch.setattr(mc, "counter_words", always_down_words)
     config = mc.SimConfig(params=P75, n=1, replicas=64, seed=0)
     with pytest.raises(BudgetError, match="within 319 steps"):

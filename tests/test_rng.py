@@ -139,40 +139,64 @@ def test_path_key_is_no_replica_key():
         assert not np.isin(path_keys, replica_keys >> np.uint64(16)).any()
 
 
-def _keyed_row(seed, replica, step, lanes):
-    """Lanes step + j, j < lanes, of one replica through `_keyed_words`,
-    with the key of the block that `step` lies in."""
-    key = rng._key(seed, np.uint64(replica), np.uint64(step >> 16))
-    lane = np.uint64(step & 0xFFFF)
-    return rng._keyed_words(key, lane, np.empty(lanes, dtype=np.uint64))
+def _walker_row(seed, replica, step, lanes):
+    """Steps step + j, j < lanes, of one replica through `_walker_words`,
+    from a walker with no key yet."""
+    out = np.empty((1, lanes), dtype=np.uint64)
+    keys, blocks = np.zeros(1, dtype=np.uint64), np.full(1, -1)
+    return rng._walker_words(seed, np.array([replica]), np.array([step]), keys, blocks, out)[0]
 
 
 def test_keyed_words_match_counter_words():
-    """Word j of key block b's lane l is the word of step b * 2^16 + l,
-    for random rows drawn together into one buffer with a scratch array,
-    one at a time at steps 2^16 - 9 ... 2^16 + 8, where a cached key
-    must be made again as the step enters block 1, and block by block
-    on rows of `counter_words` that span 2 and 3 key blocks."""
+    """Word j of a walker at step t is the word of step t + j of its
+    replica: for random rows drawn together into one buffer with a
+    scratch array from keys made for their blocks; for rows whose keys
+    are stale (none, or made for the block before), some of which cross a
+    block edge, drawn into a lane-major buffer from keys and blocks that
+    are views of larger arrays and are made again in place; one at a time
+    at steps 2^16 - 9 ... 2^16 + 8 by one walker, whose key is made again
+    as its step enters block 1; and block by block on rows of
+    `counter_words` that span 2 and 3 key blocks."""
     gen = np.random.default_rng(5)
-    replicas = gen.integers(0, 2**63, 500, dtype=np.uint64)
-    steps = gen.integers(0, 2**40, 500, dtype=np.uint64) & ~np.uint64(15)  # lanes 0..8 of 16 fit
-    keys = rng._key(3, replicas, steps >> np.uint64(16))
+    replicas = gen.integers(0, 2**63, 500)
+    steps = gen.integers(0, 2**40, 500) & ~15  # lanes 0..8 of 16 fit
+    blocks = steps >> 16
+    keys = rng._key(3, replicas, blocks)
     out = np.empty((500, 9), dtype=np.uint64)
-    got = rng._keyed_words(keys, steps & np.uint64(0xFFFF), out, np.empty_like(out))
+    got = rng._walker_words(3, replicas, steps, keys.copy(), blocks.copy(), out, np.empty_like(out))
     assert got is out
     assert np.array_equal(out, rng.counter_words(3, replicas, 9, steps))
+
+    assert blocks.min() > 0
+    steps[::3] = (blocks[::3] << 16) + (1 << 16) - gen.integers(1, 9, len(steps[::3]))  # crossing
+    pool_keys, pool_blocks = np.zeros(600, dtype=np.uint64), np.full(600, -1)
+    pool_blocks[1:500:2] = blocks[1::2] - 1
+    pool_keys[1:500:2] = rng._key(3, replicas[1::2], pool_blocks[1:500:2])
+    lane_major, scratch = np.empty((9, 600), dtype=np.uint64), np.empty((9, 600), dtype=np.uint64)
+    out, scratch = lane_major[:, :500].T, scratch[:, :500].T  # lane j of row i at [j, i]
+    rng._walker_words(3, replicas, steps, pool_keys[:500], pool_blocks[:500], out, scratch)
+    assert np.array_equal(out, rng.counter_words(3, replicas, 9, steps))
+    assert np.array_equal(pool_blocks[:500], blocks) and (pool_blocks[500:] == -1).all()
+    assert np.array_equal(pool_keys[:500], keys) and not pool_keys[500:].any()
+
     edge = range((1 << 16) - 9, (1 << 16) + 9)
     for replica in (0, 7):
         whole = rng.counter_words(3, replica, len(edge) + 8, edge.start)
-        one_by_one = [_keyed_row(3, replica, t, 1)[0] for t in edge]
+        key, block, word = np.zeros(1, dtype=np.uint64), np.full(1, -1), np.empty((1, 1), np.uint64)
+        one_by_one = []
+        for t in edge:
+            rng._walker_words(3, np.array([replica]), np.array([t]), key, block, word)
+            one_by_one.append(word[0, 0])
+            assert block[0] == t >> 16 and key[0] == rng._key(3, replica, t >> 16), t
         assert np.array_equal(whole[: len(edge)], one_by_one)
-        for t in edge:  # 8 lanes, or as many as the block holds
-            lanes = min(8, (1 << 16) - (t & 0xFFFF))
-            row = whole[t - edge.start :][:lanes]
-            assert np.array_equal(_keyed_row(3, replica, t, lanes), row), t
+        for t in edge:  # 8 lanes, also past the block's end, or as many as the block holds
+            for lanes in (8, min(8, (1 << 16) - (t & 0xFFFF))):
+                row = whole[t - edge.start :][:lanes]
+                assert np.array_equal(_walker_row(3, replica, t, lanes), row), (t, lanes)
         start = (1 << 16) - 5
         for end in (start + 20, (2 << 16) + 5):  # the row ends in block 1 or 2
             whole = rng.counter_words(3, replica, end - start, start)
             edges = [start] + [e for e in (1 << 16, 2 << 16) if e < end] + [end]
-            parts = [_keyed_row(3, replica, a, b - a) for a, b in zip(edges, edges[1:])]
+            parts = [_walker_row(3, replica, a, b - a) for a, b in zip(edges, edges[1:])]
             assert np.array_equal(whole, np.concatenate(parts)), end
+            assert np.array_equal(whole, _walker_row(3, replica, start, end - start)), end
