@@ -108,7 +108,8 @@ def test_mc_distributions_over_p(p):
 
 def test_mc_distributions_fail_for_a_shifted_sampler(monkeypatch):
     """Replicas drawn at p + 0.002 and checked against the laws at p fail
-    criterion 7 at every statistic."""
+    criterion 7 at every statistic, though each is tested at the 0.2%
+    level."""
     ensemble = verify.montecarlo.ensemble
 
     def shifted(config, statistic):
