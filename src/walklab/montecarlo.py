@@ -10,15 +10,20 @@ replicas.
 "Infinite-time" quantities are exact: a walk that steps just above every
 tracked site returns to the highest one with probability exactly h, so
 one uniform decides between a return and escape for good, and no count
-is truncated.  Ensembles walk their replicas on the calling thread, in
-a refilled pool of up to 2^14 walkers, 8 steps a round; they count each
-round's visits to the tracked sites from a table of its landings and
-decide each exit in the round that reaches it (`_escape_visits`).  A
-single path walks on after its horizon alone, 1023 steps a draw,
-tallying its visits by depth (`_walk_on`).  A walk still going after the
-step budget that a Chernoff bound sets from p raises BudgetError, and so
-does a walk whose budget exceeds what its step counter holds
-(`_step_budget`).
+is truncated.  Below the lowest tracked site lo the walk visits nothing
+and surely comes back, so both escape walks are reflected there: a
+down-step from lo stays on lo and is a visit to it, which leaves the
+law of the visits to the sites >= lo unchanged.  Ensembles walk their
+replicas on the calling thread, in a refilled pool of up to 2^14
+walkers, 8 steps a round; they count each round's visits to the tracked
+sites from a table of its landings and decide each exit in the round
+that reaches it (`_escape_visits`).  A single path walks on after its
+horizon alone, 1023 steps a draw, tallying its visits by depth
+(`_walk_on`).  An ensemble whose replicas expect more steps in all than
+a fixed work budget is refused with BudgetError before it walks; a walk
+still going after the step budget that a Chernoff bound sets from p
+raises BudgetError, and so does a walk whose budget exceeds what its
+step counter holds (`_step_budget`).
 
 Three facts of the +-1 walk build the dense counts and let every path
 statistic be read from them alone:
@@ -38,13 +43,14 @@ statistic be read from them alone:
     landing of a down-step after step 1, which leaves the site above it.
 
 Every quantity is a pure function of (config, seed): step t of replica r
-is the same counter-based draw in every routine (see `rng`), and a
-replica's visits do not depend on which walkers share its rounds, so
-results do not depend on the size of the pool.  A single path's steps
-are the bit-sliced path stream of its seed (`rng.path_step_bits`), 16
-key blocks per draw; its walk after the horizon (`path_report`) is
-replica 0 of the same seed from step n on, a stream that shares no word
-with the path, so the pair has the law of one walk.
+is the same counter-based draw in every routine (see `rng`), the t-th
+draw of its walk reflected at lo, and a replica's visits do not depend
+on which walkers share its rounds, so results do not depend on the size
+of the pool.  A single path's steps are the bit-sliced path stream of its
+seed (`rng.path_step_bits`), 16 key blocks per draw; its walk after the
+horizon (`path_report`) is replica 0 of the same seed from step n on, a
+stream that shares no word with the path, so the pair has the law of one
+walk.
 """
 
 from __future__ import annotations
@@ -76,8 +82,10 @@ __all__ = [
 _POOL = 1 << 14  # walkers of an escape walk that draw their rounds together
 _PATH_BLOCKS = 16  # key blocks of path steps drawn per path_step_bits call
 _ROUND = 8  # steps a walker draws per round of an escape walk, one byte of up-steps
+_WIDE = 2 * _ROUND + 3  # landing offsets -9..9 of each round code in _LANDS
 _WALK_LANES = 1023  # steps of a path's walk after its horizon per counter_words draw
 _BUDGET_MISS = 1e-18  # chance that a correct replica outruns its step budget
+_WORK_STEPS = 1e9  # steps that the replicas of one escape walk may expect to take in all
 _SLICE = 1 << 16  # sites per slice of the pair sums in _xi_star
 
 
@@ -193,10 +201,12 @@ class EnsembleReport:
     Every statistic is an exact sample of infinite-time counts: replicas
     are followed until they escape for good, so the histogram carries no
     truncation bias, only sampling error.  `words` is the number of RNG
-    words the replicas drew and `steps` the number of steps they walked,
+    words the replicas drew and `steps` the number of steps they walked
+    in the walk reflected at the lowest tracked site (`_escape_visits`),
     decision steps included.  A decision read from a word its round
-    already drew costs no word, so words - steps is still the number of
-    lanes drawn past an exit.
+    already drew costs no word, so words - steps is the number of lanes
+    drawn past an exit, less one admission step for each replica that
+    starts below the lowest tracked site.
     """
 
     statistic: str
@@ -267,10 +277,13 @@ def _step_budget(params: WalkParams, rise: int, first_step: int) -> int:
     sites are rise, rise - 1, ..., of weight h^(-rise/2) / (1 - sqrt h);
     1 - sqrt h = gamma0 / (p (1 + sqrt h)), log rho = log1p(-gamma0^2)/2
     and 1 - rho = gamma0^2 / (1 + rho) do not cancel as p nears 1/2.  An
-    exact-escape walk takes no more steps than the walk it stands for,
-    and its last round draws up to _ROUND more words and a decision.
-    A walk that reads its stream from `first_step` and could pass the
-    2^63 steps that its step counter holds raises BudgetError.
+    exact-escape walk takes no more steps than the walk it stands for:
+    it stops at its decision, and its reflection at lo is the free walk
+    with each excursion below lo cut out (a start below lo takes one step
+    to lo, where the free walk takes at least one), so on the same steps
+    it is never longer.  Its last round draws up to _ROUND more words and
+    a decision.  A walk that reads its stream from `first_step` and could
+    pass the 2^63 steps that its step counter holds raises BudgetError.
     """
     g2 = params.gamma0 * params.gamma0
     log_weight = -0.5 * rise * params.log_h - math.log(
@@ -288,26 +301,67 @@ def _step_budget(params: WalkParams, rise: int, first_step: int) -> int:
 
 
 def _round_tables():
-    """Tables of one 8-step round, indexed by the byte of its up-steps
-    (bit j set: step j goes up).
+    """Tables of one 8-step round of the walk reflected at lo, indexed by
+    code = (b * 9 + min(hi - x, 8)) * 9 + min(x - lo, 8), with b the byte
+    of its up-steps (bit j set: step j goes up).  A walker 8 or more below
+    hi cannot pass it within a round, and one 8 or more above lo cannot
+    step down from it, so 8 stands for every larger headroom and depth.
 
-    _OFFSET[b, j]  position after step j, relative to the round's start;
-    _USED[b * 9 + r]  steps taken before the walk passes hi from headroom
-        r = hi - x (8 if it does not pass; r >= 8 acts as 8);
-    _LANDS[(b * 9 + r) * 17 + e + 8]  how many of those steps land on
-        x + e, for -8 <= e <= 8.
+    _OFFSET[code]  position after the round, relative to its start, of a
+        walker that does not pass hi;
+    _USED[code]  steps taken before the walk passes hi (8 if it does not);
+    _LANDS[code * 19 + e + 9]  how many of those steps land on x + e, for
+        -8 <= e <= 8; the entries at e = -9 and 9 are 0, so a site further
+        from x reads its offset clipped to -9..9.
     """
     up = (np.arange(256)[:, None] >> np.arange(_ROUND)) & 1
-    offset = np.cumsum(2 * up - 1, axis=1)
-    headroom = np.arange(_ROUND + 1)
-    live = np.maximum.accumulate(offset, axis=1)[:, None, :] <= headroom[:, None]
-    reach = np.arange(-_ROUND, _ROUND + 1)
-    lands = live[:, :, None, :] & (offset[:, None, None, :] == reach[:, None])
-    return offset, live.sum(axis=2).astype(np.uint8).ravel(), lands.sum(axis=3, dtype=np.int8).ravel()
+    free = np.cumsum(2 * up - 1, axis=1)
+    clipped = np.arange(_ROUND + 1)
+    # reflected at -depth: the free walk plus how far its running minimum
+    # has gone below the floor (axes: byte, depth, step)
+    floor = -clipped[:, None] - np.minimum.accumulate(free, axis=1)[:, None, :]
+    pos = free[:, None, :] + np.maximum(floor, 0)
+    # axes: byte, headroom, depth, step
+    live = np.maximum.accumulate(pos, axis=2)[:, None] <= clipped[:, None, None]
+    code = np.arange(256 * (_ROUND + 1) ** 2).reshape(256, _ROUND + 1, _ROUND + 1, 1)
+    lands = np.bincount(
+        (code * _WIDE + pos[:, None] + _ROUND + 1)[live], minlength=code.size * _WIDE
+    )
+    offset = np.repeat(pos[:, None, :, -1], _ROUND + 1, axis=1)
+    return (
+        offset.astype(np.int8).ravel(),
+        live.sum(axis=3).astype(np.uint8).ravel(),
+        lands.astype(np.int8),
+    )
 
 
 _OFFSET, _USED, _LANDS = _round_tables()
 _LANE_SHIFTS = np.arange(_ROUND, dtype=np.uint64)[:, None]
+
+
+def _expected_steps(params: WalkParams, hi: int, span: int) -> float:
+    """Mean steps per replica of `_escape_visits` from 0, reflected at
+    lo = hi - span, decision steps included.
+
+    From lo + k the reflected walk first reaches lo + k + 1 after
+    tau_k = (1 - h^(k+1)) / gamma0 steps on average (tau_0 = 1/p, tau_k =
+    1/p + h tau_(k-1)).  A walk from x0 thus passes hi after the sum of
+    tau_(x - lo) over x = x0..hi, decides in one more step, and returns
+    to hi q/gamma0 times on average, each time for tau_(hi - lo) + 1 more
+    steps.  A replica from 0 below lo takes one step to lo first; one
+    from 0 above hi takes its admission step and walks on from hi with
+    probability h^(-hi).
+    """
+    g, log_h = params.gamma0, params.log_h
+    k = min(max(span - hi, 0), span)  # x0 - lo, x0 = 0 clipped to lo..hi
+    m = span - k + 1  # terms in the sum of tau over k..span
+    # sum of h^(j+1), j = k..span, is h^(k+1) (1 - h^m) / (1 - h), 1 - h = gamma0/p
+    taus = (m + params.p * math.exp((k + 1) * log_h) * math.expm1(m * log_h) / g) / g
+    tau_top = -math.expm1((span + 1) * log_h) / g
+    walk = taus + 1.0 + params.q / g * (tau_top + 1.0)
+    if hi < 0:
+        return 1.0 + math.exp(-hi * log_h) * walk
+    return walk + (hi > span)
 
 
 def _escape_visits(
@@ -317,46 +371,66 @@ def _escape_visits(
     `replicas`, walked from 0 to the end of time, to the tracked sites
     hi - d, d in `below` (sorted, and holding 0: hi is tracked).
 
-    Above hi the walk visits no tracked site, and from hi + d it ever
-    returns to hi with probability exactly h^d.  So a replica that steps
-    to hi + 1 decides with the uniform u of its next step: if u < h it is
-    counted at hi and walks on from there, otherwise it is done.  When hi
-    < 0 a replica is decided on admission with h^(-hi).  The counts are
-    exact, with no truncation.
+    The walk is reflected at lo = hi - max(below), the lowest tracked
+    site: a down-step from lo stays on lo and is a visit to it, x_t =
+    max(x_(t-1) + s_t, lo).  From below lo the free walk visits no
+    tracked site and surely comes back to lo, so by the strong Markov
+    property cutting each of its excursions below lo out gives this walk,
+    and the joint law of the visits to the sites >= lo is the same.  A
+    replica that starts below lo (lo > 0) is on lo after its first step,
+    whatever that step's word, and is counted there once; no word is
+    drawn for it.  Above hi the walk visits no tracked site, and from hi
+    + d it ever returns to hi with probability exactly h^d.  So a replica
+    that steps to hi + 1 decides with the uniform u of its next step: if
+    u < h it is counted at hi and walks on from there, otherwise it is
+    done.  When hi < 0 a replica is decided on admission with h^(-hi).
+    The counts are exact, with no truncation.
 
     The replicas walk in a pool of at most `_POOL` slots.  Each walker
     keeps a stream key and the key block it was made for (none on
     admission), and `rng._walker_words` makes the key again whenever the
     walker's step has left that block.  Each round, every walker draws
     the next `_ROUND` words of its stream into buffers made once per
-    call.  A round's up-steps are packed into one byte per walker, and
-    `_USED` reads how far each walks.  Only a walker within max(below) +
-    8 of hi can land on a tracked site, and for those `_LANDS` reads how
-    many of its steps land on each.  Every exit is decided in the round
-    that reaches it, so each walker starts a round at or below hi: a
-    walker that steps to hi + 1 at lane j < `_ROUND` - 1 is decided by
-    lane j + 1 of the round, and one that does so at the last lane by one
-    more word of its stream.  The slots of finished walkers take the next
-    replicas, so the rounds stay full until they run out; then walkers
-    from the end of the pool move into the free slots.
+    call.  A round's up-steps are packed into one byte per walker; with
+    the walker's headroom hi - x and depth x - lo it makes the round's
+    code, from which `_USED` reads how far the walker goes, `_OFFSET`
+    where it ends and `_LANDS` how many of its steps land on each tracked
+    site.  Every exit is decided in the round that reaches it, so each
+    walker starts a round on lo..hi: a walker that steps to hi + 1 at
+    lane j < `_ROUND` - 1 is decided by lane j + 1 of the round, and one
+    that does so at the last lane by one more word of its stream.  The
+    slots of finished walkers take the next replicas, so the rounds stay
+    full until they run out; then walkers from the end of the pool move
+    into the free slots.
 
     Returns the words drawn, so a decision read from its round costs
-    none, and the steps walked, decision steps included: words - steps is
-    the number of lanes drawn past an exit.  A replica still walking
-    after `_step_budget` steps raises BudgetError.
+    none, and the steps of the reflected walk, decision and admission
+    steps included: words - steps is the number of lanes drawn past an
+    exit, less the admission steps below lo.  A call whose replicas
+    expect more than `_WORK_STEPS` steps in all (`_expected_steps`)
+    raises BudgetError before any walking, and so does a replica still
+    walking after `_step_budget` steps.
     """
     p, h = params.p, params.h
     budget = _step_budget(params, hi, first_step)
+    span = int(below[-1])  # hi - lo
+    mean = _expected_steps(params, hi, span)
+    if replicas * mean > _WORK_STEPS:
+        raise BudgetError(
+            f"{replicas} replicas expect about {mean:.4g} steps each, "
+            f"{replicas * mean:.3g} in all, beyond the budget of {_WORK_STEPS:.3g} steps"
+        )
     below = np.asarray(below)[:, None]
-    reach = below[-1, 0] + _ROUND  # a walker further below hi lands on no tracked site
-    above = hi < 0  # replicas are decided on admission, and walk on from hi
-    entry, entry_step = (0, first_step + 1) if above else (hi, first_step)
+    above, low = hi < 0, hi > span  # replicas start above hi, or below lo
+    # headroom hi - x and step on entry: at hi, from 0 or at lo
+    entry, entry_step = min(max(hi, 0), span), first_step + (above or low)
     size = min(_POOL, replicas)
     rows = np.empty(size, dtype=np.int64)  # the pool's slots: replica,
     headroom = np.empty_like(rows)  # hi - x,
     step = np.empty_like(rows)  # the next step of each walker
     key = np.empty(size, dtype=np.uint64)  # its stream key
-    block = np.empty_like(rows)  # and the key block that key was made for
+    block = np.empty_like(rows)  # the key block that key was made for
+    count = np.empty_like(rows)  # and the walker's visits so far
     # one round's words, the mix's scratch space and the up-steps, lane by
     # lane (lane j of slot i at [j, i]), in whole 8-slot columns
     cols = -(-size // 8) * 8
@@ -374,16 +448,17 @@ def _escape_visits(
             back = _below(w, h ** -hi)
             steps += len(new) - int(back.sum())
             new = new[back]
-            vals[new] += 1
-        # new replicas take the free slots first, then the slots past n
+        # new replicas take the free slots first, then the slots past n;
+        # an admission step lands on hi or lo, a visit
         fill = np.concatenate([free[: len(new)], np.arange(n, n + len(new) - len(free))])
         rows[fill], headroom[fill], step[fill], block[fill] = new, entry, entry_step, -1
+        count[fill] = above or low
         holes, n = free[len(new) :], n + max(len(new) - len(free), 0)
         if len(holes):  # the replicas ran short: walkers past the new end fill the holes
             n -= len(holes)
             movers = np.setdiff1d(np.arange(n, n + len(holes)), holes, assume_unique=True)
             targets = holes[holes < n]
-            for a in (rows, headroom, step, key, block):
+            for a in (rows, headroom, step, key, block, count):
                 a[targets] = a[movers]
         if not n and queued == replicas:
             return words, steps
@@ -396,33 +471,33 @@ def _escape_visits(
         # over the lanes, byte i is the byte of slot i's up-steps
         bits = up_steps[:, : -(-n // 8) * 8].view("<u8") << _LANE_SHIFTS
         pattern = np.bitwise_or.reduce(bits, axis=0).view(np.uint8)[:n].astype(np.intp)
-        code = pattern * (_ROUND + 1) + np.minimum(headroom[:n], _ROUND)
-        close = np.flatnonzero(headroom[:n] <= reach)
-        e = headroom[close] - below  # tracked site hi - d is x + e, e = headroom - d
-        lands = np.abs(e) <= _ROUND
-        np.clip(e, -_ROUND, _ROUND, out=e)  # in place: e is (distances, walkers)
-        e += code[close] * (2 * _ROUND + 1) + _ROUND
-        got = np.where(lands, _LANDS[e], 0)
-        vals[rows[close]] += got.sum(axis=0)  # the pool's rows are distinct
+        rise = headroom[:n]
+        code = pattern * (_ROUND + 1) + np.minimum(rise, _ROUND)
+        code *= _ROUND + 1
+        code += np.minimum(span - rise, _ROUND)
+        e = rise - below  # tracked site hi - d is x + e, e = headroom - d
+        np.clip(e, -_ROUND - 1, _ROUND + 1, out=e)  # in place: e is (distances, walkers)
+        e += code * _WIDE + _ROUND + 1
+        count[:n] += _LANDS[e].sum(axis=0)
         used = _USED[code]
         step[:n] += used
-        headroom[:n] -= _OFFSET[pattern, -1]
+        rise -= _OFFSET[code]
         out = np.flatnonzero(used < _ROUND)  # stepped to hi + 1 at lane used[out]
-        step[out] += 1  # to the decision step
         j = used[out] + 1  # the decision's lane in the round; _ROUND lies past it
         last = j == _ROUND
         decision = w[out, np.minimum(j, _ROUND - 1)]
-        if last.any():  # left at the last lane: one more word
+        if last.any():  # left at the last lane: one more word, of the decision step
             late = out[last]
             word = np.empty((len(late), 1), np.uint64)
-            _walker_words(seed, rows[late], step[late], key[late], block[late], word)
+            _walker_words(seed, rows[late], step[late] + 1, key[late], block[late], word)
             decision[last] = word[:, 0]
             words += len(late)
         back = _below(decision, h)
-        step[out] += 1
+        step[out] += 2  # past the exit step and its decision
         back, free = out[back], out[~back]
-        vals[rows[back]] += 1
+        count[back] += 1
         headroom[back] = 0
+        vals[rows[free]] += count[free]  # the pool's rows are distinct
         steps += int(step[free].sum()) - first_step * len(free)
         if step[:n].max(initial=first_step) - first_step > budget:
             raise BudgetError(f"escape not reached within {budget} steps")
@@ -432,12 +507,15 @@ def _walk_on(
     params: WalkParams, seed: int, start: int, first_step: int, min_site: int, hi: int
 ) -> np.ndarray:
     """Visits by depth below hi that replica 0 makes at steps >= first_step,
-    walked from start <= hi to the end of time: entry d counts the visits
-    to hi - d, cut at d = hi - min_site.
+    walked from min_site <= start <= hi to the end of time: entry d counts
+    the visits to hi - d, d <= hi - min_site.
 
-    This is the walk of `_escape_visits` for one replica on its own: a
-    step to hi + 1 is decided by the word of the next step, and a return
-    is a visit to hi from which the walk goes on.  Each `counter_words`
+    This is the walk of `_escape_visits` for one replica on its own,
+    reflected at lo = min_site: a down-step from min_site stays there and
+    is a visit to it, a step to hi + 1 is decided by the word of the next
+    step, and a return is a visit to hi from which the walk goes on.  The
+    reflected positions of a draw are its free positions plus the positive
+    part of the running maximum of min_site - pos.  Each `counter_words`
     draw holds `_WALK_LANES` steps and one more word, so an exit at the
     last lane reads its decision from the same draw.  Each draw's visits
     are added into the tally, which grows only with the depth the walk
@@ -450,6 +528,8 @@ def _walk_on(
         lanes = min(_WALK_LANES, first_step + budget - step)
         w = counter_words(seed, 0, lanes + 1, step)
         pos = x + np.cumsum(np.where(_below(w[:lanes], params.p), 1, -1))
+        floor = np.maximum.accumulate(min_site - pos)
+        pos += np.maximum(floor, 0, out=floor)
         j = int((pos > hi).argmax())  # the first step to hi + 1, when pos[j] > hi
         if pos[j] <= hi:
             visited, x, step = pos, int(pos[-1]), step + lanes
@@ -461,7 +541,7 @@ def _walk_on(
         more[: len(tally)] += tally
         tally = more
         if x is None:
-            return tally[: hi - min_site + 1]
+            return tally
     raise BudgetError(f"escape not reached within {budget} steps")
 
 
@@ -530,11 +610,11 @@ def path_report(config: SimConfig, xi_star_z: tuple[int, ...] = (1,)) -> PathRep
     read from its local-time field (the rates are per log n).
 
     The horizon's statistics are read first.  eta_max and the path
-    variant read the total counts: the path walks on alone until it
-    escapes for good (`_walk_on`).  That walk's tally of visits by depth
-    below the path's maximum is added into the field in place, read, and
-    taken out again, so no copy of the field is made and
-    `PathReport.counts` is the field at the horizon.
+    variant read the total counts: the path walks on alone, reflected at
+    its lowest site, until it escapes for good (`_walk_on`).  That walk's
+    tally of visits by depth below the path's maximum is added into the
+    field in place, read, and taken out again, so no copy of the field is
+    made and `PathReport.counts` is the field at the horizon.
     """
     if config.n < 2:
         raise ValidationError(f"path_report needs n >= 2, got {config.n}")

@@ -9,14 +9,16 @@ replica's key and the lane is mixed into that key.  Identical keys give
 bit-identical streams on every platform.
 
 Replica streams (`counter_words`, `counter_uniforms`, `counter_steps`)
-spend one word on each step.  `counter_words` is their definition: the
-word of step t is mix(key ^ l), l = t mod 2^16, under the key of t's own
-block.  Ensemble walkers draw the same words through `_walker_words`,
-the one keyed draw: each walker keeps a key and the block it was made
-for, the key is made again only when the walker's step has left that
-block, and a round costs one mix per word (a row that runs past its
-block is drawn by `counter_words`); it is tested against
-`counter_words`.  A single long path is drawn bit-sliced instead
+spend one word on each step: step t of replica r is the t-th draw of its
+walk, which the escape walks of `montecarlo` reflect at their lowest
+tracked site, so a down-step that stays there spends its word too.
+`counter_words` is the streams' definition: the word of step t is
+mix(key ^ l), l = t mod 2^16, under the key of t's own block.  Ensemble
+walkers draw the same words through `_walker_words`, the one keyed draw:
+each walker keeps a key and the block it was made for, the key is made
+again only when the walker's step has left that block, and a round costs
+one mix per word (a row that runs past its block is drawn by
+`counter_words`); it is tested against `counter_words`.  A single long path is drawn bit-sliced instead
 (`path_step_bits`): step t is bit t mod 64 of group (t mod 2^16) div 64
 of key block t div 2^16, and its 53-bit uniform is spread over 53 plane
 words of its group, which are compared with p from the top bit down and

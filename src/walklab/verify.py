@@ -212,6 +212,14 @@ def _cut_table(build):
     return table
 
 
+# the ensemble statistics of criterion 7 and the closed-form law of each
+_MC_LAWS = {
+    "local_time:0": lambda params, k: closedform.local_time_pmf(params, 0, k),
+    "local_time:-2": lambda params, k: closedform.local_time_pmf(params, -2, k),
+    "sphere_occupation": closedform.sphere_occupation_pmf,
+    "ball_occupation": closedform.ball_occupation_pmf,
+    "two_point_pos:1": lambda params, k: closedform.two_point_occupation_pmf(params, 1, "pos", k),
+}
 # the chance that criterion 7 fails a correct sampler through its
 # chi-square tests: each of its laws is tested at this over their number
 # (Bonferroni), so one seed's five tests together keep this level
@@ -221,18 +229,11 @@ _MC_LEVEL = 0.01
 def _check_mc_distributions(params: WalkParams, seed: int) -> tuple:
     replicas = 1_000_000
     config = montecarlo.SimConfig(params=params, n=1, replicas=replicas, seed=seed)
-    checks = {
-        "local_time:0": lambda k: closedform.local_time_pmf(params, 0, k),
-        "local_time:-2": lambda k: closedform.local_time_pmf(params, -2, k),
-        "sphere_occupation": lambda k: closedform.sphere_occupation_pmf(params, k),
-        "ball_occupation": lambda k: closedform.ball_occupation_pmf(params, k),
-        "two_point_pos:1": lambda k: closedform.two_point_occupation_pmf(params, 1, "pos", k),
-    }
-    level = _MC_LEVEL / len(checks)
+    level = _MC_LEVEL / len(_MC_LAWS)
     details = []
     all_ok = True
-    for name, build in checks.items():
-        table = _cut_table(build)
+    for name, law in _MC_LAWS.items():
+        table = _cut_table(lambda k: law(params, k))
         rep = montecarlo.ensemble(config, name)
         ok, pvalue = _band_and_chisq(rep.histogram, replicas, table, level)
         all_ok = all_ok and ok
@@ -240,7 +241,7 @@ def _check_mc_distributions(params: WalkParams, seed: int) -> tuple:
             f"{name} p={pvalue:.3g} (cut at {table.support[-1]}){'' if ok else ' FAIL'}"
         )
     return all_ok, "; ".join(details), (
-        f"chi-square p > {level:g} on each law ({_MC_LEVEL:g} over the {len(checks)}) "
+        f"chi-square p > {level:g} on each law ({_MC_LEVEL:g} over the {len(_MC_LAWS)}) "
         "and 4-sigma bands on the bins expecting >= 10 counts, "
         "tables cut where the tail is < 1e-13"
     )

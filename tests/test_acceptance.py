@@ -5,10 +5,12 @@ failure)."""
 
 import dataclasses
 import math
+import time
 
 import pytest
 
-from walklab import boundary, verify
+from walklab import boundary, montecarlo, verify
+from walklab.errors import BudgetError
 from walklab.model import make_params
 
 PARAMS = make_params(0.75)
@@ -122,10 +124,34 @@ def test_mc_distributions_fail_for_a_shifted_sampler(monkeypatch):
     assert measured.count("FAIL") == 5, measured
 
 
-# criteria 1-6 over the whole range of p; criterion 2 compares the closed
-# forms with the chain of visits, 51,700 visits at p = 0.501
+@pytest.mark.parametrize("statistic", sorted(verify._MC_LAWS))
+def test_mc_means_near_half(statistic):
+    """Near p = 1/2 the reflected walk keeps ensembles short: at p = 0.505
+    the mean of each criterion-7 statistic over 10,000 replicas lies
+    within 4 sem of its closed form."""
+    params = make_params(0.505)
+    table = verify._cut_table(lambda k: verify._MC_LAWS[statistic](params, k))
+    config = montecarlo.SimConfig(params=params, n=1, replicas=10_000, seed=SEED)
+    rep = montecarlo.ensemble(config, statistic)
+    assert abs(rep.mean - table.mean()) <= 4 * rep.sem, (rep.mean, table.mean(), rep.sem)
+
+
+def test_determinism_refused_near_half():
+    """At p = 0.5 + 2^-20 the 20,000 replicas of criterion 10 expect about
+    1.8e6 steps each, beyond the ensemble's work budget: the criterion is
+    refused before any replica walks."""
+    params = make_params(0.5 + 2.0**-20)
+    start = time.perf_counter()
+    with pytest.raises(BudgetError, match="replicas expect about"):
+        verify._check_determinism(params, SEED)
+    assert time.perf_counter() - start < 0.1
+
+
+# criteria 1-6 and 10 over the whole range of p; criterion 2 compares the
+# closed forms with the chain of visits, 51,700 visits at p = 0.501, and
+# criterion 10 walks 2 x 20,000 replicas of about 1,750 steps there
 @pytest.mark.parametrize("p", [0.501, 0.52, 0.6, 0.9, 0.999])
-@pytest.mark.parametrize("number", [1, 2, 3, 4, 5, 6])
+@pytest.mark.parametrize("number", [1, 2, 3, 4, 5, 6, 10])
 def test_criterion_over_p(number, p):
     name, fn = verify._CRITERIA[number]
     passed, measured, expected = fn(make_params(p), SEED)

@@ -456,6 +456,42 @@ def test_escape_refused_beyond_the_step_counter():
         mc.path_report(mc.SimConfig(params=params, n=100, seed=0))
 
 
+@pytest.mark.parametrize("p", [0.52, 0.6])
+@pytest.mark.parametrize(
+    "statistic", ["local_time:0", "ball_occupation", "local_time:2", "local_time:-2", "two_point_neg:3"]
+)
+def test_expected_steps_match_the_walk(p, statistic):
+    """`_expected_steps` is the mean of steps / replicas over 16 seeds
+    within 4 sem: from 0 inside lo..hi, from below lo (local_time:2) and
+    from above hi (local_time:-2)."""
+    params, replicas = make_params(p), 2000
+    sites = mc._stat_sites(statistic)
+    per_replica = [
+        mc.ensemble(mc.SimConfig(params=params, n=1, replicas=replicas, seed=s), statistic).steps
+        / replicas
+        for s in range(16)
+    ]
+    sem = np.std(per_replica, ddof=1) / 4
+    expected = mc._expected_steps(params, max(sites), max(sites) - min(sites))
+    assert abs(np.mean(per_replica) - expected) <= 4 * sem
+
+
+def test_ensemble_refused_beyond_its_work_budget(monkeypatch):
+    """An ensemble whose replicas expect more steps in all than the work
+    budget is refused before it draws a word."""
+    def no_words(*args, **kwargs):
+        raise AssertionError("a word was drawn")
+
+    monkeypatch.setattr(mc, "_walker_words", no_words)
+    monkeypatch.setattr(mc, "counter_words", no_words)
+    params = make_params(0.6)
+    per_replica = mc._expected_steps(params, 1, 2)
+    monkeypatch.setattr(mc, "_WORK_STEPS", 1000 * per_replica * (1 - 1e-9))
+    config = mc.SimConfig(params=params, n=1, replicas=1000, seed=0)
+    with pytest.raises(BudgetError, match="1000 replicas expect about 16.33 steps each"):
+        mc.ensemble(config, "ball_occupation")
+
+
 def test_sim_config_validation():
     with pytest.raises(ValidationError):
         mc.SimConfig(params=P75, n=0, seed=0)
@@ -647,34 +683,38 @@ def test_escape_visits_do_not_depend_on_pool_size(monkeypatch, pool):
     assert rep.to_dict() == base.to_dict()
 
 
-def _brute_force_round(pattern, headroom):
+def _brute_force_round(pattern, headroom, depth):
     """Walk the 8 steps of `pattern` one at a time from x = 0 with hi =
-    headroom: the steps taken before the walk passes hi, and how many of
-    them land on each site x + e, -8 <= e <= 8."""
+    headroom and lo = -depth, reflected at lo: the steps taken before the
+    walk passes hi, how many of them land on each site x + e, -8 <= e <=
+    8, and where the walk ends when it does not pass hi."""
     x = used = 0
     lands = [0] * 17
     for j in range(8):
-        x += 1 if pattern >> j & 1 else -1
+        x = max(x + (1 if pattern >> j & 1 else -1), -depth)
         if x > headroom:
             break
         used += 1
         lands[x + 8] += 1
-    return used, lands
+    return used, lands, x
 
 
 def test_round_tables_match_a_step_by_step_walk():
-    """Every pattern, every headroom 0..12 (8 and up read the same entry)
-    and every landing offset -8..8."""
+    """Every pattern, every headroom and depth 0..12 (8 and up read the
+    same entry) and every landing offset -9..9: the offsets -9 and 9 are
+    never reached within a round."""
     patterns = np.arange(256)
-    offsets = np.cumsum(np.where((patterns[:, None] >> np.arange(8)) & 1, 1, -1), axis=1)
-    assert np.array_equal(mc._OFFSET, offsets)
     for headroom in range(13):
-        code = patterns * 9 + min(headroom, 8)
-        expected = [_brute_force_round(b, headroom) for b in range(256)]
-        assert mc._USED[code].tolist() == [u for u, _ in expected], headroom
-        for e in range(-8, 9):
-            lands = mc._LANDS[code * 17 + e + 8].tolist()
-            assert lands == [m[e + 8] for _, m in expected], (headroom, e)
+        for depth in range(13):
+            code = (patterns * 9 + min(headroom, 8)) * 9 + min(depth, 8)
+            expected = [_brute_force_round(b, headroom, depth) for b in range(256)]
+            assert mc._USED[code].tolist() == [u for u, _, _ in expected], (headroom, depth)
+            walked = [(x, c) for c, (u, _, x) in zip(code, expected) if u == 8]
+            assert [mc._OFFSET[c] for _, c in walked] == [x for x, _ in walked]
+            for e in range(-9, 10):
+                lands = mc._LANDS[code * 19 + e + 9].tolist()
+                want = [m[e + 8] if abs(e) <= 8 else 0 for _, m, _ in expected]
+                assert lands == want, (headroom, depth, e)
 
 
 @pytest.mark.parametrize("p", [0.52, 0.6, 0.9, 0.999])
