@@ -476,20 +476,32 @@ def test_expected_steps_match_the_walk(p, statistic):
     assert abs(np.mean(per_replica) - expected) <= 4 * sem
 
 
-def test_ensemble_refused_beyond_its_work_budget(monkeypatch):
-    """An ensemble whose replicas expect more steps in all than the work
-    budget is refused before it draws a word."""
-    def no_words(*args, **kwargs):
-        raise AssertionError("a word was drawn")
+class _Walked(Exception):
+    """Raised by a stubbed draw: the ensemble got past its work budget."""
 
-    monkeypatch.setattr(mc, "_walker_words", no_words)
-    monkeypatch.setattr(mc, "counter_words", no_words)
-    params = make_params(0.6)
-    per_replica = mc._expected_steps(params, 1, 2)
-    monkeypatch.setattr(mc, "_WORK_STEPS", 1000 * per_replica * (1 - 1e-9))
-    config = mc.SimConfig(params=params, n=1, replicas=1000, seed=0)
-    with pytest.raises(BudgetError, match="1000 replicas expect about 16.33 steps each"):
-        mc.ensemble(config, "ball_occupation")
+
+@pytest.mark.parametrize(
+    ("p", "statistic", "admitted", "refused", "steps"),
+    [
+        (0.6, "two_point_pos:300", 663_000, 664_000, "1508"),
+        (0.501, "ball_occupation", 571_000, 572_000, "1749"),
+        (0.5 + 2.0**-20, "ball_occupation", 544, 545, r"1\.835e\+06"),
+    ],
+)
+def test_work_budget_boundary(monkeypatch, p, statistic, admitted, refused, steps):
+    """README's edges of the 10^9-step work budget: `admitted` replicas
+    start to walk, and `refused` replicas are refused before they draw a
+    word, with their expected steps in the message."""
+    def walked(*args, **kwargs):
+        raise _Walked
+
+    monkeypatch.setattr(mc, "_walker_words", walked)
+    monkeypatch.setattr(mc, "counter_words", walked)
+    params = make_params(p)
+    with pytest.raises(_Walked):
+        mc.ensemble(mc.SimConfig(params=params, n=1, replicas=admitted, seed=0), statistic)
+    with pytest.raises(BudgetError, match=f"{refused} replicas expect about {steps} steps each"):
+        mc.ensemble(mc.SimConfig(params=params, n=1, replicas=refused, seed=0), statistic)
 
 
 def test_sim_config_validation():
