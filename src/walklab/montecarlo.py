@@ -3,7 +3,8 @@
 Single-path statistics (visit-count spectra, new-maximum counts, maximal
 local and occupation times, heavy-site profiles) come from one path's
 local-time field, counted from the landing sites of its down-steps
-without forming a position (fact (c) below).  `PathReport` keeps that
+without forming a position (fact (c) below), and read from it in one
+pass, _SLICE sites at a time (`_field_pass`).  `PathReport` keeps that
 field, and its (local time, sphere occupation) cloud is derived from it
 when read.  Distributional checks come from ensembles of independent
 replicas.
@@ -86,7 +87,7 @@ _WIDE = 2 * _ROUND + 3  # landing offsets -9..9 of each round code in _LANDS
 _WALK_LANES = 1023  # steps of a path's walk after its horizon per counter_words draw
 _BUDGET_MISS = 1e-18  # chance that a correct replica outruns its step budget
 _WORK_STEPS = 1e9  # steps that the replicas of one escape walk may expect to take in all
-_SLICE = 1 << 16  # sites per slice of the pair sums in _xi_star
+_SLICE = 1 << 16  # sites per slice of the field in simulate_path and _field_pass
 
 
 @dataclass(frozen=True)
@@ -162,6 +163,11 @@ class PathReport:
 
     `counts` is the path's local-time field at the horizon
     (`LocalTimeField.counts`); `cloud` is derived from it on each read.
+    qtilde, xi_max, xi_star and the site variant's heavy set are read in
+    one pass over it (`_field_pass`).  `walk_on_words` and
+    `walk_on_steps` are the RNG words drawn and the steps walked by the
+    path's walk after its horizon (`_walk_on`), its decision step
+    included.
     """
 
     n: int
@@ -173,6 +179,8 @@ class PathReport:
     xi_star: dict  # z -> maximal occupation of a translate of {0, z}
     counts: np.ndarray  # visits to site min_site + i within the horizon
     heavy: dict | None
+    walk_on_words: int
+    walk_on_steps: int
 
     @property
     def cloud(self) -> np.ndarray:
@@ -191,6 +199,8 @@ class PathReport:
             "xi_star": {str(z): int(v) for z, v in self.xi_star.items()},
             "cloud_size": len(self.counts) + 2,
             "heavy": self.heavy,
+            "walk_on_words": self.walk_on_words,
+            "walk_on_steps": self.walk_on_steps,
         }
 
 
@@ -505,10 +515,12 @@ def _escape_visits(
 
 def _walk_on(
     params: WalkParams, seed: int, start: int, first_step: int, min_site: int, hi: int
-) -> np.ndarray:
+) -> tuple[np.ndarray, int, int]:
     """Visits by depth below hi that replica 0 makes at steps >= first_step,
     walked from min_site <= start <= hi to the end of time: entry d counts
-    the visits to hi - d, d <= hi - min_site.
+    the visits to hi - d, d <= hi - min_site.  Returns that tally, the
+    words drawn (lanes + 1 a draw) and the steps walked, the decision
+    step included.
 
     This is the walk of `_escape_visits` for one replica on its own,
     reflected at lo = min_site: a down-step from min_site stays there and
@@ -523,42 +535,66 @@ def _walk_on(
     it raises BudgetError.
     """
     budget = _step_budget(params, hi - start, first_step)
-    x, step, tally = start, first_step, np.zeros(0, dtype=np.int64)
+    x, step, words, tally = start, first_step, 0, np.zeros(0, dtype=np.int64)
     while step < first_step + budget:
         lanes = min(_WALK_LANES, first_step + budget - step)
         w = counter_words(seed, 0, lanes + 1, step)
+        words += lanes + 1
         pos = x + np.cumsum(np.where(_below(w[:lanes], params.p), 1, -1))
         floor = np.maximum.accumulate(min_site - pos)
         pos += np.maximum(floor, 0, out=floor)
         j = int((pos > hi).argmax())  # the first step to hi + 1, when pos[j] > hi
         if pos[j] <= hi:
             visited, x, step = pos, int(pos[-1]), step + lanes
-        elif _below(w[j + 1], params.h):  # back to hi
-            visited, x, step = np.append(pos[:j], hi), hi, step + j + 2
-        else:  # escaped for good: no position left
-            visited, x = pos[:j], None
+        else:
+            step += j + 2  # past the exit step and its decision
+            if _below(w[j + 1], params.h):  # back to hi
+                visited, x = np.append(pos[:j], hi), hi
+            else:  # escaped for good: no position left
+                visited, x = pos[:j], None
         more = np.bincount(hi - visited, minlength=len(tally))
         more[: len(tally)] += tally
         tally = more
         if x is None:
-            return tally
+            return tally, words, step - first_step
     raise BudgetError(f"escape not reached within {budget} steps")
 
 
-def _xi_star(counts: np.ndarray, z: int) -> int:
-    """Max occupation of a translate {s, s + z} of {0, z} given dense
-    counts: both sites in the range, or only the lower (counts[-z:]) or
-    only the upper one (counts[:z]).  The pairs are summed _SLICE at a
-    time into one scratch array, not into a temporary of the range's
-    size."""
-    pairs = len(counts) - z
-    scratch = np.empty(min(_SLICE, max(pairs, 0)), dtype=counts.dtype)
-    both = 0
-    for s in range(0, pairs, _SLICE):
-        e = min(s + _SLICE, pairs)
-        out = np.add(counts[s + z : e + z], counts[s:e], out=scratch[: e - s])
-        both = max(both, int(out.max()))
-    return int(max(both, counts[:z].max(), counts[-z:].max()))
+def _field_pass(
+    counts: np.ndarray, xi_star_z: tuple[int, ...], threshold: float
+) -> tuple[np.ndarray, dict, np.ndarray]:
+    """Qtilde, Xi* of each {0, z} and the sites whose count clears
+    `threshold`, read from dense counts in one pass, _SLICE sites at a
+    time, so that each slice is read from memory once.
+
+    Each slice's bincount is added into the running spectrum; its length
+    is the slice's max + 1.  The pair sums counts[s + z] + counts[s] of
+    the starts s in the slice go into one scratch array.  A slice whose
+    max clears the threshold is scanned for its heavy sites.  The
+    translates with only the lower (counts[-z:]) or only the upper site
+    (counts[:z]) in the range come last.
+    """
+    size = len(counts)
+    spectrum = np.zeros(0, dtype=np.intp)
+    xi_star = dict.fromkeys(xi_star_z, 0)
+    scratch = np.empty(min(_SLICE, size), dtype=counts.dtype)
+    heavy = [np.zeros(0, dtype=np.intp)]
+    for s in range(0, size, _SLICE):
+        part = counts[s : s + _SLICE]
+        bins = np.bincount(part)
+        if len(bins) - 1 >= threshold:
+            heavy.append(np.flatnonzero(part >= threshold) + s)
+        if len(bins) > len(spectrum):
+            spectrum, bins = bins, spectrum
+        spectrum[: len(bins)] += bins
+        for z in xi_star:
+            e = min(s + len(part), size - z)  # pairs start below size - z
+            if e > s:
+                pairs = np.add(counts[s + z : e + z], counts[s:e], out=scratch[: e - s])
+                xi_star[z] = max(xi_star[z], int(pairs.max()))
+    for z in xi_star:
+        xi_star[z] = max(xi_star[z], int(counts[:z].max()), int(counts[-z:].max()))
+    return spectrum, xi_star, np.concatenate(heavy)
 
 
 def _cloud(counts: np.ndarray, n: int) -> np.ndarray:
@@ -573,24 +609,18 @@ def _cloud(counts: np.ndarray, n: int) -> np.ndarray:
     return cloud
 
 
-def heavy_deviation(
-    params: WalkParams, counts: np.ndarray, n: int, heavy: HeavyPointConfig
-) -> dict:
-    """Worst relative deviation of the local-time profile around sites
-    whose visit count clears the heaviness threshold.
+def _heavy_threshold(params: WalkParams, n: int, heavy: HeavyPointConfig) -> float:
+    """The count (1 - delta_n) * lambda0 * log n that a heavy site reaches."""
+    return (1.0 - heavy.delta_n) * (params.lambda0 * math.log(n))
 
-    `counts` are dense visit counts of consecutive sites, such as
-    `LocalTimeField.counts` at horizon n; `path_report` also applies this
-    to the path's total counts.  The window is |z| <= c * log log n, at
-    least one site, with c = 1 / (2 max(1, alpha)), alpha = log(1/h): the
-    profile result needs alpha * c < 1.  Its radius is 1 for every
-    n < e^(e^4), about 5 * 10^23.
-    """
+
+def _heavy_profile(params: WalkParams, counts: np.ndarray, n: int, heavy_idx) -> dict:
+    """Worst relative deviation of the profile of `counts` around the
+    heavy sites `heavy_idx` (indices into counts) from m(z) lambda0 log n,
+    over the window of `heavy_deviation`."""
     c = 0.5 / max(1.0, -params.log_h)
     rate_log_n = params.lambda0 * math.log(n)
-    threshold = (1.0 - heavy.delta_n) * rate_log_n
     radius = max(1, int(c * math.log(max(math.log(n), math.e))))
-    heavy_idx = np.flatnonzero(counts >= threshold)
     if len(heavy_idx) == 0:
         return {"set_size": 0, "deviation": None, "radius": radius}
     # the counts in a window around each heavy site; sites off the range have 0
@@ -605,44 +635,75 @@ def heavy_deviation(
     return {"set_size": int(len(heavy_idx)), "deviation": worst, "radius": radius}
 
 
+def heavy_deviation(
+    params: WalkParams, counts: np.ndarray, n: int, heavy: HeavyPointConfig
+) -> dict:
+    """Worst relative deviation of the local-time profile around sites
+    whose visit count clears the heaviness threshold, at horizon n >= 2.
+
+    `counts` are dense visit counts of consecutive sites, such as
+    `LocalTimeField.counts` at horizon n.  This scans all of them for the
+    heavy sites; `path_report` takes its site variant's heavy set from
+    its one pass over the field instead, and the path variant's from that
+    set and the sites its walk after the horizon raises.  The window is
+    |z| <= c * log log n, at least one site, with c = 1 / (2 max(1,
+    alpha)), alpha = log(1/h): the profile result needs alpha * c < 1.
+    Its radius is 1 for every n < e^(e^4), about 5 * 10^23.
+    """
+    if n < 2:
+        raise ValidationError(f"heavy_deviation needs n >= 2 (log n > 0), got {n}")
+    heavy_idx = np.flatnonzero(counts >= _heavy_threshold(params, n, heavy))
+    return _heavy_profile(params, counts, n, heavy_idx)
+
+
 def path_report(config: SimConfig, xi_star_z: tuple[int, ...] = (1,)) -> PathReport:
     """All single-path statistics of one path of length config.n >= 2,
-    read from its local-time field (the rates are per log n).
+    read from its local-time field (the rates are per log n).  Each
+    distance in `xi_star_z` is an integer >= 1.
 
-    The horizon's statistics are read first.  eta_max and the path
-    variant read the total counts: the path walks on alone, reflected at
-    its lowest site, until it escapes for good (`_walk_on`).  That walk's
-    tally of visits by depth below the path's maximum is added into the
-    field in place, read, and taken out again, so no copy of the field is
-    made and `PathReport.counts` is the field at the horizon.
+    The horizon's statistics are read in one pass over the field
+    (`_field_pass`), which also finds the site variant's heavy sites.
+    eta_max and the path variant read the total counts: the path walks on
+    alone, reflected at its lowest site, until it escapes for good
+    (`_walk_on`).  That walk's tally of visits by depth below the path's
+    maximum is added into the field in place, read, and taken out again,
+    so no copy of the field is made and `PathReport.counts` is the field
+    at the horizon.  The tally only raises the sites it covers, so the
+    path variant's heavy set is the site variant's joined with those of
+    them that clear the threshold, and the field is not scanned again.
     """
     if config.n < 2:
         raise ValidationError(f"path_report needs n >= 2, got {config.n}")
-    if any(z < 1 for z in xi_star_z):
-        raise ValidationError(f"xi_star_z must hold distances >= 1, got {xi_star_z}")
+    if not all(isinstance(z, numbers.Integral) and z >= 1 for z in xi_star_z):
+        raise ValidationError(f"xi_star_z must hold integer distances >= 1, got {xi_star_z}")
     params, n, seed, heavy = config.params, config.n, config.seed, config.heavy
     field_ = simulate_path(params, n, seed)
     counts, lo = field_.counts, field_.min_site
-    qtilde, xi_max = field_.spectrum(), int(counts.max())
-    xi_star = {z: _xi_star(counts, z) for z in xi_star_z}
+    threshold = math.inf if heavy is None else _heavy_threshold(params, n, heavy)
+    qtilde, xi_star, heavy_idx = _field_pass(counts, tuple(int(z) for z in xi_star_z), threshold)
+    xi_max = len(qtilde) - 1
     profiles = {}
     if heavy is not None:
-        profiles["site_variant"] = heavy_deviation(params, counts, n, heavy)
+        profiles["site_variant"] = _heavy_profile(params, counts, n, heavy_idx)
 
     # the same walk after the horizon: replica 0 from step n, a stream
     # independent of the path's (see `rng`).  Its visits are to sites of
     # the range, all on the path by fact (a); `top`, the field by depth
     # below max_site, is a view, so the tally goes in and out in place.
-    tally = _walk_on(params, seed, field_.final_position, n, lo, field_.max_site)
+    tally, words, steps = _walk_on(params, seed, field_.final_position, n, lo, field_.max_site)
     top = counts[::-1][: len(tally)]
     top += tally
     eta_max = max(xi_max, int(top.max(initial=0)))  # the tally raises only `top`
     if heavy is not None:
-        profiles["path_variant"] = heavy_deviation(params, counts, n, heavy)
+        raised = len(counts) - 1 - np.flatnonzero(top >= threshold)
+        profiles["path_variant"] = _heavy_profile(
+            params, counts, n, np.union1d(heavy_idx, raised)
+        )
     top -= tally
     return PathReport(
         n=n, seed=seed, qtilde=qtilde, nu_n=field_.new_maxima(), xi_max=xi_max,
         eta_max=eta_max, xi_star=xi_star, counts=counts, heavy=profiles or None,
+        walk_on_words=words, walk_on_steps=steps,
     )
 
 

@@ -129,6 +129,8 @@ def test_path_report_matches_recorded_values(key):
     cloud = np.ascontiguousarray(rep.cloud, dtype="<f8").tobytes()
     assert hashlib.sha256(cloud).hexdigest()[:16] == digest
     assert rep.heavy == profiles
+    assert 0 < rep.walk_on_steps <= rep.walk_on_words
+    assert rep.to_dict()["walk_on_steps"] == rep.walk_on_steps
 
 
 PATH_NS = (1, 2, 63, 64, 65, 65535, 65536, 65537, 3 * 65536 + 5)
@@ -267,8 +269,9 @@ def test_path_facts_on_short_paths(p, n, seed):
     assert len(field.counts) == field.max_site - field.min_site + 1
     assert (field.counts > 0).all()
     assert field.spectrum()[0] == 0
-    for z in (1, 2, 3, 5, 9):
-        assert mc._xi_star(field.counts, z) == _reference_xi_star(field.counts, z)
+    zs = (1, 2, 3, 5, 9)
+    _, xi_star, _ = mc._field_pass(field.counts, zs, math.inf)
+    assert xi_star == {z: _reference_xi_star(field.counts, z) for z in zs}
     assert np.array_equal(mc._cloud(field.counts, n), _reference_cloud(field.counts, n))
     heavy = mc.HeavyPointConfig(delta_n=0.5)
     rate_log_n = params.lambda0 * math.log(n)
@@ -279,20 +282,71 @@ def test_path_facts_on_short_paths(p, n, seed):
         )
 
 
-def test_xi_star_over_several_slices():
-    """The sliced pair sums equal the padded definition on a range of
-    more than two slices, for z around one slice and the range length."""
+def test_field_pass_over_several_slices():
+    """The sliced pass equals each statistic's whole-array definition on
+    a range of more than two slices: the spectrum is np.bincount of the
+    counts, dtype included; the pair sums are the padded definition for z
+    around one slice and the range length; and the heavy sites are
+    np.flatnonzero(counts >= threshold) with no heavy site at all, and
+    with one at the first or last entry of a slice."""
     counts = mc.simulate_path(P75, 300_000, 5).counts
     size, w = len(counts), mc._SLICE
     assert size > 2 * w
-    for z in (1, 2, 3, 9, w - 1, w, w + 1, size - 1, size, size + 1):
-        assert mc._xi_star(counts, z) == _reference_xi_star(counts, z)
-    # the heaviest pair starts at the last or first entry of a slice
-    for start in (w - 1, w, 2 * w - 1):
+    zs = (1, 2, 3, 9, w - 1, w, w + 1, size - 1, size, size + 1)
+    spectrum, xi_star, heavy = mc._field_pass(counts, zs, math.inf)
+    expected = np.bincount(counts)
+    assert spectrum.dtype == expected.dtype and np.array_equal(spectrum, expected)
+    assert xi_star == {z: _reference_xi_star(counts, z) for z in zs}
+    assert len(heavy) == 0
+    for threshold in (counts.max() + 0.5, counts.max() - 0.5, 3.7):
+        _, _, heavy = mc._field_pass(counts, (), threshold)
+        assert np.array_equal(heavy, np.flatnonzero(counts >= threshold))
+    # the heaviest pair starts, and the heavy site sits, at the last or
+    # first entry of a slice
+    for start in (0, w - 1, w, 2 * w - 1, 3 * w + 4):
+        spiked = np.ones(3 * w + 5, dtype=np.int64)
+        spiked[start] = 10
+        spectrum, _, heavy = mc._field_pass(spiked, (), 9.5)
+        assert spectrum.tolist() == [0, len(spiked) - 1] + [0] * 8 + [1]
+        assert heavy.tolist() == [start]
         for z in (1, w):
-            spiked = np.ones(3 * w + 5, dtype=np.int64)
-            spiked[[start, start + z]] = 10
-            assert mc._xi_star(spiked, z) == _reference_xi_star(spiked, z) == 20
+            if start + z < len(spiked):
+                spiked[start + z] = 10
+                _, xi_star, _ = mc._field_pass(spiked, (z,), math.inf)
+                assert xi_star[z] == _reference_xi_star(spiked, z) == 20
+                spiked[start + z] = 1
+
+
+def test_path_variant_joins_the_sites_the_tally_raises(monkeypatch):
+    """The path variant's heavy set is the site variant's and the sites
+    that clear the threshold only once the walk after the horizon is
+    added in.  A hand-built field has a site heavy at the horizon far
+    below the top and one raised over the threshold by the tally; the
+    profile sees both, in a field of more than two slices."""
+    params, n, heavy = P75, 10**6, mc.HeavyPointConfig()
+    threshold = mc._heavy_threshold(params, n, heavy)
+    level = math.ceil(threshold)
+    counts = np.ones(2 * mc._SLICE + 7, dtype=np.int64)
+    counts[mc._SLICE] = level  # heavy at the horizon
+    counts[-3] = level - 1  # heavy once the tally's one visit to it is in
+    field = mc.LocalTimeField(
+        counts=counts, min_site=-len(counts) + 1, max_site=0, n=n, final_position=0
+    )
+    tally = np.array([1, 0, 1, 4])  # by depth below max_site
+    monkeypatch.setattr(mc, "simulate_path", lambda *args: field)
+    monkeypatch.setattr(mc, "_walk_on", lambda *args: (tally, 2048, 40))
+    rep = mc.path_report(mc.SimConfig(params=params, n=n, seed=0, heavy=heavy))
+    totals = counts.copy()
+    totals[::-1][: len(tally)] += tally
+    assert np.array_equal(rep.counts, field.counts)
+    assert rep.heavy["site_variant"] == mc.heavy_deviation(params, counts, n, heavy)
+    assert rep.heavy["path_variant"] == mc.heavy_deviation(params, totals, n, heavy)
+    assert (rep.heavy["site_variant"]["set_size"], rep.heavy["path_variant"]["set_size"]) == (
+        1, 2,
+    )
+    assert (rep.xi_max, rep.eta_max, rep.walk_on_words, rep.walk_on_steps) == (
+        level, level, 2048, 40,
+    )
 
 
 def test_path_continuation_is_replica_0_from_step_n(monkeypatch):
@@ -517,12 +571,18 @@ def test_sim_config_validation():
             mc.SimConfig(params=P75, **kwargs)
     with pytest.raises(ValidationError):
         mc.simulate_path(P75, 0, 0)
-    for z in (0, -1):
-        with pytest.raises(ValidationError):
+    for z in (0, -1, 1.5, "1"):
+        with pytest.raises(ValidationError, match="integer distances >= 1"):
             mc.path_report(mc.SimConfig(params=P75, n=10, seed=0), xi_star_z=(1, z))
+    # an integer of any type is a distance, kept as an int key
+    rep = mc.path_report(mc.SimConfig(params=P75, n=10, seed=0), xi_star_z=(np.int64(2),))
+    assert [type(z) for z in rep.xi_star] == [int]
     # the cloud and heavy profiles divide by log n
     with pytest.raises(ValidationError, match="n >= 2"):
         mc.path_report(mc.SimConfig(params=P75, n=1, seed=0))
+    for n in (1, 0, -5):
+        with pytest.raises(ValidationError, match="n >= 2"):
+            mc.heavy_deviation(P75, np.ones(3, dtype=np.int64), n, mc.HeavyPointConfig())
     with pytest.raises(ValidationError):
         mc.HeavyPointConfig(delta_n=1.5)
 
@@ -784,17 +844,35 @@ def test_escape_visits_match_the_reference(monkeypatch, p, start, first_step, lo
 def test_walk_on_matches_the_reference(monkeypatch, p, start, first_step, lo, hi):
     """The path's walk after its horizon is replica 0 of the cumsum walk
     of escaperef.py: its tally by depth below hi counts the same visits
-    to the sites >= lo, whatever the draw size, with exits at the last
-    lane of a draw (1 and 7 lanes) and draws across a 2^16-step block
-    edge.  At p = 0.501 a walk of 1-step draws costs about 0.1 ms a step;
+    to the sites >= lo and it walks the same steps, drawing at least one
+    word a step, whatever the draw size, with exits at the last lane of a
+    draw (1 and 7 lanes) and draws across a 2^16-step block edge.  At p = 0.501 a walk of 1-step draws costs about 0.1 ms a step;
     with seed 1 these walks take 12,000-18,000 steps."""
     params, seed = make_params(p), 1
-    _, sites, _, _ = reference_escape(params, seed, [0], start, first_step, lo, hi)
+    _, sites, _, ref_steps = reference_escape(params, seed, [0], start, first_step, lo, hi)
     expected = np.bincount(hi - sites[sites >= lo])
     for lanes in (1, 7, 1023):
         monkeypatch.setattr(mc, "_WALK_LANES", lanes)
-        got = mc._walk_on(params, seed, start, first_step, lo, hi)
+        got, words, steps = mc._walk_on(params, seed, start, first_step, lo, hi)
         assert np.array_equal(got, expected), lanes
+        assert steps == ref_steps <= words
+
+
+def test_walk_on_counts_an_escape_at_its_first_step(monkeypatch):
+    """A walk from hi whose first step goes up and whose decision says
+    escape has visited nothing and walked two steps, the exit and its
+    decision, in one draw: its step budget at p = 0.75 (319 steps) is
+    shorter than _WALK_LANES, so the draw holds 319 + 1 words."""
+
+    def up_then_escape(seed, replica, lanes, step=0):
+        words = np.full(lanes, 2**64 - 1, dtype=np.uint64)
+        words[0] = 0  # below p: up to hi + 1; the next word is above h
+        return words
+
+    monkeypatch.setattr(mc, "counter_words", up_then_escape)
+    tally, words, steps = mc._walk_on(P75, 0, 3, 100, -2, 3)
+    assert mc._step_budget(P75, 0, 100) == 319 < mc._WALK_LANES
+    assert (tally.tolist(), words, steps) == ([], 320, 2)
 
 
 def test_walk_on_memory_stays_flat_until_its_budget(monkeypatch):
