@@ -846,8 +846,9 @@ def test_walk_on_matches_the_reference(monkeypatch, p, start, first_step, lo, hi
     of escaperef.py: its tally by depth below hi counts the same visits
     to the sites >= lo and it walks the same steps, drawing at least one
     word a step, whatever the draw size, with exits at the last lane of a
-    draw (1 and 7 lanes) and draws across a 2^16-step block edge.  At p = 0.501 a walk of 1-step draws costs about 0.1 ms a step;
-    with seed 1 these walks take 12,000-18,000 steps."""
+    draw (1 and 7 lanes) and draws across a 2^16-step block edge.  At
+    p = 0.501 a walk of 1-step draws costs about 0.1 ms a step; with seed
+    1 these walks take 12,000-18,000 steps."""
     params, seed = make_params(p), 1
     _, sites, _, ref_steps = reference_escape(params, seed, [0], start, first_step, lo, hi)
     expected = np.bincount(hi - sites[sites >= lo])
