@@ -15,7 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ValidationError
+from .errors import ValidationError, require_integers
 from .model import WalkParams
 from .genfunc import ball_gf
 
@@ -238,8 +238,7 @@ def boundary_polyline(params: WalkParams, gridsize: int) -> list[tuple[float, fl
 
     Rows are (x, y, branch), ready for CSV emission.
     """
-    if gridsize < 2:
-        raise ValidationError(f"gridsize must be >= 2, got {gridsize}")
+    require_integers(2, gridsize=gridsize)
     xmax = params.lambda0
     xs = [xmax * (i / (gridsize - 1)) for i in range(gridsize)]  # never past xmax
     lower: list[tuple[float, float, str]] = []

@@ -14,7 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DomainError, ValidationError
+from .errors import DomainError, ValidationError, require_integers
 from .model import WalkParams
 
 __all__ = [
@@ -94,8 +94,7 @@ def _log_binom(n: float, k: float) -> float:
 
 def first_return_pmf(params: WalkParams, n: int) -> float:
     """P(first return to the origin happens exactly at step 2n)."""
-    if n < 1:
-        raise ValidationError(f"n must be >= 1, got {n}")
+    require_integers(1, n=n)
     p, q = params.p, params.q
     log_mass = (
         _log_binom(2 * n, n) - math.log(2 * n - 1) + n * math.log(p * q)
@@ -111,8 +110,7 @@ def return_tail(params: WalkParams, n: int) -> tuple[float, float, float]:
     return mass 2q minus the partial sum of the return-time pmf, not as
     an asymptotic bound.
     """
-    if n < 1:
-        raise ValidationError(f"n must be >= 1, got {n}")
+    require_integers(1, n=n)
     q = params.q
     partial = sum(first_return_pmf(params, m) for m in range(1, (n - 1) // 2 + 1))
     tail = 2.0 * q - partial
@@ -144,8 +142,8 @@ def local_time_pmf(params: WalkParams, z: int, kmax: int) -> PmfTable:
     Geometric with ratio 2q; sites below the start carry an extra atom at
     zero (the walk may escape without ever reaching them).
     """
-    if kmax < 0:
-        raise ValidationError(f"kmax must be >= 0, got {kmax}")
+    require_integers(z=z)
+    require_integers(0, kmax=kmax)
     q = params.q
     r = 2.0 * q
     if z == 0:
@@ -177,8 +175,7 @@ def gambler_ruin(params: WalkParams, a: int, b: int, c: int) -> float:
 
 def excursion_law(params: WalkParams, z: int) -> ExcursionLaw:
     """Hit-before-return probabilities for the level z > 0."""
-    if z < 1:
-        raise ValidationError(f"z must be a positive integer, got {z}")
+    require_integers(1, z=z)
     pz = params.gamma0 / -math.expm1(z * params.log_h)
     return ExcursionLaw(z=z, pz=pz, qz=1.0 - pz)
 
@@ -202,6 +199,7 @@ def excursion_visits_pmf(params: WalkParams, z: int, jmax: int) -> tuple[PmfTabl
     no-return branch starts at one visit: a walk that escapes to the
     right passes +z.
     """
+    require_integers(0, jmax=jmax)
     law = excursion_law(params, z)
     pz, qz = law.pz, law.qz
     hz = params.h ** z
@@ -279,6 +277,7 @@ def two_point_occupation_pmf(
     """
     if side not in ("pos", "neg"):
         raise ValidationError(f"side must be 'pos' or 'neg', got {side!r}")
+    require_integers(0, kmax=kmax)
     a, b = params.two_point_bases(z)
     s = math.exp(0.5 * z * params.log_h)
     gamma0 = params.gamma0
@@ -358,8 +357,7 @@ def sphere_occupation_pmf(params: WalkParams, Lmax: int) -> PmfTable:
     Geometric with ratio r = q(1 + 2p); since 1 - r = p gamma0 exactly,
     the tail beyond Lmax is r^Lmax.
     """
-    if Lmax < 1:
-        raise ValidationError(f"Lmax must be >= 1, got {Lmax}")
+    require_integers(1, Lmax=Lmax)
     p, q = params.p, params.q
     gamma0 = params.gamma0
     r = q + 2.0 * p * q
@@ -376,8 +374,7 @@ def ball_occupation_pmf(params: WalkParams, lmax: int) -> PmfTable:
     The bases satisfy (1 - b_hi)(1 - b_lo) = p gamma0, and 1 - b_lo > 1
     does not cancel, so the tail takes 1 - b_hi from that product.
     """
-    if lmax < 1:
-        raise ValidationError(f"lmax must be >= 1, got {lmax}")
+    require_integers(1, lmax=lmax)
     p, q = params.p, params.q
     gamma0, beta = params.gamma0, params.beta
     b_hi = q * (1.0 + beta) / 2.0

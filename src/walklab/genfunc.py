@@ -13,7 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ValidationError
+from .errors import ValidationError, require_integers
 from .model import WalkParams
 from .closedform import excursion_law
 
@@ -46,8 +46,7 @@ def series_coeffs(gf: RationalGF, K: int) -> np.ndarray:
     probability generating functions built here decay geometrically, so
     plain double precision is monitored but never log-scaled.
     """
-    if K < 0:
-        raise ValidationError(f"K must be >= 0, got {K}")
+    require_integers(0, K=K)
     if K > MAX_SERIES_TERMS:
         raise ValidationError(f"K={K} exceeds the series cap {MAX_SERIES_TERMS}")
     num = np.asarray(gf.num, dtype=np.float64)

@@ -14,7 +14,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from .errors import ValidationError
+from .errors import ValidationError, require_integers
 
 __all__ = ["WalkParams", "make_params"]
 
@@ -67,8 +67,7 @@ class WalkParams:
     def two_point_bases(self, z: int) -> tuple[float, float]:
         """Geometric bases (2q + s)/(1 + s) and (2q - s)/(1 - s), s = h^(z/2),
         of the two-point occupation law for {0, +/-z}."""
-        if z < 1:
-            raise ValidationError(f"z must be a positive integer, got {z}")
+        require_integers(1, z=z)
         q = self.q
         s = math.exp(0.5 * z * self.log_h)
         return (2.0 * q + s) / (1.0 + s), (2.0 * q - s) / (1.0 - s)

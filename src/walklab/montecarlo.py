@@ -63,7 +63,7 @@ from dataclasses import asdict, dataclass
 
 import numpy as np
 
-from .errors import BudgetError, ValidationError
+from .errors import BudgetError, ValidationError, require_integers
 from .model import WalkParams
 from .closedform import excursion_mean_visits
 from .rng import BLOCK_LANES, _below, _walker_words, counter_words, path_step_bits
@@ -115,14 +115,8 @@ class SimConfig:
     heavy: HeavyPointConfig | None = None
 
     def __post_init__(self):
-        for name in ("n", "replicas", "seed"):
-            value = getattr(self, name)
-            if not isinstance(value, numbers.Integral):
-                raise ValidationError(f"{name} must be an integer, got {value!r}")
-        if self.n < 1:
-            raise ValidationError(f"n must be >= 1, got {self.n}")
-        if self.replicas < 1:
-            raise ValidationError(f"replicas must be >= 1, got {self.replicas}")
+        require_integers(1, n=self.n, replicas=self.replicas)
+        require_integers(seed=self.seed)
 
 
 @dataclass(frozen=True)
@@ -213,10 +207,11 @@ class EnsembleReport:
     truncation bias, only sampling error.  `words` is the number of RNG
     words the replicas drew and `steps` the number of steps they walked
     in the walk reflected at the lowest tracked site (`_escape_visits`),
-    decision steps included.  A decision read from a word its round
-    already drew costs no word, so words - steps is the number of lanes
-    drawn past an exit, less one admission step for each replica that
-    starts below the lowest tracked site.
+    decision steps included.  Each round of a walker draws its 8 steps
+    and the word after them, which decides an exit at the round's last
+    step, so `words` is 9 per walker and round, plus one for each replica
+    that starts above the highest tracked site and is decided on
+    admission.
     """
 
     statistic: str
@@ -244,8 +239,8 @@ def simulate_path(params: WalkParams, n: int, seed: int) -> LocalTimeField:
     then takes the one below it in place, _SLICE sites at a time from the
     top down, with no second array of the range's size; c(s) comes last.
     """
-    if n < 1:
-        raise ValidationError(f"n must be >= 1, got {n}")
+    require_integers(1, n=n)
+    require_integers(seed=seed)
     chunk, landings, downs = _PATH_BLOCKS * BLOCK_LANES, [], 0
     for first in range(0, n, chunk):
         size = min(chunk, n - first)
@@ -400,23 +395,21 @@ def _escape_visits(
     keeps a stream key and the key block it was made for (none on
     admission), and `rng._walker_words` makes the key again whenever the
     walker's step has left that block.  Each round, every walker draws
-    the next `_ROUND` words of its stream into buffers made once per
-    call.  A round's up-steps are packed into one byte per walker; with
-    the walker's headroom hi - x and depth x - lo it makes the round's
-    code, from which `_USED` reads how far the walker goes, `_OFFSET`
-    where it ends and `_LANDS` how many of its steps land on each tracked
-    site.  Every exit is decided in the round that reaches it, so each
-    walker starts a round on lo..hi: a walker that steps to hi + 1 at
-    lane j < `_ROUND` - 1 is decided by lane j + 1 of the round, and one
-    that does so at the last lane by one more word of its stream.  The
-    slots of finished walkers take the next replicas, so the rounds stay
-    full until they run out; then walkers from the end of the pool move
-    into the free slots.
+    the next `_ROUND` + 1 words of its stream, its steps and the word
+    after them, into buffers made once per call.  A round's up-steps are
+    packed into one byte per walker; with the walker's headroom hi - x
+    and depth x - lo it makes the round's code, from which `_USED` reads
+    how far the walker goes, `_OFFSET` where it ends and `_LANDS` how
+    many of its steps land on each tracked site.  A walker that steps to
+    hi + 1 at lane j is decided by lane j + 1 of the same round, so every
+    exit is decided in the round that reaches it and each walker starts
+    a round on lo..hi.  The slots of finished walkers take the next
+    replicas, so the rounds stay full until they run out; then walkers
+    from the end of the pool move into the free slots.
 
-    Returns the words drawn, so a decision read from its round costs
-    none, and the steps of the reflected walk, decision and admission
-    steps included: words - steps is the number of lanes drawn past an
-    exit, less the admission steps below lo.  A call whose replicas
+    Returns the words drawn, `_ROUND` + 1 per walker and round and one
+    per replica admitted from above hi, and the steps of the reflected
+    walk, decision and admission steps included.  A call whose replicas
     expect more than `_WORK_STEPS` steps in all (`_expected_steps`)
     raises BudgetError before any walking, and so does a replica still
     walking after `_step_budget` steps.
@@ -441,10 +434,11 @@ def _escape_visits(
     key = np.empty(size, dtype=np.uint64)  # its stream key
     block = np.empty_like(rows)  # the key block that key was made for
     count = np.empty_like(rows)  # and the walker's visits so far
-    # one round's words, the mix's scratch space and the up-steps, lane by
-    # lane (lane j of slot i at [j, i]), in whole 8-slot columns
+    # one round's words (its steps and the word after them), the mix's
+    # scratch space and the up-steps, lane by lane (lane j of slot i at
+    # [j, i]), in whole 8-slot columns
     cols = -(-size // 8) * 8
-    drawn = np.empty((_ROUND, cols), dtype=np.uint64)
+    drawn = np.empty((_ROUND + 1, cols), dtype=np.uint64)
     scratch = np.empty_like(drawn)
     up_steps = np.zeros((_ROUND, cols), dtype=bool)
     free = rows[:0]  # slots of finished walkers
@@ -476,7 +470,7 @@ def _escape_visits(
         w = drawn[:, :n].T  # lane j of slot i at [i, j]
         _walker_words(seed, rows[:n], step[:n], key[:n], block[:n], w, scratch[:, :n].T)
         words += w.size
-        _below(w, p, out=up_steps[:, :n].T)
+        _below(w[:, :_ROUND], p, out=up_steps[:, :n].T)
         # byte i of a row's word j is lane j of slot i: shifted by j and or-ed
         # over the lanes, byte i is the byte of slot i's up-steps
         bits = up_steps[:, : -(-n // 8) * 8].view("<u8") << _LANE_SHIFTS
@@ -493,16 +487,7 @@ def _escape_visits(
         step[:n] += used
         rise -= _OFFSET[code]
         out = np.flatnonzero(used < _ROUND)  # stepped to hi + 1 at lane used[out]
-        j = used[out] + 1  # the decision's lane in the round; _ROUND lies past it
-        last = j == _ROUND
-        decision = w[out, np.minimum(j, _ROUND - 1)]
-        if last.any():  # left at the last lane: one more word, of the decision step
-            late = out[last]
-            word = np.empty((len(late), 1), np.uint64)
-            _walker_words(seed, rows[late], step[late] + 1, key[late], block[late], word)
-            decision[last] = word[:, 0]
-            words += len(late)
-        back = _below(decision, h)
+        back = _below(w[out, used[out] + 1], h)  # the decision, the next lane
         step[out] += 2  # past the exit step and its decision
         back, free = out[back], out[~back]
         count[back] += 1
@@ -529,29 +514,33 @@ def _walk_on(
     reflected positions of a draw are its free positions plus the positive
     part of the running maximum of min_site - pos.  Each `counter_words`
     draw holds `_WALK_LANES` steps and one more word, so an exit at the
-    last lane reads its decision from the same draw.  Each draw's visits
-    are added into the tally, which grows only with the depth the walk
-    reaches.  The walk never passes first_step + `_step_budget`; reaching
-    it raises BudgetError.
+    last lane reads its decision from the same draw, and after a return
+    the walk goes on from hi with the draw's next lane: a draw is made
+    only once the last one's lanes are spent.  The visits are added into
+    the tally, which grows only with the depth the walk reaches.  The
+    walk never passes first_step + `_step_budget`; reaching it raises
+    BudgetError.
     """
     budget = _step_budget(params, hi - start, first_step)
     x, step, words, tally = start, first_step, 0, np.zeros(0, dtype=np.int64)
+    lane = lanes = 0  # the draw's next lane and its steps
     while step < first_step + budget:
-        lanes = min(_WALK_LANES, first_step + budget - step)
-        w = counter_words(seed, 0, lanes + 1, step)
-        words += lanes + 1
-        pos = x + np.cumsum(np.where(_below(w[:lanes], params.p), 1, -1))
+        if lane >= lanes:  # the draw's lanes are spent
+            lane, lanes = 0, min(_WALK_LANES, first_step + budget - step)
+            w = counter_words(seed, 0, lanes + 1, step)
+            words += lanes + 1
+            up = np.where(_below(w[:lanes], params.p), 1, -1)
+        pos = x + np.cumsum(up[lane:])
         floor = np.maximum.accumulate(min_site - pos)
         pos += np.maximum(floor, 0, out=floor)
         j = int((pos > hi).argmax())  # the first step to hi + 1, when pos[j] > hi
         if pos[j] <= hi:
-            visited, x, step = pos, int(pos[-1]), step + lanes
-        else:
-            step += j + 2  # past the exit step and its decision
-            if _below(w[j + 1], params.h):  # back to hi
-                visited, x = np.append(pos[:j], hi), hi
-            else:  # escaped for good: no position left
-                visited, x = pos[:j], None
+            visited, x, used = pos, int(pos[-1]), len(pos)
+        elif _below(w[lane + j + 1], params.h):  # back to hi, from where it walks on
+            visited, x, used = np.append(pos[:j], hi), hi, j + 2
+        else:  # escaped for good: no position left
+            visited, x, used = pos[:j], None, j + 2
+        lane, step = lane + used, step + used  # an exit uses its step and its decision's
         more = np.bincount(hi - visited, minlength=len(tally))
         more[: len(tally)] += tally
         tally = more

@@ -20,7 +20,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import BudgetError, ValidationError
+from .errors import BudgetError, ValidationError, require_integers
 from .model import WalkParams
 
 __all__ = [
@@ -59,8 +59,8 @@ class Functional:
     def __post_init__(self):
         if not self.sites:
             raise ValidationError("site list must be nonempty")
-        if self.cap < 1:
-            raise ValidationError(f"cap must be >= 1, got {self.cap}")
+        require_integers(**{f"sites[{i}]": s for i, s in enumerate(self.sites)})
+        require_integers(1, cap=self.cap)
         object.__setattr__(self, "sites", tuple(sorted(set(self.sites))))
 
 
@@ -168,6 +168,7 @@ def enumerate_paths(params: WalkParams, n: int, functionals) -> JointLaw:
     entry of the law is then a sum over u = 0..n of p^u q^(n-u) times
     the number of paths with u ups landing in that entry.
     """
+    require_integers(n=n)
     if n < 1 or n > ENUM_MAX_STEPS:
         raise ValidationError(f"enumeration requires 1 <= n <= {ENUM_MAX_STEPS}, got {n}")
     fns = _validate_functionals(functionals)
@@ -239,6 +240,7 @@ def dp_law(params: WalkParams, n: int, functionals) -> JointLaw:
     sends mass out at every other step and takes returns at the steps
     between, each a single matrix-vector product over the stored exits.
     """
+    require_integers(n=n)
     if n < 1 or n > DP_MAX_STEPS:
         raise ValidationError(f"DP requires 1 <= n <= {DP_MAX_STEPS}, got {n}")
     fns = _validate_functionals(functionals)

@@ -31,11 +31,11 @@ per step: each walker of an escape pool draws the next 8 steps of its
 own stream per round, and at so few steps per walker the per-plane work
 costs more than the words it saves (bit-sliced ensemble prototypes were
 1.5-2x slower).  An escape decision reads the word of its step like any
-other step: an ensemble walker takes it from its round when the round
-drew it, and otherwise draws that one word through `_walker_words` in
-the same round; the walk after a path's horizon draws its steps with
-`counter_words` one word past each batch, so a decision at the batch's
-last step is in the same draw.
+other step, and both escape walks draw one word past their steps, so
+every decision is in the draw that holds its exit: an ensemble walker
+draws 9 words a round, its 8 steps and the word after them, and the
+walk after a path's horizon draws its steps with `counter_words` one
+word past each batch.
 """
 
 from __future__ import annotations

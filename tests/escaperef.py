@@ -5,8 +5,9 @@ each 8-step round from byte tables.  This reference walks all replicas
 of a list together until the last has escaped, and reads each round
 with a cumulative sum, a running minimum for the reflection at lo and a
 running maximum for the exit over the (replicas, 8) steps, in the same
-rounds of the same streams.  A decision whose step lies inside the
-round just drawn reads a word already drawn, so it counts no new word.
+rounds of the same streams.  Each round draws the word after its 8
+steps too, so the decision after an exit in the round reads a word
+already drawn and counts no new word.
 """
 
 import numpy as np
@@ -55,7 +56,7 @@ def reference_escape(params, seed, replica_ids, start, first_step, lo, hi):
                 break
         gap = 1
         draws = counter_steps(p, seed, ids, ROUND, step)
-        words += draws.size
+        words += len(ids) * (ROUND + 1)  # a round draws the word after its steps too
         path = pos[:, None] + np.cumsum(draws, axis=1, dtype=np.int64)
         path += np.maximum(lo - np.minimum.accumulate(path, axis=1), 0)
         live = np.maximum.accumulate(path, axis=1) <= hi  # a prefix of each row
@@ -64,7 +65,7 @@ def reference_escape(params, seed, replica_ids, start, first_step, lo, hi):
         hit_sites.append(path[r, c])
         used = live.sum(axis=1)
         out = used < ROUND
-        drawn = used < ROUND - 1
+        drawn = out
         step += used + out
         pos = np.where(out, hi + 1, path[:, -1])
     return np.concatenate(hit_rows), np.concatenate(hit_sites), words, steps

@@ -6,8 +6,8 @@ import sys
 
 import pytest
 
-from walklab import closedform
-from walklab.cli import main
+from walklab import closedform, montecarlo, oracle
+from walklab.cli import _fmt, main
 from walklab.errors import ValidationError
 from walklab.model import make_params
 
@@ -83,6 +83,30 @@ def test_dist_center_sphere_joint_rows(capsys, start):
     assert len(expected) == 21 + 6 * (start == 1)
 
 
+def test_dist_first_return_is_the_library_law(capsys):
+    """`dist first-return` lists P(first return at step 2n) for n <= kmax
+    and the return mass after step 2 kmax, as printed by `_fmt`."""
+    code, out, _ = run_cli(capsys, "dist", "first-return", "--p", "0.6", "--kmax", "5")
+    assert code == 0
+    data = json.loads(out)
+    params = make_params(0.6)
+    rows = [[2 * n, closedform.first_return_pmf(params, n)] for n in range(1, 6)]
+    assert data["rows"] == _fmt(rows)
+    assert data["tail_bound"] == _fmt(closedform.return_tail(params, 12)[0])
+
+
+def test_dist_excursion_is_the_library_law(capsys):
+    """`dist excursion` lists both branches of `excursion_visits_pmf`."""
+    code, out, _ = run_cli(capsys, "dist", "excursion", "--p", "0.6", "--z", "2", "--kmax", "5")
+    assert code == 0
+    data = json.loads(out)
+    finite, infinite = closedform.excursion_visits_pmf(make_params(0.6), 2, 5)
+    rows = [["finite", int(k), m] for k, m in zip(finite.support, finite.mass)]
+    rows += [["infinite", int(k), m] for k, m in zip(infinite.support, infinite.mass)]
+    assert data["rows"] == _fmt(rows)
+    assert data["tail_bound"] == _fmt(finite.tail_bound + infinite.tail_bound)
+
+
 def test_dist_requires_site_flag(capsys):
     code, _, err = run_cli(capsys, "dist", "local-time", "--p", "0.75")
     assert code == 1
@@ -127,6 +151,23 @@ def test_oracle_infinite_mode(capsys):
     assert data["table"][0] == pytest.approx(0.5, abs=1e-9)
 
 
+def test_oracle_enum_and_dp_modes_are_the_library_laws(capsys):
+    """`oracle --mode enum` and `--mode dp` print the tables of
+    `enumerate_paths` and `dp_law`, which agree within 1e-14 at n = 12."""
+    params = make_params(0.6)
+    fns = [oracle.local_time(0, 3), oracle.local_time(1, 3)]
+    laws = {"enum": oracle.enumerate_paths(params, 12, fns), "dp": oracle.dp_law(params, 12, fns)}
+    for mode, law in laws.items():
+        code, out, _ = run_cli(
+            capsys, "oracle", "--p", "0.6", "--mode", mode, "--n", "12",
+            "--sites", "0", "1", "--cap", "3",
+        )
+        assert code == 0
+        data = json.loads(out)
+        assert (data["horizon"], data["table"]) == (12, _fmt(law.table.tolist())), mode
+    assert abs(laws["enum"].table - laws["dp"].table).max() <= 1e-14
+
+
 def test_oracle_infinite_mode_refuses_near_half(capsys):
     code, _, err = run_cli(
         capsys, "oracle", "--p", repr(0.5 + 2.0**-30), "--mode", "infinite",
@@ -152,6 +193,14 @@ def test_simulate_is_reproducible(tmp_path, capsys):
     assert manifest["seed"] == 42
     assert manifest["version"]
     assert manifest["outputs"] == [str(out_a)]
+
+
+def test_simulate_one_path_is_the_path_report(capsys):
+    """`simulate` with one replica prints `path_report(...).to_dict()`."""
+    code, out, _ = run_cli(capsys, "simulate", "--p", "0.6", "--n", "10000", "--seed", "3")
+    assert code == 0
+    config = montecarlo.SimConfig(params=make_params(0.6), n=10000, seed=3)
+    assert json.loads(out) == _fmt(montecarlo.path_report(config).to_dict())
 
 
 def test_simulate_rejects_invalid_p(capsys):

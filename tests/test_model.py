@@ -6,6 +6,7 @@ from decimal import Decimal, localcontext
 import pytest
 from hypothesis import given, strategies as st
 
+from walklab import boundary, closedform, genfunc, montecarlo, oracle
 from walklab.errors import ValidationError
 from walklab.model import make_params
 
@@ -83,3 +84,64 @@ def test_log_h_within_one_ulp(p):
         exact = (Decimal(params.q) / Decimal(params.p)).ln()
         error = abs(Decimal(params.log_h) - exact)
     assert error <= Decimal(math.ulp(float(exact)))
+
+
+P75 = make_params(0.75)
+LT = oracle.local_time
+NON_INTEGER_CASES = {
+    "local_time_pmf z": ("z", lambda: closedform.local_time_pmf(P75, 0.5, 5)),
+    "local_time_pmf kmax": ("kmax", lambda: closedform.local_time_pmf(P75, 0, 2.5)),
+    "first_return_pmf n": ("n", lambda: closedform.first_return_pmf(P75, 2.5)),
+    "return_tail n": ("n", lambda: closedform.return_tail(P75, 2.5)),
+    "excursion_law z": ("z", lambda: closedform.excursion_law(P75, 1.5)),
+    "sphere_occupation_pmf Lmax": ("Lmax", lambda: closedform.sphere_occupation_pmf(P75, 2.5)),
+    "ball_occupation_pmf lmax": ("lmax", lambda: closedform.ball_occupation_pmf(P75, 2.5)),
+    "excursion_visits_pmf jmax": ("jmax", lambda: closedform.excursion_visits_pmf(P75, 2, 2.5)),
+    "two_point_occupation_pmf kmax": (
+        "kmax", lambda: closedform.two_point_occupation_pmf(P75, 1, "pos", 2.5)
+    ),
+    "local_time cap": ("cap", lambda: LT(0, 2.5)),
+    "enumerate_paths site": (r"sites\[0\]", lambda: oracle.enumerate_paths(P75, 4, [LT(0.5, 3)])),
+    "set_occupation site": (r"sites\[1\]", lambda: oracle.set_occupation([0, "1"], 3)),
+    "enumerate_paths n": ("n", lambda: oracle.enumerate_paths(P75, 5.0, [LT(0, 3)])),
+    "dp_law n": ("n", lambda: oracle.dp_law(P75, 5.0, [LT(0, 3)])),
+    "series_coeffs K": ("K", lambda: genfunc.series_coeffs(genfunc.ball_gf(P75), 2.5)),
+    "boundary_polyline gridsize": ("gridsize", lambda: boundary.boundary_polyline(P75, 2.5)),
+    "simulate_path n": ("n", lambda: montecarlo.simulate_path(P75, 10.5, 0)),
+    "simulate_path seed": ("seed", lambda: montecarlo.simulate_path(P75, 10, 1.5)),
+    "two_point_bases z": ("z", lambda: P75.two_point_bases(1.5)),
+}
+
+
+@pytest.mark.parametrize("case", NON_INTEGER_CASES)
+def test_entry_points_refuse_non_integers(case):
+    """Sizes and sites must be integers: a float or a string is refused
+    with a ValidationError that names the argument, not taken as another
+    law (local_time_pmf at z = 0.5 read as z > 0) or left to raise
+    IndexError or TypeError deeper down."""
+    name, call = NON_INTEGER_CASES[case]
+    with pytest.raises(ValidationError, match=rf"^{name} must be an integer, got "):
+        call()
+
+
+BELOW_BOUND_CASES = {
+    "excursion_law z": ("z must be >= 1, got 0", lambda: closedform.excursion_law(P75, 0)),
+    "two_point_bases z": ("z must be >= 1, got -1", lambda: P75.two_point_bases(-1)),
+    "excursion_visits_pmf jmax": (
+        "jmax must be >= 0, got -1", lambda: closedform.excursion_visits_pmf(P75, 2, -1)
+    ),
+    "local_time cap": ("cap must be >= 1, got 0", lambda: LT(0, 0)),
+    "boundary_polyline gridsize": (
+        "gridsize must be >= 2, got 1", lambda: boundary.boundary_polyline(P75, 1)
+    ),
+}
+
+
+@pytest.mark.parametrize("case", BELOW_BOUND_CASES)
+def test_entry_points_refuse_sizes_below_their_bound(case):
+    """An integer below an argument's least value is refused with a
+    ValidationError that names the argument and the bound; a negative
+    jmax used to raise IndexError."""
+    message, call = BELOW_BOUND_CASES[case]
+    with pytest.raises(ValidationError, match=f"^{message}$"):
+        call()

@@ -876,6 +876,25 @@ def test_walk_on_counts_an_escape_at_its_first_step(monkeypatch):
     assert (tally.tolist(), words, steps) == ([], 320, 2)
 
 
+def test_walk_on_walks_its_draw_on_after_a_return(monkeypatch):
+    """Two returns and then an escape fall in one draw: the walk from hi
+    = 3 goes up, returns, steps down and up, goes up, returns, goes up
+    and escapes, 8 steps, and walks on from hi after each return with
+    the draw's next lane, so it makes one draw of its whole step budget
+    at p = 0.75 (319 steps) and one word more.  Its visits are hi at the
+    two returns and at step 3, and hi - 1 at step 2."""
+    ups = {0, 1, 3, 4, 5, 6}  # word 0 (below p and h) at these steps from 100
+
+    def two_returns_then_escape(seed, replica, lanes, step=0):
+        t = step + np.arange(lanes) - 100
+        return np.where(np.isin(t, list(ups)), np.uint64(0), np.uint64(2**64 - 1))
+
+    monkeypatch.setattr(mc, "counter_words", two_returns_then_escape)
+    tally, words, steps = mc._walk_on(P75, 0, 3, 100, -2, 3)
+    lanes = mc._step_budget(P75, 0, 100)
+    assert (tally.tolist(), words, steps) == ([3, 1], lanes + 1, 8)
+
+
 def test_walk_on_memory_stays_flat_until_its_budget(monkeypatch):
     """A walk that never escapes keeps a tally by depth, not its visits:
     with steps that go up and down in turn from 0 below hi = 1 it runs
@@ -902,9 +921,9 @@ def test_walk_on_memory_stays_flat_until_its_budget(monkeypatch):
 
 @pytest.mark.parametrize("statistic", ["ball_occupation", "two_point_pos:2", "local_time:-1"])
 def test_ensemble_words_and_steps_match_the_reference(statistic):
-    """`words` and `steps` are the reference walk's counts, and words -
-    steps is what it drew past its exits; the histogram counts its visits
-    to the tracked sites."""
+    """`words` and `steps` are the reference walk's counts, 9 words a
+    walker-round, its 8 steps and the word after them; the histogram
+    counts its visits to the tracked sites."""
     replicas, seed, params = 3000, 13, make_params(0.6)
     config = mc.SimConfig(params=params, n=1, replicas=replicas, seed=seed)
     rep = mc.ensemble(config, statistic)
