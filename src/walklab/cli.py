@@ -297,30 +297,45 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _apply_config(parser: argparse.ArgumentParser, argv: list[str]) -> None:
-    """Load --config defaults; explicit flags take precedence by
-    construction (argparse parses flags after defaults are set)."""
+def _apply_config(parser: argparse.ArgumentParser, argv: list[str]) -> list[str]:
+    """argv with the --config file's values given as flags of the chosen
+    subcommand, right after its name, so that argparse checks them like
+    typed flags and a flag typed later on the line wins.  Keys that are
+    not flags of that subcommand are ignored, and a null leaves its flag
+    at the default.  A flag that takes several values takes a JSON list;
+    any other value is passed as its text."""
     probe = argparse.ArgumentParser(add_help=False)
     probe.add_argument("--config", default=None)
+    probe.add_argument("rest", nargs=argparse.REMAINDER)  # the subcommand on
     known, _ = probe.parse_known_args(argv)
-    if known.config is not None:
-        with open(known.config) as fh:
-            defaults = json.load(fh)
-        if not isinstance(defaults, dict):
-            raise ValidationError(f"config {known.config} must hold a JSON object")
-        for action in parser._subparsers._group_actions[0].choices.values():
-            action.set_defaults(**{
-                k: v for k, v in defaults.items()
-                if any(a.dest == k for a in action._actions)
-            })
+    subparsers = parser._subparsers._group_actions[0].choices
+    if known.config is None or not known.rest or known.rest[0] not in subparsers:
+        return argv
+    with open(known.config) as fh:
+        config = json.load(fh)
+    if not isinstance(config, dict):
+        raise ValidationError(f"config {known.config} must hold a JSON object")
+    flags = subparsers[known.rest[0]]._option_string_actions
+    tokens = []
+    for key, value in config.items():
+        action = flags.get(f"--{key}")
+        if action is None or value is None:
+            continue
+        if action.nargs == "+":
+            if not isinstance(value, list):
+                raise ValidationError(f"config value {key!r} must be a list, got {value!r}")
+            tokens += [f"--{key}", *map(str, value)]
+        else:
+            tokens.append(f"--{key}={value}")
+    at = len(argv) - len(known.rest) + 1  # just after the subcommand
+    return argv[:at] + tokens + argv[at:]
 
 
 def main(argv=None) -> int:
     argv = list(sys.argv[1:] if argv is None else argv)
     try:
         parser = build_parser()
-        _apply_config(parser, argv)
-        args = parser.parse_args(argv)
+        args = parser.parse_args(_apply_config(parser, argv))
         args._start = time.perf_counter()
         return args.func(args)
     except (ValidationError, DomainError, BudgetError, OSError, json.JSONDecodeError) as exc:

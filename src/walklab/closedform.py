@@ -121,6 +121,7 @@ def return_tail(params: WalkParams, n: int) -> tuple[float, float, float]:
 
 def hitting_prob(params: WalkParams, z: int) -> float:
     """P(the walk ever visits z at a positive time)."""
+    require_integers(z=z)
     if z > 0:
         return 1.0
     if z == 0:
@@ -130,6 +131,7 @@ def hitting_prob(params: WalkParams, z: int) -> float:
 
 def green(params: WalkParams, z: int) -> float:
     """Expected number of visits to z, counting the start when z = 0."""
+    require_integers(z=z)
     g0 = 1.0 / params.gamma0
     if z > 0:
         return g0
@@ -167,6 +169,7 @@ def local_time_pmf(params: WalkParams, z: int, kmax: int) -> PmfTable:
 
 def gambler_ruin(params: WalkParams, a: int, b: int, c: int) -> float:
     """Probability that, started at b, the walk hits a before c."""
+    require_integers(a=a, b=b, c=c)
     if not (0 <= a < b < c):
         raise ValidationError(f"levels must satisfy 0 <= a < b < c, got {(a, b, c)}")
     log_h = params.log_h
@@ -186,6 +189,7 @@ def excursion_mean_visits(params: WalkParams, z: int) -> float:
     h^|z| / (2q) away from the origin, 1 at the origin.  This is the
     profile shape of local time around heavily visited sites.
     """
+    require_integers(z=z)
     if z == 0:
         return 1.0
     return params.h ** abs(z) / (2.0 * params.q)
@@ -231,8 +235,7 @@ def joint_transform(
     Valid strictly below the pole of the excursion transform; requests
     at or above the radius (minus a small guard band) are rejected.
     """
-    if k < 0:
-        raise ValidationError(f"k must be >= 0, got {k}")
+    require_integers(0, k=k)
     if sign not in ("pos", "neg"):
         raise ValidationError(f"sign must be 'pos' or 'neg', got {sign!r}")
     law = excursion_law(params, z)

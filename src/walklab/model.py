@@ -12,6 +12,7 @@ its two geometric bases.
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass
 
 from .errors import ValidationError, require_integers
@@ -80,7 +81,7 @@ class WalkParams:
 
 def make_params(p: float) -> WalkParams:
     """Validate p and build the parameter triple (p, q, h)."""
-    if not math.isfinite(p):
+    if not isinstance(p, numbers.Real) or not math.isfinite(p):
         raise ValidationError(f"p must be a finite real, got {p!r}")
     if p <= 0.5:
         raise ValidationError(

@@ -5,9 +5,9 @@ local and occupation times, heavy-site profiles) come from one path's
 local-time field, counted from the landing sites of its down-steps
 without forming a position (fact (c) below), and read from it in one
 pass, _SLICE sites at a time (`_field_pass`).  `PathReport` keeps that
-field, and its (local time, sphere occupation) cloud is derived from it
-when read.  Distributional checks come from ensembles of independent
-replicas.
+field, and the spectrum of its (local time, sphere occupation) pairs is
+counted from it when read.  Distributional checks come from ensembles of
+independent replicas.
 "Infinite-time" quantities are exact: a walk that steps just above every
 tracked site returns to the highest one with probability exactly h, so
 one uniform decides between a return and escape for good, and no count
@@ -108,6 +108,10 @@ class HeavyPointConfig:
 
 @dataclass(frozen=True)
 class SimConfig:
+    """`path_report` reads params, n, seed and heavy, and ignores
+    replicas; `ensemble` reads params, replicas and seed, and ignores n
+    (an integer >= 1 all the same, so ensembles pass n=1) and heavy."""
+
     params: WalkParams
     n: int
     replicas: int = 1
@@ -156,9 +160,9 @@ class PathReport:
     """Single-path statistics at horizon n.
 
     `counts` is the path's local-time field at the horizon
-    (`LocalTimeField.counts`); `cloud` is derived from it on each read.
-    qtilde, xi_max, xi_star and the site variant's heavy set are read in
-    one pass over it (`_field_pass`).  `walk_on_words` and
+    (`LocalTimeField.counts`); `pair_spectrum` is counted from it on
+    each read.  qtilde, xi_max, xi_star and the site variant's heavy set
+    are read in one pass over it (`_field_pass`).  `walk_on_words` and
     `walk_on_steps` are the RNG words drawn and the steps walked by the
     path's walk after its horizon (`_walk_on`), its decision step
     included.
@@ -177,10 +181,16 @@ class PathReport:
     walk_on_steps: int
 
     @property
-    def cloud(self) -> np.ndarray:
-        """(site local time, sphere occupation) / log n pairs, one row per
-        site of the range and its two neighbours, built on each read."""
-        return _cloud(self.counts, self.n)
+    def pair_spectrum(self) -> np.ndarray:
+        """Entry [K, L]: the sites of the range and its one-site margin
+        with K visits and L visits to their two neighbours, from one
+        bincount of K * (2 xi_max + 1) + L.  Row K >= 1 sums to qtilde[K]."""
+        width = 2 * self.xi_max + 1
+        code = np.zeros(len(self.counts) + 2, dtype=np.int64)
+        np.multiply(self.counts, width, out=code[1:-1])
+        code[:-2] += self.counts  # the upper neighbour's count
+        code[2:] += self.counts  # the lower neighbour's count
+        return np.bincount(code, minlength=(self.xi_max + 1) * width).reshape(-1, width)
 
     def to_dict(self) -> dict:
         return {
@@ -584,18 +594,6 @@ def _field_pass(
     for z in xi_star:
         xi_star[z] = max(xi_star[z], int(counts[:z].max()), int(counts[-z:].max()))
     return spectrum, xi_star, np.concatenate(heavy)
-
-
-def _cloud(counts: np.ndarray, n: int) -> np.ndarray:
-    """Normalized (local time, sphere occupation) pairs for every site in
-    a one-site margin around the range.  Each of these rows has a positive
-    entry (fact (a)), so all of them are kept."""
-    cloud = np.zeros((len(counts) + 2, 2))
-    cloud[1:-1, 0] = counts
-    cloud[:-2, 1] = counts  # the upper neighbour's count
-    cloud[2:, 1] += counts  # the lower neighbour's count
-    cloud /= math.log(n)
-    return cloud
 
 
 def _heavy_threshold(params: WalkParams, n: int, heavy: HeavyPointConfig) -> float:

@@ -281,7 +281,7 @@ def _check_limit_trends(params: WalkParams, seed: int) -> tuple:
     # deviation, with a slack sequence shrinking in n as the a.s. statement
     # requires, from those and 250 more (300 seeds keep the median stable)
     xi_medians, star_values, heavy_medians = [], [], []
-    cloud_points = set()
+    pairs = set()  # the (local time, sphere occupation) pairs of the cloud
     for n in horizons:
         heavy = montecarlo.HeavyPointConfig(delta_n=0.45 / math.log(math.log(n)))
         xs, stars, devs = [], [], []
@@ -293,8 +293,7 @@ def _check_limit_trends(params: WalkParams, seed: int) -> tuple:
                 xs.append(rep.xi_max / math.log(n))
                 stars.append(rep.xi_star[1] / math.log(n))
                 if n == horizons[-1] and s < 5:
-                    x, y = rep.cloud.T.tolist()
-                    cloud_points.update(zip(x, y))
+                    pairs.update(map(tuple, np.argwhere(rep.pair_spectrum).tolist()))
             else:
                 counts = montecarlo.simulate_path(params, n, seed + 1000 + s).counts
             dev = montecarlo.heavy_deviation(params, counts, n, heavy)["deviation"]
@@ -303,9 +302,10 @@ def _check_limit_trends(params: WalkParams, seed: int) -> tuple:
         xi_medians.append(float(np.median(xs)))
         star_values.append(float(np.median(stars)))
         heavy_medians.append(float(np.median(devs)))
-    # many sites share a (local time, sphere occupation) pair: test each once
+    # many sites share a pair: test each point (K, L) / log n once
+    log_n = math.log(horizons[-1])
     cloud_ok = all(
-        boundary.in_region(params, x / 1.25, max(y, x) / 1.25) for x, y in cloud_points
+        boundary.in_region(params, k / log_n / 1.25, max(l, k) / log_n / 1.25) for k, l in pairs
     )
 
     # ξ(n)/log n moves on a 1/log n lattice, so adjacent-horizon medians
@@ -336,7 +336,7 @@ def _check_determinism(params: WalkParams, seed: int) -> tuple:
     same_ensemble = ra.to_dict() == rb.to_dict() and np.array_equal(ra.histogram, rb.histogram)
     pa = montecarlo.path_report(montecarlo.SimConfig(params=params, n=50_000, seed=seed))
     pb = montecarlo.path_report(montecarlo.SimConfig(params=params, n=50_000, seed=seed))
-    # to_dict holds qtilde; the cloud is a function of counts
+    # to_dict holds qtilde; the pair spectrum is a function of counts
     same_path = pa.to_dict() == pb.to_dict() and np.array_equal(pa.counts, pb.counts)
     ok = same_ensemble and same_path
     return ok, (

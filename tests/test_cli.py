@@ -245,6 +245,42 @@ def test_config_file_supplies_defaults(tmp_path, capsys):
     assert json.loads(out)["p"] == 0.75
 
 
+@pytest.mark.parametrize(
+    "config, argv",
+    [
+        ({"mode": "bogus"}, ("oracle", "--sites", "0", "--cap", "3")),
+        ({"format": "xml"}, ("dist", "ball")),
+        ({"start": 5}, ("dist", "center-sphere-joint")),
+        ({"sites": 5}, ("oracle",)),
+        ({"eps": [1]}, ("oracle", "--mode", "infinite")),
+    ],
+)
+def test_config_values_are_checked_like_flags(tmp_path, capsys, config, argv):
+    """A config value the flag it sets would refuse is an error, not a
+    run with a value no flag could give, nor a traceback."""
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps(config))
+    code, out, err = run_cli(capsys, "--config", str(cfg), *argv)
+    assert code == 1 and out == ""
+    assert "error:" in err
+
+
+def test_config_keys_of_other_subcommands_are_ignored(tmp_path, capsys):
+    """n and sites are flags of oracle, not of dist: dist runs as if they
+    were not there, and a list value reaches oracle's --sites.  A null
+    leaves its flag at the default: no --out, so the table is printed."""
+    cfg = tmp_path / "cfg.json"
+    config = {"p": 0.6, "kmax": 4, "n": 7, "sites": [0, 1], "cap": 2, "out": None}
+    cfg.write_text(json.dumps(config))
+    code, out, _ = run_cli(capsys, "--config", str(cfg), "dist", "ball")
+    assert code == 0 and len(json.loads(out)["rows"]) == 4
+    code, out, _ = run_cli(capsys, "--config", str(cfg), "oracle", "--mode", "enum")
+    data = json.loads(out)
+    assert code == 0 and (data["p"], data["sites"], data["cap"]) == (0.6, [0, 1], 2)
+    law = oracle.enumerate_paths(make_params(0.6), 7, [oracle.local_time(s, 2) for s in (0, 1)])
+    assert data["table"] == _fmt(law.table.tolist())
+
+
 def test_console_script_installed():
     proc = subprocess.run(
         [sys.executable, "-m", "walklab.cli", "--version"],

@@ -25,6 +25,14 @@ def test_params_rejects_out_of_range(bad):
         make_params(bad)
 
 
+@pytest.mark.parametrize("bad", ["0.6", None, [0.6]])
+def test_params_rejects_values_that_are_not_real(bad):
+    """A string, None or a list is refused with a ValidationError that
+    names p, not left to raise TypeError in math.isfinite."""
+    with pytest.raises(ValidationError, match=r"^p must be a finite real, got "):
+        make_params(bad)
+
+
 def test_constants_reference_values():
     params = make_params(0.75)
     assert params.gamma0 == pytest.approx(0.5, abs=1e-15)
@@ -110,6 +118,11 @@ NON_INTEGER_CASES = {
     "simulate_path n": ("n", lambda: montecarlo.simulate_path(P75, 10.5, 0)),
     "simulate_path seed": ("seed", lambda: montecarlo.simulate_path(P75, 10, 1.5)),
     "two_point_bases z": ("z", lambda: P75.two_point_bases(1.5)),
+    "hitting_prob z": ("z", lambda: closedform.hitting_prob(P75, 0.5)),
+    "green z": ("z", lambda: closedform.green(P75, -0.5)),
+    "gambler_ruin b": ("b", lambda: closedform.gambler_ruin(P75, 0, 1.5, 3)),
+    "joint_transform k": ("k", lambda: closedform.joint_transform(P75, 1, 0.5, 0.0)),
+    "excursion_mean_visits z": ("z", lambda: closedform.excursion_mean_visits(P75, 0.5)),
 }
 
 
@@ -129,6 +142,9 @@ BELOW_BOUND_CASES = {
     "two_point_bases z": ("z must be >= 1, got -1", lambda: P75.two_point_bases(-1)),
     "excursion_visits_pmf jmax": (
         "jmax must be >= 0, got -1", lambda: closedform.excursion_visits_pmf(P75, 2, -1)
+    ),
+    "joint_transform k": (
+        "k must be >= 0, got -1", lambda: closedform.joint_transform(P75, 1, -1, 0.0)
     ),
     "local_time cap": ("cap must be >= 1, got 0", lambda: LT(0, 0)),
     "boundary_polyline gridsize": (

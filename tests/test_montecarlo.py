@@ -71,20 +71,20 @@ def test_final_position_lln_band():
 
 
 # Recorded outputs of the path statistics: (p, n, seed) -> heavy config,
-# qtilde, nu_n, xi_max, eta_max, xi_star, cloud shape, the first 16 hex
-# digits of the SHA-256 of the cloud's float64 bytes, and the heavy-site
-# profiles.  They were computed from the reference path of pathref.py by
-# direct counting, _reference_xi_star, _reference_cloud and
-# _reference_heavy_deviation, with the walk after the horizon taken from
-# _walk_on, replica 0 from step n (the exact escape has no brute-force
-# twin).  n = 70000 crosses a 2^16-step block boundary; seed
-# 237 dips to site -1, and its walk after the horizon makes eta_max and
-# the path variant differ.
+# qtilde, nu_n, xi_max, eta_max, xi_star, the pair spectrum's shape, the
+# first 16 hex digits of the SHA-256 of its little-endian int64 bytes,
+# and the heavy-site profiles.  They were computed from the reference
+# path of pathref.py by direct counting, _reference_xi_star,
+# _reference_pair_spectrum and _reference_heavy_deviation, with the walk
+# after the horizon taken from _walk_on, replica 0 from step n (the exact
+# escape has no brute-force twin).  n = 70000 crosses a 2^16-step block
+# boundary; seed 237 dips to site -1, and its walk after the horizon
+# makes eta_max and the path variant differ.
 RECORDED_PATHS = {
     (0.75, 3000, 5): (
         mc.HeavyPointConfig(),
         [0, 707, 334, 164, 99, 56, 23, 13, 12, 2, 3, 3, 2, 1, 1],
-        1420, 14, 14, {1: 25, 2: 23, 3: 21}, (1422, 2), "19bb044574fee194",
+        1420, 14, 14, {1: 25, 2: 23, 3: 21}, (15, 29), "fd53ecfbf1d0e72e",
         {
             "site_variant": {"set_size": 10, "deviation": 0.8180642680674299, "radius": 1},
             "path_variant": {"set_size": 10, "deviation": 0.8180642680674299, "radius": 1},
@@ -93,7 +93,7 @@ RECORDED_PATHS = {
     (0.75, 3000, 237): (
         mc.HeavyPointConfig(),
         [0, 795, 381, 193, 86, 38, 25, 10, 8, 4, 1],
-        1539, 10, 12, {1: 19, 2: 15, 3: 14}, (1543, 2), "16c01e0209870079",
+        1539, 10, 12, {1: 19, 2: 15, 3: 14}, (11, 21), "3b6835a0ac0f5ae9",
         {
             "site_variant": {"set_size": 1, "deviation": 0.22082959939967284, "radius": 1},
             "path_variant": {"set_size": 4, "deviation": 0.5583408012006543, "radius": 1},
@@ -102,7 +102,7 @@ RECORDED_PATHS = {
     (0.9, 70000, 77): (
         mc.HeavyPointConfig(),
         [0, 44966, 9053, 1672, 357, 66, 15, 8, 1],
-        56138, 8, 8, {1: 14, 2: 11, 3: 10}, (56140, 2), "197c99123d4cae58",
+        56138, 8, 8, {1: 14, 2: 11, 3: 10}, (9, 17), "79fdea22192719db",
         {
             "site_variant": {"set_size": 24, "deviation": 1.0773920319699157, "radius": 1},
             "path_variant": {"set_size": 24, "deviation": 1.0773920319699157, "radius": 1},
@@ -125,9 +125,9 @@ def test_path_report_matches_recorded_values(key):
     assert (rep.nu_n, rep.xi_max, rep.eta_max, rep.xi_star) == (
         nu_n, xi_max, eta_max, xi_star,
     )
-    assert rep.cloud.shape == shape
-    cloud = np.ascontiguousarray(rep.cloud, dtype="<f8").tobytes()
-    assert hashlib.sha256(cloud).hexdigest()[:16] == digest
+    spectrum = rep.pair_spectrum
+    assert spectrum.dtype == np.int64 and spectrum.shape == shape
+    assert hashlib.sha256(spectrum.astype("<i8").tobytes()).hexdigest()[:16] == digest
     assert rep.heavy == profiles
     assert 0 < rep.walk_on_steps <= rep.walk_on_words
     assert rep.to_dict()["walk_on_steps"] == rep.walk_on_steps
@@ -232,12 +232,29 @@ def _reference_xi_star(counts, z):
     return int((padded[:-z] + padded[z:]).max())
 
 
-def _reference_cloud(counts, n):
-    cext = np.pad(counts, 1).astype(np.float64)
-    c2 = np.pad(cext, 1)
-    sphere = c2[:-2] + c2[2:]
-    keep = (cext > 0) | (sphere > 0)
-    return np.column_stack((cext[keep], sphere[keep])) / math.log(n)
+def _reference_pair_spectrum(counts):
+    """Entry [K, L] counts the sites of the range and its one-site margin
+    with K visits and L visits to their two neighbours, one site at a
+    time over padded arrays."""
+    local = np.pad(counts, 1)
+    wide = np.pad(local, 1)
+    sphere = wide[:-2] + wide[2:]
+    xi = int(counts.max())
+    spectrum = np.zeros((xi + 1, 2 * xi + 1), dtype=np.int64)
+    np.add.at(spectrum, (local, sphere), 1)
+    return spectrum
+
+
+def _check_pair_spectrum(rep):
+    """The report's pair spectrum is the reference's, int64; its total is
+    cloud_size, its rows K >= 1 sum to qtilde, and no site of the range
+    has 0 visits (fact (a))."""
+    spectrum = rep.pair_spectrum
+    assert spectrum.dtype == np.int64
+    assert np.array_equal(spectrum, _reference_pair_spectrum(rep.counts))
+    assert spectrum.sum() == rep.to_dict()["cloud_size"]
+    assert np.array_equal(spectrum[1:].sum(axis=1), rep.qtilde[1:])
+    assert spectrum[0, 0] == 0
 
 
 def _reference_heavy_deviation(params, counts, heavy, rate_log_n, radius):
@@ -259,7 +276,7 @@ def _reference_heavy_deviation(params, counts, heavy, rate_log_n, radius):
 )
 def test_path_facts_on_short_paths(p, n, seed):
     """Every site of the range is visited, nu_n is the running-max count,
-    and xi_star, the cloud and the heavy-site profile equal their
+    and xi_star, the pair spectrum and the heavy-site profile equal their
     definitions on padded arrays."""
     params = make_params(p)
     field = mc.simulate_path(params, n, seed)
@@ -272,7 +289,7 @@ def test_path_facts_on_short_paths(p, n, seed):
     zs = (1, 2, 3, 5, 9)
     _, xi_star, _ = mc._field_pass(field.counts, zs, math.inf)
     assert xi_star == {z: _reference_xi_star(field.counts, z) for z in zs}
-    assert np.array_equal(mc._cloud(field.counts, n), _reference_cloud(field.counts, n))
+    _check_pair_spectrum(mc.path_report(mc.SimConfig(params=params, n=n, seed=seed)))
     heavy = mc.HeavyPointConfig(delta_n=0.5)
     rate_log_n = params.lambda0 * math.log(n)
     profile = mc.heavy_deviation(params, field.counts, n, heavy)
@@ -386,8 +403,7 @@ def test_path_report_keeps_the_field_and_derives_the_cloud():
     for n, seed in ((300_000, 5), (3000, 237)):
         rep = mc.path_report(mc.SimConfig(params=P75, n=n, seed=seed))
         assert np.array_equal(rep.counts, mc.simulate_path(P75, n, seed).counts)
-        assert np.array_equal(rep.cloud, _reference_cloud(rep.counts, n))
-        assert rep.to_dict()["cloud_size"] == rep.cloud.shape[0]
+        _check_pair_spectrum(rep)
     assert rep.eta_max > rep.xi_max
 
 
@@ -577,7 +593,7 @@ def test_sim_config_validation():
     # an integer of any type is a distance, kept as an int key
     rep = mc.path_report(mc.SimConfig(params=P75, n=10, seed=0), xi_star_z=(np.int64(2),))
     assert [type(z) for z in rep.xi_star] == [int]
-    # the cloud and heavy profiles divide by log n
+    # the heavy profiles and the rates per log n need log n > 0
     with pytest.raises(ValidationError, match="n >= 2"):
         mc.path_report(mc.SimConfig(params=P75, n=1, seed=0))
     for n in (1, 0, -5):
@@ -735,13 +751,32 @@ def test_heavy_profile_window_near_one():
 
 
 def test_cloud_points_are_normalized_pairs():
+    """The cloud's points are the pair spectrum's nonzero (K, L): the
+    largest K is xi_max, and L is at most twice it."""
     rep = mc.path_report(mc.SimConfig(params=P75, n=10**5, seed=3))
-    assert rep.cloud.ndim == 2 and rep.cloud.shape[1] == 2
-    assert (rep.cloud >= 0.0).all()
-    # the max local time appears in the cloud's first coordinate
-    assert rep.cloud[:, 0].max() == pytest.approx(
-        rep.xi_max / math.log(10**5), rel=1e-12
+    _check_pair_spectrum(rep)
+    big_k, big_l = np.nonzero(rep.pair_spectrum)
+    assert big_k.max() == rep.xi_max and big_l.max() <= 2 * rep.xi_max
+
+
+def test_pair_spectrum_holds_one_code_per_site():
+    """Reading the pair spectrum allocates one int64 code per site of the
+    range and its margin, and a table of (xi_max + 1)(2 xi_max + 1)
+    entries: on a field of 10^6 sites its traced peak stays under 8 bytes
+    a site and 64 kB more."""
+    counts = np.tile(np.arange(1, 9, dtype=np.int64), 125_000)
+    rep = mc.PathReport(
+        n=10**7, seed=0, qtilde=np.bincount(counts), nu_n=0, xi_max=8, eta_max=8,
+        xi_star={}, counts=counts, heavy=None, walk_on_words=0, walk_on_steps=0,
     )
+    tracemalloc.start()
+    try:
+        spectrum = rep.pair_spectrum
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 8 * (len(counts) + 2) + (1 << 16)
+    assert np.array_equal(spectrum, _reference_pair_spectrum(counts))
 
 
 @pytest.mark.parametrize("pool", [1, 3, 1000])
