@@ -21,7 +21,8 @@ sites from a table of its landings and decide each exit in the round
 that reaches it (`_escape_visits`).  A single path walks on after its
 horizon alone, 1023 steps a draw, tallying its visits by depth
 (`_walk_on`).  An ensemble whose replicas expect more steps in all than
-a fixed work budget is refused with BudgetError before it walks; a walk
+a fixed work budget, or a walk after a horizon that expects more steps
+than it, is refused with BudgetError before it draws a word; a walk
 still going after the step budget that a Chernoff bound sets from p
 raises BudgetError, and so does a walk whose budget exceeds what its
 step counter holds (`_step_budget`).
@@ -66,7 +67,7 @@ import numpy as np
 from .errors import BudgetError, ValidationError, require_integers
 from .model import WalkParams
 from .closedform import excursion_mean_visits
-from .rng import BLOCK_LANES, _below, _walker_words, counter_words, path_step_bits
+from .rng import BLOCK_LANES, _below, _key, _walker_words, counter_words, path_step_bits
 
 __all__ = [
     "SimConfig",
@@ -379,6 +380,17 @@ def _expected_steps(params: WalkParams, hi: int, span: int) -> float:
     return walk + (hi > span)
 
 
+def _check_work(params: WalkParams, replicas: int, hi: int, span: int) -> None:
+    """Raise BudgetError when `replicas` walks of `_expected_steps(params,
+    hi, span)` steps each expect more than `_WORK_STEPS` steps in all."""
+    mean = _expected_steps(params, hi, span)
+    if replicas * mean > _WORK_STEPS:
+        raise BudgetError(
+            f"{replicas} replicas expect about {mean:.4g} steps each, "
+            f"{replicas * mean:.3g} in all, beyond the budget of {_WORK_STEPS:.3g} steps"
+        )
+
+
 def _escape_visits(
     params: WalkParams, seed: int, replicas: int, first_step: int, hi: int, below, vals
 ) -> tuple[int, int]:
@@ -401,38 +413,32 @@ def _escape_visits(
     done.  When hi < 0 a replica is decided on admission with h^(-hi).
     The counts are exact, with no truncation.
 
-    The replicas walk in a pool of at most `_POOL` slots.  Each walker
-    keeps a stream key and the key block it was made for (none on
-    admission), and `rng._walker_words` makes the key again whenever the
-    walker's step has left that block.  Each round, every walker draws
-    the next `_ROUND` + 1 words of its stream, its steps and the word
-    after them, into buffers made once per call.  A round's up-steps are
-    packed into one byte per walker; with the walker's headroom hi - x
-    and depth x - lo it makes the round's code, from which `_USED` reads
-    how far the walker goes, `_OFFSET` where it ends and `_LANDS` how
+    The replicas walk in a pool of at most `_POOL` slots.  Each walker's
+    stream key is made once, on admission (a replica admitted from above hi
+    draws its decision under it first), and each round `rng._walker_words`
+    draws every walker's next `_ROUND` + 1 words under its key, its steps
+    and the word after them, into buffers made once per call.  A round's
+    up-steps are packed into one byte per walker; with the walker's headroom
+    hi - x and depth x - lo it makes the round's code, from which `_USED`
+    reads how far the walker goes, `_OFFSET` where it ends and `_LANDS` how
     many of its steps land on each tracked site.  A walker that steps to
-    hi + 1 at lane j is decided by lane j + 1 of the same round, so every
-    exit is decided in the round that reaches it and each walker starts
-    a round on lo..hi.  The slots of finished walkers take the next
-    replicas, so the rounds stay full until they run out; then walkers
-    from the end of the pool move into the free slots.
+    hi + 1 at lane j is decided by lane j + 1 of the same round, so every exit
+    is decided in the round that reaches it and each walker starts a round
+    on lo..hi.  The slots of finished walkers take the next replicas, so the
+    rounds stay full until they run out; then walkers from the end of the
+    pool move into the free slots.
 
     Returns the words drawn, `_ROUND` + 1 per walker and round and one
     per replica admitted from above hi, and the steps of the reflected
     walk, decision and admission steps included.  A call whose replicas
-    expect more than `_WORK_STEPS` steps in all (`_expected_steps`)
-    raises BudgetError before any walking, and so does a replica still
-    walking after `_step_budget` steps.
+    expect more than `_WORK_STEPS` steps in all (`_check_work`) raises
+    BudgetError before any walking, and so does a replica still walking
+    after `_step_budget` steps.
     """
     p, h = params.p, params.h
     budget = _step_budget(params, hi, first_step)
     span = int(below[-1])  # hi - lo
-    mean = _expected_steps(params, hi, span)
-    if replicas * mean > _WORK_STEPS:
-        raise BudgetError(
-            f"{replicas} replicas expect about {mean:.4g} steps each, "
-            f"{replicas * mean:.3g} in all, beyond the budget of {_WORK_STEPS:.3g} steps"
-        )
+    _check_work(params, replicas, hi, span)
     below = np.asarray(below)[:, None]
     above, low = hi < 0, hi > span  # replicas start above hi, or below lo
     # headroom hi - x and step on entry: at hi, from 0 or at lo
@@ -442,7 +448,6 @@ def _escape_visits(
     headroom = np.empty_like(rows)  # hi - x,
     step = np.empty_like(rows)  # the next step of each walker
     key = np.empty(size, dtype=np.uint64)  # its stream key
-    block = np.empty_like(rows)  # the key block that key was made for
     count = np.empty_like(rows)  # and the walker's visits so far
     # one round's words (its steps and the word after them), the mix's
     # scratch space and the up-steps, lane by lane (lane j of slot i at
@@ -456,29 +461,31 @@ def _escape_visits(
     while True:
         new = np.arange(queued, min(queued + len(free) + size - n, replicas))
         queued += len(new)
+        new_keys = _key(seed, new, 0) if len(new) else key[:0]  # made once per walker
         if above and len(new):
-            w = counter_words(seed, new, 1, first_step)[:, 0]
+            w = np.empty((len(new), 1), dtype=np.uint64)
+            _walker_words(new_keys, np.full(len(new), first_step), w)
             words += len(new)
-            back = _below(w, h ** -hi)
+            back = _below(w[:, 0], h ** -hi)
             steps += len(new) - int(back.sum())
-            new = new[back]
+            new, new_keys = new[back], new_keys[back]
         # new replicas take the free slots first, then the slots past n;
         # an admission step lands on hi or lo, a visit
         fill = np.concatenate([free[: len(new)], np.arange(n, n + len(new) - len(free))])
-        rows[fill], headroom[fill], step[fill], block[fill] = new, entry, entry_step, -1
+        rows[fill], headroom[fill], step[fill], key[fill] = new, entry, entry_step, new_keys
         count[fill] = above or low
         holes, n = free[len(new) :], n + max(len(new) - len(free), 0)
         if len(holes):  # the replicas ran short: walkers past the new end fill the holes
             n -= len(holes)
             movers = np.setdiff1d(np.arange(n, n + len(holes)), holes, assume_unique=True)
             targets = holes[holes < n]
-            for a in (rows, headroom, step, key, block, count):
+            for a in (rows, headroom, step, key, count):
                 a[targets] = a[movers]
         if not n and queued == replicas:
             return words, steps
         # a round may be empty when every replica admitted so far escaped at once
         w = drawn[:, :n].T  # lane j of slot i at [i, j]
-        _walker_words(seed, rows[:n], step[:n], key[:n], block[:n], w, scratch[:, :n].T)
+        _walker_words(key[:n], step[:n], w, scratch[:, :n].T)
         words += w.size
         _below(w[:, :_ROUND], p, out=up_steps[:, :n].T)
         # byte i of a row's word j is lane j of slot i: shifted by j and or-ed
@@ -527,11 +534,13 @@ def _walk_on(
     last lane reads its decision from the same draw, and after a return
     the walk goes on from hi with the draw's next lane: a draw is made
     only once the last one's lanes are spent.  The visits are added into
-    the tally, which grows only with the depth the walk reaches.  The
-    walk never passes first_step + `_step_budget`; reaching it raises
-    BudgetError.
+    the tally, which grows only with the depth the walk reaches.  A walk
+    that expects more than `_WORK_STEPS` steps (`_check_work`) raises
+    BudgetError before any draw, and so does one that reaches
+    first_step + `_step_budget`.
     """
     budget = _step_budget(params, hi - start, first_step)
+    _check_work(params, 1, hi - start, hi - min_site)
     x, step, words, tally = start, first_step, 0, np.zeros(0, dtype=np.int64)
     lane = lanes = 0  # the draw's next lane and its steps
     while step < first_step + budget:

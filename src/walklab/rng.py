@@ -3,39 +3,33 @@
 Every random draw is a pure function of (seed, replica, step) through a
 chain of 64-bit finalizing mixes, so any replica can generate its own
 stream independently of how work is scheduled across rounds.
-Callers address a draw by its step alone.  Inside this module step t is
-lane t mod 2^16 of key block t div 2^16: the block index enters the
-replica's key and the lane is mixed into that key.  Identical keys give
-bit-identical streams on every platform.
+Identical keys give bit-identical streams on every platform.
 
 Replica streams (`counter_words`, `counter_uniforms`, `counter_steps`)
 spend one word on each step: step t of replica r is the t-th draw of its
 walk, which the escape walks of `montecarlo` reflect at their lowest
-tracked site, so a down-step that stays there spends its word too.
-`counter_words` is the streams' definition: the word of step t is
-mix(key ^ l), l = t mod 2^16, under the key of t's own block.  Ensemble
-walkers draw the same words through `_walker_words`, the one keyed draw:
-each walker keeps a key and the block it was made for, the key is made
-again only when the walker's step has left that block, and a round costs
-one mix per word (a row that runs past its block is drawn by
-`counter_words`); it is tested against `counter_words`.  A single long path is drawn bit-sliced instead
-(`path_step_bits`): step t is bit t mod 64 of group (t mod 2^16) div 64
-of key block t div 2^16, and its 53-bit uniform is spread over 53 plane
-words of its group, which are compared with p from the top bit down and
-drawn only while a step of the group is still open, about 7.5 words per
-64 steps for the same law bit for bit.  The path's planes are read under
-their own key domain (`_path_key`), so the path shares no word with any
-replica stream of its seed: the walk after a path's horizon, replica 0
-from step n on, is independent of the path.  Ensembles stay on one word
-per step: each walker of an escape pool draws the next 8 steps of its
-own stream per round, and at so few steps per walker the per-plane work
-costs more than the words it saves (bit-sliced ensemble prototypes were
-1.5-2x slower).  An escape decision reads the word of its step like any
-other step, and both escape walks draw one word past their steps, so
-every decision is in the draw that holds its exit: an ensemble walker
-draws 9 words a round, its 8 steps and the word after them, and the
-walk after a path's horizon draws its steps with `counter_words` one
-word past each batch.
+tracked site, so a down-step that stays there spends its word too.  A
+replica has one key, K_r = `_key(seed, r, 0)`, and the word of its step
+t is mix(K_r ^ t): a key and a counter (Salmon et al., "Parallel random
+numbers: as easy as 1, 2, 3", SC 2011), one mix per word.
+`_walker_words` is that draw for walkers that keep their keys, and
+`counter_words` is the same draw from the replica's number.  A single
+long path is drawn bit-sliced instead (`path_step_bits`): step t is bit
+t mod 64 of group (t mod 2^16) div 64 of key block t div 2^16, and its
+53-bit uniform is spread over 53 plane words of its group, which are
+compared with p from the top bit down and drawn only while a step of the
+group is still open, about 7.5 words per 64 steps for the same law bit
+for bit.  The path's planes are read under their own keys (`_path_key`),
+so the walk after a path's horizon, replica 0 from step n on, reads no
+word of the path.  Ensembles stay on one word per step: each walker of
+an escape pool draws the next 8 steps of its own stream per round, and
+at so few steps per walker the per-plane work costs more than the words
+it saves (bit-sliced ensemble prototypes were 1.5-2x slower).  An escape
+decision reads the word of its step like any other step, and both escape
+walks draw one word past their steps, so every decision is in the draw
+that holds its exit: an ensemble walker draws 9 words a round, its 8
+steps and the word after them, and the walk after a path's horizon draws
+its steps with `counter_words` one word past each batch.
 """
 
 from __future__ import annotations
@@ -59,8 +53,6 @@ _GROUPS = BLOCK_LANES // _GROUP  # groups per key block
 _PLANES = 53  # bits of a step's uniform; 53 * 1024 planes fit in one block
 _DENSE_PLANES = 6  # planes drawn for every group before the open ones are gathered
 _ALL = np.uint64(0xFFFFFFFFFFFFFFFF)
-_LANE_BITS = np.uint64(16)
-_LANE_MASK = np.uint64(BLOCK_LANES - 1)
 _GOLDEN = np.uint64(0x9E3779B97F4A7C15)
 _M1 = np.uint64(0xBF58476D1CE4E5B9)
 _M2 = np.uint64(0x94D049BB133111EB)
@@ -98,54 +90,31 @@ def _key(seed: int, replica, block):
     return mix64(h ^ np.asarray(block, dtype=np.uint64))
 
 
-def _walker_words(
-    seed: int, replica, step, keys, blocks, out: np.ndarray, scratch: np.ndarray | None = None
-) -> np.ndarray:
-    """Words of steps step + j, j < out.shape[-1], of each walker's
-    replica, drawn into `out` with the key each walker keeps: the words
-    of `counter_words`.
+def _walker_words(keys, step, out: np.ndarray, scratch: np.ndarray | None = None) -> np.ndarray:
+    """Words of steps step + j, j < out.shape[-1], of the streams with
+    keys `keys`, drawn into `out`: word t of key K is mix(K ^ t), one mix
+    per word, with `scratch` passed on to `_mix_inplace`.
 
-    `replica` and `step` are int64 arrays with one entry per row of the
-    2-D `out`.  `keys` holds each walker's key and `blocks` the key block
-    it was made for (-1 for none): a walker whose step lies in another
-    block gets that block's key first, written into `keys` and `blocks`
-    in place.  Word j is then mix(key ^ (lane + j)), one mix per word,
-    with `scratch` passed on to `_mix_inplace`; a row whose lanes run
-    past its block is drawn again by `counter_words`.
+    `keys` (uint64) and `step` (int64 or uint64) have one entry per row
+    of `out`, whose last axis holds the lanes.
     """
-    block = step >> 16
-    stale = np.flatnonzero(block != blocks)
-    if len(stale):
-        keys[stale] = _key(seed, replica[stale], block[stale])
-        blocks[stale] = block[stale]
-    lane = (step & (BLOCK_LANES - 1)).view(np.uint64)
-    np.add(lane[..., None], np.arange(out.shape[-1], dtype=np.uint64), out=out)
+    np.add(step.view(np.uint64)[..., None], np.arange(out.shape[-1], dtype=np.uint64), out=out)
     out ^= keys[..., None]
     _mix_inplace(out, scratch)
-    edge = np.flatnonzero(lane > BLOCK_LANES - out.shape[-1])
-    if len(edge):
-        out[edge] = counter_words(seed, replica[edge], out.shape[-1], step[edge])
     return out
 
 
 def counter_words(seed: int, replica, lanes: int, step=0) -> np.ndarray:
-    """Raw 64-bit words of steps step + j, j < lanes: the definition of
-    a replica's stream.
-
-    The word of step t is mix(key ^ (t mod 2^16)) under the key
-    `_key(seed, replica, t >> 16)` of t's own block, so a row may run
-    past the end of one key block into the next ones.  `replica` and
+    """Raw 64-bit words of steps step + j, j < lanes, of `replica`: the
+    `_walker_words` of its key `_key(seed, replica, 0)`.  `replica` and
     `step` may be scalars or integer arrays that broadcast together; the
     result has shape (*broadcast shape, lanes).
     """
     replica, step = np.broadcast_arrays(
         np.asarray(replica, dtype=np.uint64), np.asarray(step, dtype=np.uint64)
     )
-    t = step[..., None] + np.arange(lanes, dtype=np.uint64)
-    words = _key(seed, replica[..., None], t >> _LANE_BITS)
-    words ^= t & _LANE_MASK
-    _mix_inplace(words)
-    return words
+    out = np.empty((*step.shape, lanes), dtype=np.uint64)
+    return _walker_words(_key(seed, replica, 0), step, out)
 
 
 def counter_uniforms(seed: int, replica, lanes: int, step=0) -> np.ndarray:
@@ -188,11 +157,14 @@ def counter_steps(p: float, seed: int, replica, lanes: int, step=0) -> np.ndarra
 
 
 def _path_key(seed: int, block):
-    """Key of block `block` of a path's step planes: one more mix of
-    replica 0's key for that block.  Two keys give a common word only if
-    they agree above their low 16 bits (a word mixes key ^ lane, lane <
-    2^16), so the path shares no word with replica 0 or any other
-    replica of its seed."""
+    """Key P_b of block `block` of a path's step planes: one more mix of
+    replica 0's key for that block.  A plane word is mix(P_b ^ l) with l <
+    2^16 and a word of replica r is mix(K_r ^ t), so replica r reads a
+    word of block b only at a step t with t ^ l = K_r ^ P_b: at step 2^32
+    or later unless the two keys agree in their top 32 bits, a chance of
+    2^-32 for each pair (tested for 4096 replicas and 16 blocks of three
+    seeds).  So the walk after a path's horizon, replica 0, reads no word
+    of the path."""
     return mix64(_key(seed, 0, block))
 
 

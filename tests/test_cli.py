@@ -36,10 +36,13 @@ def test_constants_rejects_invalid_p(capsys):
 
 
 def test_dist_ball_values(capsys):
-    code, out, _ = run_cli(capsys, "dist", "ball", "--p", "0.75", "--kmax", "10")
-    assert code == 0
-    rows = dict((k, v) for k, v in json.loads(out)["rows"])
-    assert rows[1] == pytest.approx(0.375, abs=1e-12)
+    """The mass at 1 of the ball's and the sphere's occupation is p gamma0
+    = 0.375 at p = 0.75."""
+    for law in ("ball", "sphere"):
+        code, out, _ = run_cli(capsys, "dist", law, "--p", "0.75", "--kmax", "10")
+        assert code == 0
+        rows = dict((k, v) for k, v in json.loads(out)["rows"])
+        assert rows[1] == pytest.approx(0.375, abs=1e-12), law
 
 
 def test_dist_two_point_values(capsys):
@@ -175,6 +178,15 @@ def test_oracle_infinite_mode_refuses_near_half(capsys):
     )
     assert code == 1
     assert err.startswith("error:") and "budgets are" in err
+
+
+def test_simulate_refuses_a_walk_after_the_horizon_beyond_the_budget(capsys):
+    """At p = 0.5000000037 the path of n = 100 (seed 0) walks on after its
+    horizon for about 1.96e9 steps in expectation: refused before it
+    draws, with its expected steps in the message."""
+    code, _, err = run_cli(capsys, "simulate", "--p", "0.5000000037", "--n", "100")
+    assert code == 1
+    assert err.startswith("error:") and "expect about 1.959e+09 steps" in err
 
 
 def test_simulate_is_reproducible(tmp_path, capsys):

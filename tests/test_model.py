@@ -1,12 +1,13 @@
 """Parameter validation and derived constants."""
 
 import math
+import re
 from decimal import Decimal, localcontext
 
 import pytest
 from hypothesis import given, strategies as st
 
-from walklab import boundary, closedform, genfunc, montecarlo, oracle
+from walklab import boundary, closedform, genfunc, montecarlo, oracle, verify
 from walklab.errors import ValidationError
 from walklab.model import make_params
 
@@ -150,14 +151,47 @@ BELOW_BOUND_CASES = {
     "boundary_polyline gridsize": (
         "gridsize must be >= 2, got 1", lambda: boundary.boundary_polyline(P75, 1)
     ),
+    "joint_transform sign": (
+        "sign must be 'pos' or 'neg', got 'up'",
+        lambda: closedform.joint_transform(P75, 1, 0, 0.0, "up"),
+    ),
+    "two_point_occupation_pmf side": (
+        "side must be 'pos' or 'neg', got 'up'",
+        lambda: closedform.two_point_occupation_pmf(P75, 1, "up", 3),
+    ),
+    "two_point_gf side": (
+        "side must be 'pos' or 'neg', got 'up'", lambda: genfunc.two_point_gf(P75, 1, "up")
+    ),
+    "center_sphere_joint_pmf start": (
+        "start must be one of 0, 1, -1, got 5",
+        lambda: closedform.center_sphere_joint_pmf(P75, 5, 0, 1),
+    ),
+    "center_sphere_joint_pmf L from 1": (
+        "start=1, K=0 requires L >= 0, got L=-1",
+        lambda: closedform.center_sphere_joint_pmf(P75, 1, 0, -1),
+    ),
+    "dp_law n": (
+        "DP requires 1 <= n <= 5000, got 5001", lambda: oracle.dp_law(P75, 5001, [LT(0, 3)])
+    ),
+    "dp_law site": (
+        "tracked sites (6,) unreachable within n=5", lambda: oracle.dp_law(P75, 5, [LT(6, 3)])
+    ),
+    "Functional sites": ("site list must be nonempty", lambda: oracle.Functional((), 3)),
+    "run_suite level": (
+        "unknown level 'bogus'; choose from ['desk', 'fast']",
+        lambda: verify.run_suite(level="bogus"),
+    ),
+    "g y below x": (
+        "g requires y >= x >= 0, got x=1.0, y=0.5", lambda: boundary.g(P75, 1.0, 0.5)
+    ),
 }
 
 
 @pytest.mark.parametrize("case", BELOW_BOUND_CASES)
 def test_entry_points_refuse_sizes_below_their_bound(case):
-    """An integer below an argument's least value is refused with a
-    ValidationError that names the argument and the bound; a negative
-    jmax used to raise IndexError."""
+    """An argument below its least value, or outside the values it may
+    take, is refused with a ValidationError that names the argument and
+    its range; a negative jmax used to raise IndexError."""
     message, call = BELOW_BOUND_CASES[case]
-    with pytest.raises(ValidationError, match=f"^{message}$"):
+    with pytest.raises(ValidationError, match=f"^{re.escape(message)}$"):
         call()

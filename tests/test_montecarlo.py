@@ -472,7 +472,7 @@ def test_escape_step_budget_guard(monkeypatch):
     """A stream that only ever steps down never escapes: the budget chosen
     from p stops the ensemble's pool and the path's walk after its horizon
     after a few hundred steps instead of running on."""
-    def always_down(seed, replica, step, keys, blocks, out, scratch=None):
+    def always_down(keys, step, out, scratch=None):
         out[...] = np.uint64(2**64 - 1)  # no uniform is below p
         return out
 
@@ -572,6 +572,23 @@ def test_work_budget_boundary(monkeypatch, p, statistic, admitted, refused, step
         mc.ensemble(mc.SimConfig(params=params, n=1, replicas=admitted, seed=0), statistic)
     with pytest.raises(BudgetError, match=f"{refused} replicas expect about {steps} steps each"):
         mc.ensemble(mc.SimConfig(params=params, n=1, replicas=refused, seed=0), statistic)
+
+
+@pytest.mark.parametrize("rise", [0, 40])
+def test_walk_on_work_budget_boundary(monkeypatch, rise):
+    """The walk after a path's horizon has the ensemble's work budget: at
+    p = 0.5 + 2^-24, from `rise` below the path's maximum, a walk over
+    the 117 sites below it starts to walk, and one over 118 sites, which
+    expects 1.002e9 steps, is refused before it draws a word."""
+    def walked(*args, **kwargs):
+        raise _Walked
+
+    monkeypatch.setattr(mc, "counter_words", walked)
+    params = make_params(0.5 + 2.0**-24)
+    with pytest.raises(_Walked):
+        mc._walk_on(params, 0, -rise, 100, -117, 0)
+    with pytest.raises(BudgetError, match=r"1 replicas expect about 1\.002e\+09 steps each"):
+        mc._walk_on(params, 0, -rise, 100, -118, 0)
 
 
 def test_sim_config_validation():

@@ -127,76 +127,35 @@ def test_path_step_bits_refuses_a_step_inside_a_group():
 
 
 def test_path_key_is_no_replica_key():
-    """A word is the mix of key ^ lane with lane < 2^16, so two keys share
-    a word only if they agree above their low 16 bits.  The path's keys
-    agree there with no replica key of the same seed, replica 0 among
-    them, so the walk after a path's horizon (replica 0) reads none of
-    the path's words."""
+    """A plane word of path block b is mix(P_b ^ lane), lane < 2^16, and a
+    word of replica r is mix(K_r ^ t), so the replica reads it only at a
+    step t with t ^ lane = K_r ^ P_b.  For 4096 replicas and 16 blocks the
+    two keys differ above their low 32 bits, so that step is 2^32 or
+    later: the walk after a path's horizon (replica 0) reads none of the
+    path's words."""
     blocks = np.arange(16, dtype=np.uint64)
     for seed in (0, 1, 2**64 - 1):
-        path_keys = rng._path_key(seed, blocks) >> np.uint64(16)
-        replica_keys = rng._key(seed, np.arange(4096, dtype=np.uint64)[:, None], blocks)
-        assert not np.isin(path_keys, replica_keys >> np.uint64(16)).any()
-
-
-def _walker_row(seed, replica, step, lanes):
-    """Steps step + j, j < lanes, of one replica through `_walker_words`,
-    from a walker with no key yet."""
-    out = np.empty((1, lanes), dtype=np.uint64)
-    keys, blocks = np.zeros(1, dtype=np.uint64), np.full(1, -1)
-    return rng._walker_words(seed, np.array([replica]), np.array([step]), keys, blocks, out)[0]
+        path_keys = rng._path_key(seed, blocks)
+        replica_keys = rng._key(seed, np.arange(4096, dtype=np.uint64), 0)
+        assert ((replica_keys[:, None] ^ path_keys) >> np.uint64(32)).all(), seed
 
 
 def test_keyed_words_match_counter_words():
-    """Word j of a walker at step t is the word of step t + j of its
-    replica: for random rows drawn together into one buffer with a
-    scratch array from keys made for their blocks; for rows whose keys
-    are stale (none, or made for the block before), some of which cross a
-    block edge, drawn into a lane-major buffer from keys and blocks that
-    are views of larger arrays and are made again in place; one at a time
-    at steps 2^16 - 9 ... 2^16 + 8 by one walker, whose key is made again
-    as its step enters block 1; and block by block on rows of
-    `counter_words` that span 2 and 3 key blocks."""
+    """Word j of a walker at step t under its replica's key K_r =
+    `_key(seed, r, 0)` is the word of step t + j of `counter_words`,
+    mix(K_r ^ (t + j)): for random rows drawn together into a lane-major
+    buffer with a scratch array, as the escape pool draws them, a third
+    of them across step 2^16 and a third across step 2^17."""
     gen = np.random.default_rng(5)
     replicas = gen.integers(0, 2**63, 500)
-    steps = gen.integers(0, 2**40, 500) & ~15  # lanes 0..8 of 16 fit
-    blocks = steps >> 16
-    keys = rng._key(3, replicas, blocks)
-    out = np.empty((500, 9), dtype=np.uint64)
-    got = rng._walker_words(3, replicas, steps, keys.copy(), blocks.copy(), out, np.empty_like(out))
-    assert got is out
-    assert np.array_equal(out, rng.counter_words(3, replicas, 9, steps))
-
-    assert blocks.min() > 0
-    steps[::3] = (blocks[::3] << 16) + (1 << 16) - gen.integers(1, 9, len(steps[::3]))  # crossing
-    pool_keys, pool_blocks = np.zeros(600, dtype=np.uint64), np.full(600, -1)
-    pool_blocks[1:500:2] = blocks[1::2] - 1
-    pool_keys[1:500:2] = rng._key(3, replicas[1::2], pool_blocks[1:500:2])
+    steps = gen.integers(0, 2**40, 500)
+    for k, edge in enumerate((1 << 16, 1 << 17)):
+        steps[k::3] = edge - gen.integers(1, 9, len(steps[k::3]))
+    keys = rng._key(3, replicas, 0)
     lane_major, scratch = np.empty((9, 600), dtype=np.uint64), np.empty((9, 600), dtype=np.uint64)
-    out, scratch = lane_major[:, :500].T, scratch[:, :500].T  # lane j of row i at [j, i]
-    rng._walker_words(3, replicas, steps, pool_keys[:500], pool_blocks[:500], out, scratch)
-    assert np.array_equal(out, rng.counter_words(3, replicas, 9, steps))
-    assert np.array_equal(pool_blocks[:500], blocks) and (pool_blocks[500:] == -1).all()
-    assert np.array_equal(pool_keys[:500], keys) and not pool_keys[500:].any()
-
-    edge = range((1 << 16) - 9, (1 << 16) + 9)
-    for replica in (0, 7):
-        whole = rng.counter_words(3, replica, len(edge) + 8, edge.start)
-        key, block, word = np.zeros(1, dtype=np.uint64), np.full(1, -1), np.empty((1, 1), np.uint64)
-        one_by_one = []
-        for t in edge:
-            rng._walker_words(3, np.array([replica]), np.array([t]), key, block, word)
-            one_by_one.append(word[0, 0])
-            assert block[0] == t >> 16 and key[0] == rng._key(3, replica, t >> 16), t
-        assert np.array_equal(whole[: len(edge)], one_by_one)
-        for t in edge:  # 8 lanes, also past the block's end, or as many as the block holds
-            for lanes in (8, min(8, (1 << 16) - (t & 0xFFFF))):
-                row = whole[t - edge.start :][:lanes]
-                assert np.array_equal(_walker_row(3, replica, t, lanes), row), (t, lanes)
-        start = (1 << 16) - 5
-        for end in (start + 20, (2 << 16) + 5):  # the row ends in block 1 or 2
-            whole = rng.counter_words(3, replica, end - start, start)
-            edges = [start] + [e for e in (1 << 16, 2 << 16) if e < end] + [end]
-            parts = [_walker_row(3, replica, a, b - a) for a, b in zip(edges, edges[1:])]
-            assert np.array_equal(whole, np.concatenate(parts)), end
-            assert np.array_equal(whole, _walker_row(3, replica, start, end - start)), end
+    out = lane_major[:, :500].T  # lane j of row i at [j, i]
+    assert rng._walker_words(keys, steps, out, scratch[:, :500].T) is out
+    want = rng.counter_words(3, replicas, 9, steps)
+    assert np.array_equal(out, want)
+    t = (steps[:, None] + np.arange(9)).astype(np.uint64)
+    assert np.array_equal(want, rng.mix64(keys[:, None] ^ t))
