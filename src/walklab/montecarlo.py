@@ -67,7 +67,7 @@ import numpy as np
 from .errors import BudgetError, ValidationError, require_integers
 from .model import WalkParams
 from .closedform import excursion_mean_visits
-from .rng import BLOCK_LANES, _below, _key, _walker_words, counter_words, path_step_bits
+from .rng import BLOCK_LANES, _below, _key, _walker_words, path_step_bits
 
 __all__ = [
     "SimConfig",
@@ -85,7 +85,7 @@ _POOL = 1 << 14  # walkers of an escape walk that draw their rounds together
 _PATH_BLOCKS = 16  # key blocks of path steps drawn per path_step_bits call
 _ROUND = 8  # steps a walker draws per round of an escape walk, one byte of up-steps
 _WIDE = 2 * _ROUND + 3  # landing offsets -9..9 of each round code in _LANDS
-_WALK_LANES = 1023  # steps of a path's walk after its horizon per counter_words draw
+_WALK_LANES = 1023  # steps of a path's walk after its horizon per draw
 _BUDGET_MISS = 1e-18  # chance that a correct replica outruns its step budget
 _WORK_STEPS = 1e9  # steps that the replicas of one escape walk may expect to take in all
 _SLICE = 1 << 16  # sites per slice of the field in simulate_path and _field_pass
@@ -529,8 +529,9 @@ def _walk_on(
     is a visit to it, a step to hi + 1 is decided by the word of the next
     step, and a return is a visit to hi from which the walk goes on.  The
     reflected positions of a draw are its free positions plus the positive
-    part of the running maximum of min_site - pos.  Each `counter_words`
-    draw holds `_WALK_LANES` steps and one more word, so an exit at the
+    part of the running maximum of min_site - pos.  Each draw, the
+    `_walker_words` of replica 0's key (made once per walk) into one
+    buffer, holds `_WALK_LANES` steps and one more word, so an exit at the
     last lane reads its decision from the same draw, and after a return
     the walk goes on from hi with the draw's next lane: a draw is made
     only once the last one's lanes are spent.  The visits are added into
@@ -542,11 +543,13 @@ def _walk_on(
     budget = _step_budget(params, hi - start, first_step)
     _check_work(params, 1, hi - start, hi - min_site)
     x, step, words, tally = start, first_step, 0, np.zeros(0, dtype=np.int64)
+    key = _key(seed, 0, 0)  # replica 0's, made once per walk
+    drawn = np.empty((2, min(_WALK_LANES, budget) + 1), dtype=np.uint64)  # a draw and its scratch
     lane = lanes = 0  # the draw's next lane and its steps
     while step < first_step + budget:
         if lane >= lanes:  # the draw's lanes are spent
             lane, lanes = 0, min(_WALK_LANES, first_step + budget - step)
-            w = counter_words(seed, 0, lanes + 1, step)
+            w = _walker_words(key, np.int64(step), drawn[0, : lanes + 1], drawn[1, : lanes + 1])
             words += lanes + 1
             up = np.where(_below(w[:lanes], params.p), 1, -1)
         pos = x + np.cumsum(up[lane:])

@@ -4,13 +4,16 @@ A tracked counter (`Functional`) is the number of visits to a finite site
 set, pooled at a cap; a local time is the counter of a single site.
 `enumerate_paths` walks all 2^n paths for n <= ENUM_MAX_STEPS and counts
 them as exact integers per (#ups, counter tuple), so only the final sum
-is rounded.  `dp_law` gives the same law for horizons into the thousands:
-a forward DP over the window from the lowest to the highest tracked site
-and 0, with excursions outside it returning through the first-passage
-law from +1 to 0 (the ballot theorem).  `infinite_law` needs no horizon:
-visits to the tracked sites and 0 form a finite absorbing Markov chain
-with gambler's-ruin moves, and the mass that has not escaped when its
-sweep stops is the certificate.  All three are built from p alone.
+is rounded.  It holds at most 2^ENUM_BLOCK_STEPS paths at once, each as
+its position and counters in uint8, and a step tests a visit with one
+range compare per run of tracked sites two apart.  `dp_law` gives the
+same law for horizons into the thousands: a forward DP over the window
+from the lowest to the highest tracked site and 0, with excursions
+outside it returning through the first-passage law from +1 to 0 (the
+ballot theorem).  `infinite_law` needs no horizon: visits to the tracked
+sites and 0 form a finite absorbing Markov chain with gambler's-ruin
+moves, and the mass that has not escaped when its sweep stops is the
+certificate.  All three are built from p alone.
 """
 
 from __future__ import annotations
@@ -117,48 +120,95 @@ def _path_counts(n: int, fns: tuple[Functional, ...]) -> np.ndarray:
     """Exact number of n-step paths for each (#ups, counter tuple).
 
     The int64 table has shape (n + 1, cap_1 + 1, ...); its entries sum to
-    2^n.  Paths are built by doubling: each step sends every path to its
-    up and down extensions, updating position and counters in O(1) work
-    per new path.  At most 2^ENUM_BLOCK_STEPS paths are held at once, so
-    beyond that many steps the prefixes are extended in chunks.
+    2^n.  Every path is extended one step at a time by doubling, in
+    buffers of 2^ENUM_BLOCK_STEPS paths made once per call: a step writes
+    the first m paths, moved down, to m..2m and then moves the first m up
+    in place.  A path holds x + n, for its position x, and its counters,
+    unpooled, as uint8.  At step t the walk stands only on sites of the
+    parity of t, so a counter's sites of that parity are grouped into runs
+    s, s + 2, ..., s + 2k, and a path is on a run exactly when (x - s) mod
+    2^8 <= 2k: one subtract and one unsigned compare a run, and one
+    compare for a run of one site.  Beyond ENUM_BLOCK_STEPS steps the
+    paths come in blocks: each block of shorter paths is cut into chunks
+    that the last steps extend to one buffer each.  Each block's (#ups,
+    counters) key is counted into an unpooled table, which is pooled at
+    the caps once at the end.
     """
-    dims = tuple(f.cap + 1 for f in fns)
-    # position + n lies in [0, 2n] and ends at 2 * #ups; for n <= 24 it
-    # and the counters, clamped at min(cap, n), fit int8
-    hits = []
-    for f in fns:
-        hit = np.zeros(2 * n + 1, dtype=np.int8)
-        hit[[s + n for s in f.sites if abs(s) <= n]] = 1
-        hits.append(hit)
-    tops = [min(f.cap, n) for f in fns]
+    # runs[parity]: [counter, lowest site + n, 2k]
+    runs = ([], [])
+    for i, f in enumerate(fns):
+        for s in f.sites:
+            if abs(s) <= n:
+                same = runs[s % 2]
+                if same and same[-1][0] == i and same[-1][1] + same[-1][2] + 2 == s + n:
+                    same[-1][2] += 2  # s continues the run below it
+                else:
+                    same.append([i, s + n, 0])
+    block_steps = min(n, ENUM_BLOCK_STEPS)
+    size = 1 << block_steps
+    hit = np.empty(size, dtype=bool)
+    gap = np.empty(size, dtype=np.uint8)
 
-    def extend(pos, counts, steps):
-        for _ in range(steps):
-            pos = np.concatenate((pos + 1, pos - 1))
-            counts = [
-                np.minimum(np.concatenate((c, c)) + hit[pos], top)
-                for c, hit, top in zip(counts, hits, tops)
-            ]
-        return pos, counts
+    def extended(prefixes, done, steps):
+        """The blocks of paths `prefixes`, `done` steps long, extended by
+        `steps` steps, in chunks that fill this level's buffers."""
+        # x + n <= 2n and each count <= n fit uint8 for n <= ENUM_MAX_STEPS
+        pos = np.empty(size, dtype=np.uint8)
+        counts = np.empty((len(fns), size), dtype=np.uint8)
+        chunk = 1 << (block_steps - steps)
+        for prefix_pos, prefix_counts in prefixes:
+            for start in range(0, len(prefix_pos), chunk):
+                m = len(prefix_pos[start : start + chunk])
+                pos[:m] = prefix_pos[start : start + m]
+                counts[:, :m] = prefix_counts[:, start : start + m]
+                for t in range(done + 1, done + steps + 1):
+                    np.subtract(pos[:m], 1, out=pos[m : 2 * m])
+                    pos[:m] += 1
+                    counts[:, m : 2 * m] = counts[:, :m]
+                    m *= 2
+                    for i, low, width in runs[t % 2]:
+                        if width:
+                            np.subtract(pos[:m], low, out=gap[:m])
+                            np.less_equal(gap[:m], width, out=hit[:m])
+                        else:
+                            np.equal(pos[:m], low, out=hit[:m])
+                        counts[i, :m] += hit[:m].view(np.uint8)
+                yield pos[:m], counts[:, :m]
 
-    head = min(n, ENUM_BLOCK_STEPS)
-    prefix_pos, prefix_counts = extend(
-        np.array([n], dtype=np.int8), [np.zeros(1, dtype=np.int8) for _ in fns], head
-    )
-    chunk = 1 << (ENUM_BLOCK_STEPS - (n - head))
-    size = (n + 1) * math.prod(dims)
-    table = np.zeros(size, dtype=np.int64)
-    for start in range(0, prefix_pos.size, chunk):
-        pos, counts = extend(
-            prefix_pos[start : start + chunk],
-            [c[start : start + chunk] for c in prefix_counts],
-            n - head,
-        )
-        index = pos.astype(np.intp) >> 1
-        for c, dim in zip(counts, dims):
-            index = index * dim + c
-        table += np.bincount(index, minlength=size)
-    return table.reshape((n + 1,) + dims)
+    # steps per level, last level first: each level after the first
+    # extends chunks of the blocks before it to full blocks
+    levels, depth = [], n
+    while depth > block_steps:
+        levels.append(min(depth - block_steps, block_steps))
+        depth -= levels[-1]
+    levels.append(depth)
+    paths = [(np.array([n], dtype=np.uint8), np.zeros((len(fns), 1), dtype=np.uint8))]
+    done = 0
+    for steps in reversed(levels):
+        paths = extended(paths, done, steps)
+        done += steps
+
+    # #ups and the unpooled counters are each at most n: one key of
+    # len(fns) + 1 digits in base n + 1, with its cells counted per block
+    cells = (n + 1) ** (len(fns) + 1)
+    key = np.empty(size, dtype=np.min_scalar_type(cells - 1))
+    index = np.empty(size, dtype=np.intp)
+    table = np.zeros(cells, dtype=np.int64)
+    for pos, counts in paths:
+        m = len(pos)
+        np.right_shift(pos, 1, out=key[:m])  # position + n ends at 2 * #ups
+        for c in counts:
+            key[:m] *= n + 1
+            key[:m] += c
+        np.copyto(index[:m], key[:m])
+        table += np.bincount(index[:m], minlength=cells)
+    table = table.reshape((n + 1,) * (len(fns) + 1))
+    for axis, f in enumerate(fns, 1):  # pool each counter at its cap
+        unpooled = np.moveaxis(table, axis, 0)
+        pooled = np.zeros((f.cap + 1,) + unpooled.shape[1:], dtype=np.int64)
+        np.add.at(pooled, np.minimum(np.arange(n + 1), f.cap), unpooled)
+        table = np.moveaxis(pooled, 0, axis)
+    return np.ascontiguousarray(table)
 
 
 def enumerate_paths(params: WalkParams, n: int, functionals) -> JointLaw:

@@ -29,7 +29,7 @@ decision reads the word of its step like any other step, and both escape
 walks draw one word past their steps, so every decision is in the draw
 that holds its exit: an ensemble walker draws 9 words a round, its 8
 steps and the word after them, and the walk after a path's horizon draws
-its steps with `counter_words` one word past each batch.
+its steps under replica 0's key one word past each batch.
 """
 
 from __future__ import annotations

@@ -369,24 +369,25 @@ def test_path_variant_joins_the_sites_the_tally_raises(monkeypatch):
 def test_path_continuation_is_replica_0_from_step_n(monkeypatch):
     """The path draws no replica word; its walk after the horizon reads
     the words of replica 0 at steps n, n + 1, ... in one unbroken run,
-    and eta_max counts the visits of the reference walk from there."""
+    under one key, and eta_max counts the visits of the reference walk
+    from there."""
     calls = []
 
-    def recording(seed, replica, lanes, step=0):
-        calls.append((seed, replica, lanes, step))
-        return rng.counter_words(seed, replica, lanes, step)
+    def recording(keys, step, out, scratch=None):
+        calls.append((int(keys), int(step), out.shape[-1]))
+        return rng._walker_words(keys, step, out, scratch)
 
-    monkeypatch.setattr(mc, "counter_words", recording)
+    monkeypatch.setattr(mc, "_walker_words", recording)
     monkeypatch.setattr(mc, "_WALK_LANES", 7)  # several draws, so the run shows
     n, seed = 3000, 237
     field = mc.simulate_path(P75, n, seed)
     assert calls == []
     rep = mc.path_report(mc.SimConfig(params=P75, n=n, seed=seed))
     assert len(calls) > 1
+    assert {key for key, _, _ in calls} == {int(rng._key(seed, 0, 0))}
     drawn = set()
-    for call_seed, replica, lanes, step in calls:
-        assert (call_seed, replica) == (seed, 0)
-        drawn.update(range(step, step + lanes))
+    for _, step, words in calls:
+        drawn.update(range(step, step + words))
     assert min(drawn) == n and len(drawn) == max(drawn) - n + 1
     _, sites, _, _ = reference_escape(
         P75, seed, [0], field.final_position, n, field.min_site, field.max_site
@@ -471,25 +472,30 @@ def test_exact_escape_agrees_with_margin_escape(p, statistic):
 def test_escape_step_budget_guard(monkeypatch):
     """A stream that only ever steps down never escapes: the budget chosen
     from p stops the ensemble's pool and the path's walk after its horizon
-    after a few hundred steps instead of running on."""
+    after a few hundred steps instead of running on.  That walk draws
+    replica 0's words from step n on, unbroken, to the end of its budget."""
+    calls = []
+
     def always_down(keys, step, out, scratch=None):
+        calls.append((np.asarray(keys).tolist(), np.asarray(step).tolist(), out.shape[-1]))
         out[...] = np.uint64(2**64 - 1)  # no uniform is below p
         return out
 
-    def always_down_words(seed, replica, lanes, step=0):
-        shape = np.broadcast(np.asarray(replica), np.asarray(step)).shape
-        return np.full((*shape, lanes), 2**64 - 1, dtype=np.uint64)
-
     monkeypatch.setattr(mc, "_walker_words", always_down)
-    monkeypatch.setattr(mc, "counter_words", always_down_words)
     config = mc.SimConfig(params=P75, n=1, replicas=64, seed=0)
     with pytest.raises(BudgetError, match="within 319 steps"):
         mc.ensemble(config, "local_time:0")
     field = mc.simulate_path(P75, 100, 0)
     rise = field.max_site - field.final_position
     budget = mc._step_budget(P75, rise, 100)
+    calls.clear()
     with pytest.raises(BudgetError, match=f"within {budget} steps"):
         mc.path_report(mc.SimConfig(params=P75, n=100, seed=0))
+    assert {key for key, _, _ in calls} == {int(rng._key(0, 0, 0))}
+    drawn = set()
+    for _, step, words in calls:
+        drawn.update(range(step, step + words))
+    assert (min(drawn), max(drawn), len(drawn)) == (100, 100 + budget, budget + 1)
 
 
 @pytest.mark.parametrize("p", [0.501, 0.6, 0.75, 0.9, 0.999])
@@ -566,7 +572,6 @@ def test_work_budget_boundary(monkeypatch, p, statistic, admitted, refused, step
         raise _Walked
 
     monkeypatch.setattr(mc, "_walker_words", walked)
-    monkeypatch.setattr(mc, "counter_words", walked)
     params = make_params(p)
     with pytest.raises(_Walked):
         mc.ensemble(mc.SimConfig(params=params, n=1, replicas=admitted, seed=0), statistic)
@@ -583,7 +588,7 @@ def test_walk_on_work_budget_boundary(monkeypatch, rise):
     def walked(*args, **kwargs):
         raise _Walked
 
-    monkeypatch.setattr(mc, "counter_words", walked)
+    monkeypatch.setattr(mc, "_walker_words", walked)
     params = make_params(0.5 + 2.0**-24)
     with pytest.raises(_Walked):
         mc._walk_on(params, 0, -rise, 100, -117, 0)
@@ -917,12 +922,12 @@ def test_walk_on_counts_an_escape_at_its_first_step(monkeypatch):
     decision, in one draw: its step budget at p = 0.75 (319 steps) is
     shorter than _WALK_LANES, so the draw holds 319 + 1 words."""
 
-    def up_then_escape(seed, replica, lanes, step=0):
-        words = np.full(lanes, 2**64 - 1, dtype=np.uint64)
-        words[0] = 0  # below p: up to hi + 1; the next word is above h
-        return words
+    def up_then_escape(keys, step, out, scratch=None):
+        out[...] = np.uint64(2**64 - 1)
+        out[0] = 0  # below p: up to hi + 1; the next word is above h
+        return out
 
-    monkeypatch.setattr(mc, "counter_words", up_then_escape)
+    monkeypatch.setattr(mc, "_walker_words", up_then_escape)
     tally, words, steps = mc._walk_on(P75, 0, 3, 100, -2, 3)
     assert mc._step_budget(P75, 0, 100) == 319 < mc._WALK_LANES
     assert (tally.tolist(), words, steps) == ([], 320, 2)
@@ -937,11 +942,12 @@ def test_walk_on_walks_its_draw_on_after_a_return(monkeypatch):
     two returns and at step 3, and hi - 1 at step 2."""
     ups = {0, 1, 3, 4, 5, 6}  # word 0 (below p and h) at these steps from 100
 
-    def two_returns_then_escape(seed, replica, lanes, step=0):
-        t = step + np.arange(lanes) - 100
-        return np.where(np.isin(t, list(ups)), np.uint64(0), np.uint64(2**64 - 1))
+    def two_returns_then_escape(keys, step, out, scratch=None):
+        t = step + np.arange(out.shape[-1]) - 100
+        out[...] = np.where(np.isin(t, list(ups)), np.uint64(0), np.uint64(2**64 - 1))
+        return out
 
-    monkeypatch.setattr(mc, "counter_words", two_returns_then_escape)
+    monkeypatch.setattr(mc, "_walker_words", two_returns_then_escape)
     tally, words, steps = mc._walk_on(P75, 0, 3, 100, -2, 3)
     lanes = mc._step_budget(P75, 0, 100)
     assert (tally.tolist(), words, steps) == ([3, 1], lanes + 1, 8)
@@ -955,11 +961,12 @@ def test_walk_on_memory_stays_flat_until_its_budget(monkeypatch):
     visit holds 8 bytes a step)."""
     params = make_params(0.505)
 
-    def alternating(seed, replica, lanes, step=0):
-        t = step + np.arange(lanes, dtype=np.uint64)
-        return np.where(t % 2 == 0, np.uint64(0), np.uint64(2**64 - 1))
+    def alternating(keys, step, out, scratch=None):
+        t = step + np.arange(out.shape[-1])
+        out[...] = np.where(t % 2 == 0, np.uint64(0), np.uint64(2**64 - 1))
+        return out
 
-    monkeypatch.setattr(mc, "counter_words", alternating)
+    monkeypatch.setattr(mc, "_walker_words", alternating)
     assert mc._step_budget(params, 1, 0) == 1_119_357
     tracemalloc.start()
     try:

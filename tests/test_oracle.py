@@ -193,15 +193,39 @@ def test_path_counts_are_exact_integers(n):
     assert counts.sum(axis=(1, 2)).tolist() == [math.comb(n, u) for u in range(n + 1)]
 
 
-def test_path_counts_match_path_by_path_loop():
-    n = 9
-    funcs = (oracle.local_time(1, 3), oracle.set_occupation((-2, 0, 2), 4))
-    expected = np.zeros((n + 1, 4, 5), dtype=np.int64)
+@pytest.mark.parametrize(
+    "n, funcs",
+    [
+        (9, (oracle.local_time(1, 3), oracle.set_occupation((-2, 0, 2), 4))),
+        (10, (oracle.set_occupation((-8, -4, 0, 4, 8, 9, 11, 13), 6),)),
+        (10, (oracle.set_occupation((-25, 25), 2), oracle.local_time(0, 3))),
+        (9, (oracle.local_time(-1, 4), oracle.local_time(-1, 4))),
+        (10, (oracle.local_time(0, 1),)),
+        (10, (oracle.set_occupation((-3, -2, -1, 0, 1, 2, 5), 8), oracle.local_time(3, 2))),
+    ],
+    ids=["runs", "gapped", "beyond-n", "identical", "cap-1", "both-parities"],
+)
+def test_path_counts_match_path_by_path_loop(n, funcs):
+    dims = tuple(f.cap + 1 for f in funcs)
+    expected = np.zeros((n + 1, *dims), dtype=np.int64)
     for steps in itertools.product((1, -1), repeat=n):
         positions = np.cumsum(steps)
         counts = [min(int(np.isin(positions, f.sites).sum()), f.cap) for f in funcs]
         expected[(steps.count(1), *counts)] += 1
     assert np.array_equal(oracle._path_counts(n, funcs), expected)
+
+
+@pytest.mark.parametrize("n", [1, 2, 5, 12])
+def test_path_counts_do_not_depend_on_the_block_size(monkeypatch, n):
+    """Blocks of 2^1 to 2^16 paths give one table, so the chunked tail
+    (n > ENUM_BLOCK_STEPS, with chunks of chunks once n > 2 ENUM_BLOCK_STEPS)
+    keeps each step's parity."""
+    funcs = (oracle.set_occupation((-3, -2, 0, 1, 4), 6), oracle.local_time(-1, 3))
+    expected = oracle._path_counts(n, funcs)
+    assert int(expected.sum()) == 2**n
+    for steps in range(1, 17):
+        monkeypatch.setattr(oracle, "ENUM_BLOCK_STEPS", steps)
+        assert np.array_equal(oracle._path_counts(n, funcs), expected), steps
 
 
 def test_enumeration_at_max_steps_matches_dp():
