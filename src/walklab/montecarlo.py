@@ -15,11 +15,11 @@ is truncated.  Below the lowest tracked site lo the walk visits nothing
 and surely comes back, so both escape walks are reflected there: a
 down-step from lo stays on lo and is a visit to it, which leaves the
 law of the visits to the sites >= lo unchanged.  Ensembles walk their
-replicas on the calling thread, in a refilled pool of up to 2^14
-walkers, 8 steps a round; they count each round's visits to the tracked
-sites from a table of its landings and decide each exit in the round
-that reaches it (`_escape_visits`).  A single path walks on after its
-horizon alone, 1023 steps a draw, tallying its visits by depth
+replicas on the calling thread, in a pool of up to 2^14 walkers, 8 steps
+a round; they add each round's visits to the tracked sites, from a table
+of its landings, straight into each replica's count and decide each exit
+in the round that reaches it (`_escape_visits`).  A single path walks on
+after its horizon alone, 1023 steps a draw, tallying its visits by depth
 (`_walk_on`).  An ensemble whose replicas expect more steps in all than
 a fixed work budget, or a walk after a horizon that expects more steps
 than it, is refused with BudgetError before it draws a word; a walk
@@ -392,11 +392,11 @@ def _check_work(params: WalkParams, replicas: int, hi: int, span: int) -> None:
 
 
 def _escape_visits(
-    params: WalkParams, seed: int, replicas: int, first_step: int, hi: int, below, vals
-) -> tuple[int, int]:
-    """Add to vals[r] the visits at steps >= first_step of replica r <
-    `replicas`, walked from 0 to the end of time, to the tracked sites
-    hi - d, d in `below` (sorted, and holding 0: hi is tracked).
+    params: WalkParams, seed: int, replicas: int, hi: int, below
+) -> tuple[np.ndarray, int, int]:
+    """The visits of each replica r < `replicas`, walked from 0 to the end
+    of time, to the tracked sites hi - d, d in `below` (sorted, and
+    holding 0: hi is tracked).
 
     The walk is reflected at lo = hi - max(below), the lowest tracked
     site: a down-step from lo stays on lo and is a visit to it, x_t =
@@ -413,42 +413,43 @@ def _escape_visits(
     done.  When hi < 0 a replica is decided on admission with h^(-hi).
     The counts are exact, with no truncation.
 
-    The replicas walk in a pool of at most `_POOL` slots.  Each walker's
-    stream key is made once, on admission (a replica admitted from above hi
-    draws its decision under it first), and each round `rng._walker_words`
+    The replicas walk in a pool of at most `_POOL` slots: each walker's
+    replica, headroom hi - x, next step and stream key.  The key is made
+    once, on admission (a replica admitted from above hi draws its
+    decision under it first), and each round `rng._walker_words`
     draws every walker's next `_ROUND` + 1 words under its key, its steps
     and the word after them, into buffers made once per call.  A round's
     up-steps are packed into one byte per walker; with the walker's headroom
-    hi - x and depth x - lo it makes the round's code, from which `_USED`
-    reads how far the walker goes, `_OFFSET` where it ends and `_LANDS` how
-    many of its steps land on each tracked site.  A walker that steps to
-    hi + 1 at lane j is decided by lane j + 1 of the same round, so every exit
-    is decided in the round that reaches it and each walker starts a round
-    on lo..hi.  The slots of finished walkers take the next replicas, so the
-    rounds stay full until they run out; then walkers from the end of the
-    pool move into the free slots.
+    and depth x - lo it makes the round's code, from which `_USED` reads
+    how far the walker goes, `_OFFSET` where it ends and `_LANDS` how many
+    of its steps land on each tracked site.  A walker that steps to hi + 1
+    at lane j is decided by lane j + 1 of the same round, so every exit is
+    decided in the round that reaches it and each walker starts a round
+    on lo..hi.  Every visit goes straight into its replica's count.
+    After each round the walkers still walking move to the front of the
+    pool, in order, and the next replicas are admitted after them.
 
-    Returns the words drawn, `_ROUND` + 1 per walker and round and one
-    per replica admitted from above hi, and the steps of the reflected
-    walk, decision and admission steps included.  A call whose replicas
-    expect more than `_WORK_STEPS` steps in all (`_check_work`) raises
-    BudgetError before any walking, and so does a replica still walking
-    after `_step_budget` steps.
+    Returns the per-replica counts, the words drawn, `_ROUND` + 1 per
+    walker and round and one per replica admitted from above hi, and the
+    steps of the reflected walk, decision and admission steps included.
+    A call whose replicas expect more than `_WORK_STEPS` steps in all
+    (`_check_work`) raises BudgetError before it allocates the counts,
+    and so does a replica still walking after `_step_budget` steps.
     """
     p, h = params.p, params.h
-    budget = _step_budget(params, hi, first_step)
+    budget = _step_budget(params, hi, 0)
     span = int(below[-1])  # hi - lo
     _check_work(params, replicas, hi, span)
+    vals = np.zeros(replicas, dtype=np.int64)
     below = np.asarray(below)[:, None]
     above, low = hi < 0, hi > span  # replicas start above hi, or below lo
     # headroom hi - x and step on entry: at hi, from 0 or at lo
-    entry, entry_step = min(max(hi, 0), span), first_step + (above or low)
+    entry, entry_step = min(max(hi, 0), span), int(above or low)
     size = min(_POOL, replicas)
     rows = np.empty(size, dtype=np.int64)  # the pool's slots: replica,
     headroom = np.empty_like(rows)  # hi - x,
     step = np.empty_like(rows)  # the next step of each walker
-    key = np.empty(size, dtype=np.uint64)  # its stream key
-    count = np.empty_like(rows)  # and the walker's visits so far
+    key = np.empty(size, dtype=np.uint64)  # and its stream key
     # one round's words (its steps and the word after them), the mix's
     # scratch space and the up-steps, lane by lane (lane j of slot i at
     # [j, i]), in whole 8-slot columns
@@ -456,33 +457,24 @@ def _escape_visits(
     drawn = np.empty((_ROUND + 1, cols), dtype=np.uint64)
     scratch = np.empty_like(drawn)
     up_steps = np.zeros((_ROUND, cols), dtype=bool)
-    free = rows[:0]  # slots of finished walkers
     n = queued = words = steps = 0  # n: walkers in the pool, in slots 0..n-1
     while True:
-        new = np.arange(queued, min(queued + len(free) + size - n, replicas))
+        new = np.arange(queued, min(queued + size - n, replicas))
         queued += len(new)
         new_keys = _key(seed, new, 0) if len(new) else key[:0]  # made once per walker
         if above and len(new):
             w = np.empty((len(new), 1), dtype=np.uint64)
-            _walker_words(new_keys, np.full(len(new), first_step), w)
+            _walker_words(new_keys, np.zeros_like(new), w)
             words += len(new)
             back = _below(w[:, 0], h ** -hi)
             steps += len(new) - int(back.sum())
             new, new_keys = new[back], new_keys[back]
-        # new replicas take the free slots first, then the slots past n;
-        # an admission step lands on hi or lo, a visit
-        fill = np.concatenate([free[: len(new)], np.arange(n, n + len(new) - len(free))])
+        vals[new] = above or low  # an admission step lands on hi or lo, a visit
+        fill = slice(n, n + len(new))  # after the walkers still walking
         rows[fill], headroom[fill], step[fill], key[fill] = new, entry, entry_step, new_keys
-        count[fill] = above or low
-        holes, n = free[len(new) :], n + max(len(new) - len(free), 0)
-        if len(holes):  # the replicas ran short: walkers past the new end fill the holes
-            n -= len(holes)
-            movers = np.setdiff1d(np.arange(n, n + len(holes)), holes, assume_unique=True)
-            targets = holes[holes < n]
-            for a in (rows, headroom, step, key, count):
-                a[targets] = a[movers]
+        n += len(new)
         if not n and queued == replicas:
-            return words, steps
+            return vals, words, steps
         # a round may be empty when every replica admitted so far escaped at once
         w = drawn[:, :n].T  # lane j of slot i at [i, j]
         _walker_words(key[:n], step[:n], w, scratch[:, :n].T)
@@ -499,20 +491,25 @@ def _escape_visits(
         e = rise - below  # tracked site hi - d is x + e, e = headroom - d
         np.clip(e, -_ROUND - 1, _ROUND + 1, out=e)  # in place: e is (distances, walkers)
         e += code * _WIDE + _ROUND + 1
-        count[:n] += _LANDS[e].sum(axis=0)
+        vals[rows[:n]] += _LANDS[e].sum(axis=0)  # the pool's rows are distinct
         used = _USED[code]
         step[:n] += used
         rise -= _OFFSET[code]
         out = np.flatnonzero(used < _ROUND)  # stepped to hi + 1 at lane used[out]
         back = _below(w[out, used[out] + 1], h)  # the decision, the next lane
         step[out] += 2  # past the exit step and its decision
-        back, free = out[back], out[~back]
-        count[back] += 1
+        back, done = out[back], out[~back]
+        vals[rows[back]] += 1
         headroom[back] = 0
-        vals[rows[free]] += count[free]  # the pool's rows are distinct
-        steps += int(step[free].sum()) - first_step * len(free)
-        if step[:n].max(initial=first_step) - first_step > budget:
+        steps += int(step[done].sum())
+        if step[:n].max(initial=0) > budget:
             raise BudgetError(f"escape not reached within {budget} steps")
+        keep = np.ones(n, dtype=bool)
+        keep[done] = False
+        walking = np.flatnonzero(keep)  # to the front of the pool, in order
+        for a in (rows, headroom, step, key):
+            a[: len(walking)] = a[walking]
+        n = len(walking)
 
 
 def _walk_on(
@@ -739,9 +736,9 @@ def ensemble(config: SimConfig, statistic: str, threads: int = 1) -> EnsembleRep
     or "no_return" (1 if the walk never returns to 0, else 0: the
     indicator that "local_time:0" is 0).  Each replica is walked until it
     escapes for good (see `_escape_visits`), so every value is exact and
-    `config.n` plays no part.  All replicas are walked in one pool on the
-    calling thread, which adds each round's visits to the tracked sites
-    straight into the per-replica counts.
+    `config.n` plays no part.  One pool on the calling thread walks all
+    replicas and adds each round's visits to the tracked sites straight
+    into the per-replica counts, made once the work budget is passed.
 
     `threads` is neither read nor checked.  It is kept only because the
     benchmark harness in perfbench/ still passes it; it goes once that
@@ -751,9 +748,8 @@ def ensemble(config: SimConfig, statistic: str, threads: int = 1) -> EnsembleRep
     sites = _stat_sites(name)
     hi = max(sites)
     params, seed, replicas = config.params, config.seed, config.replicas
-    vals = np.zeros(replicas, dtype=np.int64)
     below = sorted(hi - s for s in sites)
-    words, steps = _escape_visits(params, seed, replicas, 0, hi, below, vals)
+    vals, words, steps = _escape_visits(params, seed, replicas, hi, below)
     hist = np.bincount((vals == 0).astype(np.int64) if name == "no_return" else vals)
     k = np.arange(len(hist))
     mean = (k * hist).sum() / replicas  # integer sums, exact below 2^53

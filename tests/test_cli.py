@@ -189,6 +189,16 @@ def test_simulate_refuses_a_walk_after_the_horizon_beyond_the_budget(capsys):
     assert err.startswith("error:") and "expect about 1.959e+09 steps" in err
 
 
+def test_simulate_refuses_an_ensemble_beyond_the_budget(capsys):
+    """10^11 replicas of the ball at p = 0.75 are refused before their
+    counts are made: exit 1 and one line of error, no traceback."""
+    code, out, err = run_cli(
+        capsys, "simulate", "--replicas", "100000000000", "--statistic", "ball_occupation"
+    )
+    assert (code, out) == (1, "")
+    assert err.startswith("error:") and "replicas expect about 6.167 steps each" in err
+
+
 def test_simulate_is_reproducible(tmp_path, capsys):
     out_a = tmp_path / "a.json"
     out_b = tmp_path / "b.json"

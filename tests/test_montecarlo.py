@@ -409,7 +409,10 @@ def test_path_report_keeps_the_field_and_derives_the_cloud():
 
 
 def test_counter_steps_offsets_cross_block_boundary():
-    """Per-row steps read the slices of whole 2^16-step blocks."""
+    """Per-row steps from any step are the same slice of the row's stream
+    read 2^16 steps at a time from step 0, whether or not the row crosses
+    a multiple of 2^16, and also for rows that start past 2^16 and run
+    70,000 steps."""
     ids = np.arange(40, 45, dtype=np.uint64)
     offsets = np.array([0, 65530, 65535, 65536, 2 * 65536 - 3])
     rows = rng.counter_steps(0.6, 3, ids, 12, offsets)
@@ -530,6 +533,21 @@ def test_escape_refused_beyond_the_step_counter():
         mc.ensemble(config, "ball_occupation")
     with pytest.raises(BudgetError, match=r"2\^63"):
         mc.path_report(mc.SimConfig(params=params, n=100, seed=0))
+
+
+def test_ensemble_refused_before_its_counts_are_made():
+    """10^11 replicas of the ball at p = 0.75 expect 6.17e11 steps in all:
+    the ensemble is refused with BudgetError before it makes the 800 GB
+    of per-replica counts, and its traced peak stays under 1 MB."""
+    config = mc.SimConfig(params=P75, n=1, replicas=10**11, seed=0)
+    tracemalloc.start()
+    try:
+        with pytest.raises(BudgetError, match="100000000000 replicas expect about 6.167 steps"):
+            mc.ensemble(config, "ball_occupation")
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 1 << 20
 
 
 @pytest.mark.parametrize("p", [0.52, 0.6])
@@ -803,13 +821,18 @@ def test_pair_spectrum_holds_one_code_per_site():
 
 @pytest.mark.parametrize("pool", [1, 3, 1000])
 def test_escape_visits_do_not_depend_on_pool_size(monkeypatch, pool):
-    """Step t of a replica is one draw however many walkers share a round."""
+    """Step t of a replica is one draw however many walkers share a round
+    and whichever slot it walks in: from 0 inside the tracked sites, from
+    above them (local_time:-2, decided on admission) and from below them
+    (local_time:3, admitted on lo)."""
     config = mc.SimConfig(params=make_params(0.6), n=1, replicas=3000, seed=8)
-    base = mc.ensemble(config, "two_point_neg:2")
+    statistics = ("two_point_neg:2", "local_time:-2", "local_time:3")
+    base = [mc.ensemble(config, statistic) for statistic in statistics]
     monkeypatch.setattr(mc, "_POOL", pool)
-    rep = mc.ensemble(config, "two_point_neg:2")
-    assert np.array_equal(rep.histogram, base.histogram)
-    assert rep.to_dict() == base.to_dict()
+    for statistic, want in zip(statistics, base):
+        rep = mc.ensemble(config, statistic)
+        assert np.array_equal(rep.histogram, want.histogram), statistic
+        assert rep.to_dict() == want.to_dict(), statistic
 
 
 def _brute_force_round(pattern, headroom, depth):
@@ -848,42 +871,28 @@ def test_round_tables_match_a_step_by_step_walk():
 
 @pytest.mark.parametrize("p", [0.52, 0.6, 0.9, 0.999])
 @pytest.mark.parametrize(
-    "start, first_step, lo, hi",
-    [
-        (0, 0, -1, 1),
-        (3, 0, -2, 1),
-        (0, 0, -3, -3),
-        (0, (1 << 16) - 3, 0, 2),
-        (-4, 7, -2, 3),
-        (0, (1 << 16) - 40, -1, 1),
-        (0, (1 << 16) - 9, -1, 1),
-        (0, (1 << 16) - 8, -1, 1),
-    ],
+    "start, lo, hi",
+    [(0, -1, 1), (3, -2, 1), (0, -3, -3), (0, 0, 2), (-4, -2, 3), (0, 3, 3), (1, -1, 1), (0, -10, 0)],
 )
-def test_escape_visits_match_the_reference(monkeypatch, p, start, first_step, lo, hi):
+def test_escape_visits_match_the_reference(monkeypatch, p, start, lo, hi):
     """The pool gives the per-replica visit counts, words and steps of the
-    cumsum walk of escaperef.py, with more replicas than walkers.  The
-    pool walks from 0, so the reference's start is folded into the sites:
-    sites lo..hi seen from `start` are lo - start..hi - start seen from 0,
-    and a start above hi is an hi below 0.  Both every site of lo..hi and
-    only its two ends are tracked.  Rounds cross a 2^16-step block edge:
-    from 2^16 - 40, walkers at p = 0.52 reach the edge in the middle of
-    their walks, so their cached keys are made again and rounds straddle
-    it.  From 2^16 - 9, a walker that leaves at the last lane of its first
-    round decides at step 2^16 - 1 and, if it goes back, walks on in the
-    next block.  From 2^16 - 8, such a walker decides by lane 0 of the
-    next block, under that block's key."""
+    cumsum walk of escaperef.py from step 0, with more replicas than
+    walkers.  The pool walks from 0, so the reference's start is folded
+    into the sites: sites lo..hi seen from `start` are lo - start..hi -
+    start seen from 0, so a start above hi is an hi below 0, one below lo
+    a lo above 0 and one on hi an hi of 0.  Both every site of lo..hi and
+    only its two ends are tracked, also 10 sites deep, where a round reads
+    its depth as 8."""
     params, seed, replicas = make_params(p), 4, 300
     monkeypatch.setattr(mc, "_POOL", 37)
     rows, sites, words, steps = reference_escape(
-        params, seed, np.arange(replicas), start, first_step, lo, hi
+        params, seed, np.arange(replicas), start, 0, lo, hi
     )
     for below in (list(range(hi - lo + 1)), sorted({0, hi - lo})):
         tracked = np.isin(sites, [hi - d for d in below])
         expected = np.bincount(rows[tracked], minlength=replicas)
-        vals = np.zeros(replicas, dtype=np.int64)
-        got = mc._escape_visits(params, seed, replicas, first_step, hi - start, below, vals)
-        assert got == (words, steps)
+        vals, *got = mc._escape_visits(params, seed, replicas, hi - start, below)
+        assert got == [words, steps]
         assert np.array_equal(vals, expected), below
     assert words >= steps >= replicas
 
@@ -903,9 +912,10 @@ def test_walk_on_matches_the_reference(monkeypatch, p, start, first_step, lo, hi
     of escaperef.py: its tally by depth below hi counts the same visits
     to the sites >= lo and it walks the same steps, drawing at least one
     word a step, whatever the draw size, with exits at the last lane of a
-    draw (1 and 7 lanes) and draws across a 2^16-step block edge.  At
-    p = 0.501 a walk of 1-step draws costs about 0.1 ms a step; with seed
-    1 these walks take 12,000-18,000 steps."""
+    draw (1 and 7 lanes) and walks that start at a step other than 0, as
+    the walk after a path's horizon does.  At p = 0.501 a walk of 1-step
+    draws costs about 0.1 ms a step; with seed 1 these walks take
+    12,000-18,000 steps."""
     params, seed = make_params(p), 1
     _, sites, _, ref_steps = reference_escape(params, seed, [0], start, first_step, lo, hi)
     expected = np.bincount(hi - sites[sites >= lo])
