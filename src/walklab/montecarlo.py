@@ -239,34 +239,47 @@ class EnsembleReport:
         return {**asdict(self), "ci95": list(self.ci95), "histogram": self.histogram.tolist()}
 
 
+# the set bits of each byte (numpy before 2.0 has no bitwise_count)
+_BYTE_ONES = np.array([bin(b).count("1") for b in range(256)], dtype=np.uint8)
+
+
 def simulate_path(params: WalkParams, n: int, seed: int) -> LocalTimeField:
     """One sampled path's local-time field; bit-reproducible in
     (params, n, seed).
 
-    The field is counted from the down-steps by fact (c).  The steps are
-    drawn as packed bits `_PATH_BLOCKS` key blocks at a time, and only
-    the landing sites of their down-steps are kept, about q * n.  One
-    bincount of them at the exact size of the range gives D; each count
-    then takes the one below it in place, _SLICE sites at a time from the
-    top down, with no second array of the range's size; c(s) comes last.
+    The field is counted from the down-steps by fact (c).  The path's
+    steps are drawn first, as packed bits `_PATH_BLOCKS` key blocks at a
+    time, and their down-steps counted by byte; the landing sites of the
+    down-steps, about q * n, are then written chunk by chunk into one
+    array of exactly that size.  One bincount of them at the exact size
+    of the range gives D; each count then takes the one below it in place,
+    _SLICE sites at a time from the top down, with no second array of the
+    range's size; c(s) comes last.
     """
     require_integers(1, n=n)
     require_integers(seed=seed)
-    chunk, landings, downs = _PATH_BLOCKS * BLOCK_LANES, [], 0
+    chunk = _PATH_BLOCKS * BLOCK_LANES
+    words = np.empty(-(-n // 64), dtype="<u8")
     for first in range(0, n, chunk):
         size = min(chunk, n - first)
-        bits = path_step_bits(params.p, seed, size, first).astype("<u8", copy=False)
-        np.invert(bits, out=bits)  # bit set: the step goes down
-        # step t of the draw is bit t mod 8 of byte t div 8
-        down = np.unpackbits(bits.view(np.uint8), count=size, bitorder="little")
-        steps = np.flatnonzero(down.view(bool))
+        words[first // 64 : -(-(first + size) // 64)] = path_step_bits(params.p, seed, size, first)
+    np.invert(words, out=words)  # bit set: the step goes down
+    if n % 64:
+        words[-1] &= np.uint64((1 << (n % 64)) - 1)  # bits past step n - 1
+    # step t of the path is bit t mod 8 of byte t div 8
+    packed = words.view(np.uint8)
+    downs = int(_BYTE_ONES[packed].sum())
+    land = np.empty(downs, dtype=np.int64)
+    done = 0
+    for first in range(0, n, chunk):
+        size = min(chunk, n - first)
+        part = packed[first // 8 : -(-(first + size) // 8)]
+        steps = np.flatnonzero(np.unpackbits(part, count=size, bitorder="little").view(bool))
         # down-step k, at step T = first + t, lands on T - 2k - 1
-        start = 2 * downs + 1 - first
-        steps -= np.arange(start, start + 2 * len(steps), 2)
-        landings.append(steps)
-        downs += len(steps)
-    land = np.concatenate(landings)
-    del landings  # the bincount's peak holds only the landings and the field
+        start = 2 * done + 1 - first
+        end = done + len(steps)
+        np.subtract(steps, np.arange(start, start + 2 * len(steps), 2), out=land[done:end])
+        done = end
     final = n - 2 * downs
     s1 = -1 if downs and land[0] == -1 else 1  # down-step 0 lands on -1 only at step 0
     lo = int(land.min(initial=s1))

@@ -22,6 +22,7 @@ import math
 from dataclasses import dataclass, field
 
 import numpy as np
+from numpy.lib.stride_tricks import sliding_window_view
 
 from .errors import BudgetError, ValidationError, require_integers
 from .model import WalkParams
@@ -38,6 +39,7 @@ __all__ = [
 
 ENUM_MAX_STEPS = 24
 ENUM_BLOCK_STEPS = 16
+DP_BLOCK_STEPS = 32  # return steps of a window edge that dp_law adds per block
 DP_MAX_STEPS = 5000
 DP_STATE_BUDGET = 50_000_000
 # infinite_law refuses a law estimated to take over WORK_BUDGET_S, at
@@ -288,7 +290,14 @@ def dp_law(params: WalkParams, n: int, functionals) -> JointLaw:
     by its survival, the probability of no return by step n.  The walk
     stands on a site only at steps of the site's parity, so each edge
     sends mass out at every other step and takes returns at the steps
-    between, each a single matrix-vector product over the stored exits.
+    between.  The returns are an online convolution of the exits with
+    the kernel, added DP_BLOCK_STEPS return steps at a time: at the first
+    step of a block one matrix product, of the kernel's Toeplitz slice
+    and the exits stored before the block, gives the returns from those
+    exits at every step of the block, and each step adds its row of it
+    and a product over the block's own exits, at most DP_BLOCK_STEPS of
+    them.  So the stored exits are read once per block, not once per
+    step.
     """
     require_integers(n=n)
     if n < 1 or n > DP_MAX_STEPS:
@@ -302,11 +311,14 @@ def dp_law(params: WalkParams, n: int, functionals) -> JointLaw:
     lo = min(0, *(s for f in fns for s in f.sites))
     hi = max(0, *(s for f in fns for s in f.sites))
     width = hi - lo + 1
-    n_states = 2 * (width + n // 2 + 1) * size
+    # each edge holds a block's returns once it has more return steps than a block
+    block = DP_BLOCK_STEPS if (n + 1) // 2 > DP_BLOCK_STEPS else 0
+    n_states = 2 * (width + n // 2 + 1 + block) * size
     if n_states > DP_STATE_BUDGET:
         raise BudgetError(
             f"DP state space {n_states} exceeds budget {DP_STATE_BUDGET} (2 x {width} "
-            f"window rows and 2 x {n // 2 + 1} exit rows, counter dims {dims})"
+            f"window rows, 2 x {n // 2 + 1} exit rows and 2 x {block} block rows, "
+            f"counter dims {dims})"
         )
     p, q = params.p, params.q
     # buffer t % 2 holds step t; row = position - lo, counter tuples
@@ -320,34 +332,52 @@ def dp_law(params: WalkParams, n: int, functionals) -> JointLaw:
         for s in f.sites:
             visits[s % 2].append(_visit_index(s - lo, axis, f.cap))
     # per edge: (window row, edge site, probability of stepping out, first
-    # passage kernel, exits, survival).  The kernel is stored reversed and
-    # contiguous, so each step's lags are a forward slice that BLAS takes
-    # as is.  The walk leaves over an edge only at steps of the parity
-    # opposite to the edge's, so the exit at step s is stored at row s // 2.
+    # passage kernel and its shifts, exits, block returns, survival).  The
+    # kernel is stored reversed, so each step's lags are a forward slice
+    # that BLAS takes as is.  The walk leaves over an edge only at steps of
+    # the parity opposite to the edge's, so the exit at step s is stored at
+    # row s // 2.
+    B = DP_BLOCK_STEPS
     sides = []
     for row, edge, away, back in ((-1, hi, p, q), (0, lo, q, p)):
         f, survival = _first_passage(away, back, n)
+        # the kernel reversed, after B zeros that block rows past the
+        # horizon read: padded[-1 - j] = f[j]
+        padded = np.concatenate((np.zeros(B), f[::-1]))
+        # shifts[i, c] = padded[c + B - 1 - i]: at a block that starts at
+        # return step m, its Toeplitz slice f[m + i - r] (i < B, r < m) is
+        # the column slice that starts at c = len(f) - m
+        shifts = np.ascontiguousarray(sliding_window_view(padded, len(f) + 1)[::-1])
         exits = np.zeros((n // 2 + 1, size))
-        sides.append((row, edge, away, np.ascontiguousarray(f[::-1]), exits, survival))
+        ahead = np.zeros((block, size))  # this block's returns from earlier exits
+        sides.append((row, edge, away, padded, shifts, exits, ahead, survival))
     for t in range(1, n + 1):
         state, new, grid = buffers[(t - 1) % 2], buffers[t % 2], grids[t % 2]
         np.multiply(state[1:], q, out=new[:-1])
         new[-1] = 0.0
         new[1:] += p * state[:-1]
-        for row, edge, away, kernel, exits, _ in sides:
+        for row, edge, away, padded, shifts, exits, ahead, _ in sides:
             if (t - edge) % 2:
                 np.multiply(state[row], away, out=exits[t // 2])
             else:
                 # returns from the exits at s = t - 1, t - 3, ...: with
-                # m = (t - 1) // 2, row r comes back at lag 2(m - r) + 1
+                # m = (t - 1) // 2, row r comes back at lag 2(m - r) + 1,
+                # with probability f[m - r]
                 m = (t - 1) // 2
-                new[row] += kernel[-(m + 1) :] @ exits[: m + 1]
+                i = m % B
+                near = padded[-(i + 1) :] @ exits[m - i : m + 1]
+                if m >= B:  # and from the exits before this block
+                    if not i:
+                        start = shifts.shape[1] - 1 - m
+                        np.matmul(shifts[:, start : start + m], exits[:m], out=ahead)
+                    near += ahead[i]
+                new[row] += near
         for top, below, shifted, source, zero in visits[t % 2]:
             grid[top] += grid[below]
             grid[shifted] = grid[source]
             grid[zero] = 0.0
     table = buffers[n % 2].sum(axis=0)
-    for _, edge, _, _, exits, survival in sides:
+    for _, edge, _, _, _, exits, _, survival in sides:
         steps = np.arange(1 + edge % 2, n + 1, 2)
         table += survival[n - steps] @ exits[steps // 2]
     return JointLaw(axes=fns, table=table.reshape(dims), horizon=n)

@@ -13,6 +13,8 @@ from walklab import oracle
 from walklab.errors import BudgetError, ValidationError
 from walklab.model import make_params
 
+from dpref import reference_dp_table
+
 P75 = make_params(0.75)
 
 
@@ -183,6 +185,28 @@ def test_dp_matches_recorded_tables(p, n, funcs, table):
     assert np.abs(law.table - np.array(table)).max() <= 1e-15
 
 
+# windows with edges of both parities, counter sizes 2 to 441
+BLOCK_CASES = [
+    [oracle.local_time(0, 1)],
+    [oracle.set_occupation((-1, 1), 15)],
+    [oracle.set_occupation((2, 4), 6)],
+    [oracle.set_occupation((-3, 0, 2), 5), oracle.local_time(2, 3)],
+    [oracle.local_time(0, 20), oracle.set_occupation((-1, 1), 20)],
+]
+
+
+@pytest.mark.parametrize("p", [0.52, 0.75])
+@pytest.mark.parametrize("n", [63, 64, 65, 127, 128, 129, 1000])
+@pytest.mark.parametrize("funcs", BLOCK_CASES)
+def test_dp_blocks_match_per_step_reference(p, n, funcs):
+    """Blocks of DP_BLOCK_STEPS return steps, on either side of a block
+    edge and over many blocks, against the DP that adds each return
+    step's returns from all earlier exits at once (dpref.py)."""
+    params = make_params(p)
+    law = oracle.dp_law(params, n, funcs)
+    assert np.abs(law.table - reference_dp_table(params, n, funcs)).max() <= 1e-15
+
+
 @pytest.mark.parametrize("n", [1, 2, 7, 16, 17, 20, oracle.ENUM_MAX_STEPS])
 def test_path_counts_are_exact_integers(n):
     funcs = (oracle.local_time(0, 4), oracle.set_occupation((-1, 1), 30))
@@ -261,16 +285,23 @@ def test_dp_matches_center_sphere_joint_law():
 
 def test_dp_state_budget_counts_window_and_exit_rows(monkeypatch):
     """The DP holds two window buffers and two exit tables of counter
-    vectors: at n = 10 on {-1, 2}, 2 x 4 + 2 x 6 rows of 7 states each."""
+    vectors, and two blocks of returns once an edge has more return steps
+    than a block: on {-1, 2}, 7 states a row, n = 10 holds 2 x 4 + 2 x 6
+    rows and n = 65 holds 2 x 4 + 2 x 33 + 2 x 32."""
     funcs = [oracle.set_occupation((-1, 2), 6)]
-    monkeypatch.setattr(oracle, "DP_STATE_BUDGET", 140)
-    law = oracle.dp_law(P75, 10, funcs)
-    monkeypatch.undo()
-    assert np.array_equal(law.table, oracle.dp_law(P75, 10, funcs).table)
-    monkeypatch.setattr(oracle, "DP_STATE_BUDGET", 139)
-    message = r"state space 140 exceeds budget 139 \(2 x 4 window rows and 2 x 6 exit rows"
-    with pytest.raises(BudgetError, match=message):
-        oracle.dp_law(P75, 10, funcs)
+    for n, states, rows in (
+        (10, 140, "2 x 6 exit rows and 2 x 0 block rows"),
+        (65, 966, "2 x 33 exit rows and 2 x 32 block rows"),
+    ):
+        monkeypatch.setattr(oracle, "DP_STATE_BUDGET", states)
+        law = oracle.dp_law(P75, n, funcs)
+        monkeypatch.undo()
+        assert np.array_equal(law.table, oracle.dp_law(P75, n, funcs).table)
+        monkeypatch.setattr(oracle, "DP_STATE_BUDGET", states - 1)
+        message = rf"state space {states} exceeds budget {states - 1} \(2 x 4 window rows, {rows}"
+        with pytest.raises(BudgetError, match=message):
+            oracle.dp_law(P75, n, funcs)
+        monkeypatch.undo()
 
 
 def test_joint_law_mass_and_overflow():
