@@ -16,16 +16,18 @@ and surely comes back, so both escape walks are reflected there: a
 down-step from lo stays on lo and is a visit to it, which leaves the
 law of the visits to the sites >= lo unchanged.  Ensembles walk their
 replicas on the calling thread, in a pool of up to 2^14 walkers, 8 steps
-a round; they add each round's visits to the tracked sites, from a table
-of its landings, straight into each replica's count and decide each exit
-in the round that reaches it (`_escape_visits`).  A single path walks on
-after its horizon alone, 1023 steps a draw, tallying its visits by depth
-(`_walk_on`).  An ensemble whose replicas expect more steps in all than
-a fixed work budget, or a walk after a horizon that expects more steps
-than it, is refused with BudgetError before it draws a word; a walk
-still going after the step budget that a Chernoff bound sets from p
-raises BudgetError, and so does a walk whose budget exceeds what its
-step counter holds (`_step_budget`).
+a round; each round's byte of up-steps and byte of decisions (the word
+after each step, below h) read from tables how far each walker goes,
+where it ends, whether it has escaped and its visits to the tracked
+sites, which go straight into each replica's count, so each exit is
+decided in the round that reaches it (`_escape_visits`).  A single path
+walks on after its horizon alone, 1023 steps a draw, tallying its visits
+by depth (`_walk_on`).  An ensemble whose replicas expect more steps in
+all than a fixed work budget, or a walk after a horizon that expects
+more steps than it, is refused with BudgetError before it draws a word;
+a walk still going after the step budget that a Chernoff bound sets
+from p raises BudgetError, and so does a walk whose budget exceeds what
+its step counter holds (`_step_budget`).
 
 Three facts of the +-1 walk build the dense counts and let every path
 statistic be read from them alone:
@@ -84,7 +86,7 @@ __all__ = [
 _POOL = 1 << 14  # walkers of an escape walk that draw their rounds together
 _PATH_BLOCKS = 16  # key blocks of path steps drawn per path_step_bits call
 _ROUND = 8  # steps a walker draws per round of an escape walk, one byte of up-steps
-_WIDE = 2 * _ROUND + 3  # landing offsets -9..9 of each round code in _LANDS
+_WIDE = 2 * _ROUND + 3  # landing offsets -9..9 of each decided round code in _LANDS2
 _WALK_LANES = 1023  # steps of a path's walk after its horizon per draw
 _BUDGET_MISS = 1e-18  # chance that a correct replica outruns its step budget
 _WORK_STEPS = 1e9  # steps that the replicas of one escape walk may expect to take in all
@@ -330,18 +332,32 @@ def _step_budget(params: WalkParams, rise: int, first_step: int) -> int:
 
 
 def _round_tables():
-    """Tables of one 8-step round of the walk reflected at lo, indexed by
-    code = (b * 9 + min(hi - x, 8)) * 9 + min(x - lo, 8), with b the byte
-    of its up-steps (bit j set: step j goes up).  A walker 8 or more below
-    hi cannot pass it within a round, and one 8 or more above lo cannot
-    step down from it, so 8 stands for every larger headroom and depth.
+    """Tables of one 8-step round of the walk reflected at lo, decided.
 
-    _OFFSET[code]  position after the round, relative to its start, of a
-        walker that does not pass hi;
-    _USED[code]  steps taken before the walk passes hi (8 if it does not);
-    _LANDS[code * 19 + e + 9]  how many of those steps land on x + e, for
-        -8 <= e <= 8; the entries at e = -9 and 9 are 0, so a site further
-        from x reads its offset clipped to -9..9.
+    A round's code is code = (u * 9 + min(hi - x, 8)) * 9 + min(x - lo,
+    8), with u the byte of its up-steps (bit j set: step j goes up).  A
+    walker 8 or more below hi cannot pass it within a round, and one 8 or
+    more above lo cannot step down from it, so 8 stands for every larger
+    headroom and depth; a walker that passes hi within the round started
+    at most 7 below it, so its headroom is exact.  Let used be the steps
+    taken before the walk passes hi (8 if it does not).  A walker that
+    steps to hi + 1 at lane used is decided by lane used + 1: b = 1 when
+    that word is below h (a return), and b = 0 when it escapes.  The
+    decided code is code2 = 2 * code + b; where the round has no exit the
+    entries of b = 0 and 1 are the same.
+
+    _EXIT_BIT[code]  min(used, 7), the bit of the round's decision byte
+        (bit j set: lane j + 1's word is below h) that is b;
+    _STEPS2[code2]  steps walked: used, and 2 more (the exit step and its
+        decision) on an exit;
+    _OFFSET2[code2]  position after the round, relative to its start: hi
+        after a return, hi + 1 after an escape (so the headroom hi - x is
+        -1 exactly when the walker has escaped for good), and that of the
+        walk otherwise;
+    _LANDS2[code2 * 19 + e + 9]  how many of the round's visits land on x
+        + e, for -8 <= e <= 8, the visit to hi on a return included; the
+        entries at e = -9 and 9 are 0, so a site further from x reads its
+        offset clipped to -9..9.
     """
     up = (np.arange(256)[:, None] >> np.arange(_ROUND)) & 1
     free = np.cumsum(2 * up - 1, axis=1)
@@ -356,15 +372,25 @@ def _round_tables():
     lands = np.bincount(
         (code * _WIDE + pos[:, None] + _ROUND + 1)[live], minlength=code.size * _WIDE
     )
-    offset = np.repeat(pos[:, None, :, -1], _ROUND + 1, axis=1)
+    used = live.sum(axis=3).ravel()
+    exits = np.flatnonzero(used < _ROUND)
+    top = code.ravel() // (_ROUND + 1) % (_ROUND + 1)  # headroom, exact on an exit
+    offset = np.repeat(pos[:, None, :, -1], _ROUND + 1, axis=1).ravel()
+    # axis 1 is b: an exit with b = 1 returns to hi, one with b = 0 escapes
+    offset = np.stack([offset, offset], axis=1)
+    offset[exits] = top[exits, None] + [1, 0]
+    steps = used + 2 * (used < _ROUND)
+    lands = np.repeat(lands.astype(np.int8).reshape(code.size, 1, _WIDE), 2, axis=1)
+    lands[exits, 1, top[exits] + _ROUND + 1] += 1
     return (
+        np.minimum(used, _ROUND - 1).astype(np.uint8),
+        np.repeat(steps, 2).astype(np.uint8),
         offset.astype(np.int8).ravel(),
-        live.sum(axis=3).astype(np.uint8).ravel(),
-        lands.astype(np.int8),
+        lands.ravel(),
     )
 
 
-_OFFSET, _USED, _LANDS = _round_tables()
+_EXIT_BIT, _STEPS2, _OFFSET2, _LANDS2 = _round_tables()
 _LANE_SHIFTS = np.arange(_ROUND, dtype=np.uint64)[:, None]
 
 
@@ -432,15 +458,20 @@ def _escape_visits(
     decision under it first), and each round `rng._walker_words`
     draws every walker's next `_ROUND` + 1 words under its key, its steps
     and the word after them, into buffers made once per call.  A round's
-    up-steps are packed into one byte per walker; with the walker's headroom
-    and depth x - lo it makes the round's code, from which `_USED` reads
-    how far the walker goes, `_OFFSET` where it ends and `_LANDS` how many
-    of its steps land on each tracked site.  A walker that steps to hi + 1
-    at lane j is decided by lane j + 1 of the same round, so every exit is
-    decided in the round that reaches it and each walker starts a round
-    on lo..hi.  Every visit goes straight into its replica's count.
-    After each round the walkers still walking move to the front of the
-    pool, in order, and the next replicas are admitted after them.
+    up-steps (lanes 0..7 below p) and decisions (lanes 1..8 below h) are
+    packed into two bytes per walker; the byte of up-steps, the walker's
+    headroom and its depth x - lo make the round's code.  A walker that
+    steps to hi + 1 at lane j is decided by lane j + 1 of the same round,
+    bit j of its decision byte, which `_EXIT_BIT` names; that bit makes
+    the decided code, from which `_STEPS2` reads how far the walker goes,
+    `_OFFSET2` where it ends (hi after a return, hi + 1 after an escape)
+    and `_LANDS2` how many of its visits land on each tracked site, a
+    return's visit to hi included (`_round_tables`).  So every exit is
+    decided in the round that reaches it, with no pass over the exits
+    alone, and each walker starts a round on lo..hi.  Every visit goes
+    straight into its replica's count.  After each round the walkers
+    still walking move to the front of the pool, in order, and the next
+    replicas are admitted after them.
 
     Returns the per-replica counts, the words drawn, `_ROUND` + 1 per
     walker and round and one per replica admitted from above hi, and the
@@ -464,12 +495,13 @@ def _escape_visits(
     step = np.empty_like(rows)  # the next step of each walker
     key = np.empty(size, dtype=np.uint64)  # and its stream key
     # one round's words (its steps and the word after them), the mix's
-    # scratch space and the up-steps, lane by lane (lane j of slot i at
-    # [j, i]), in whole 8-slot columns
+    # scratch space, and its up-steps (lanes 0..7 below p) and decisions
+    # (lanes 1..8 below h), lane by lane (lane j of slot i at [j, i]), in
+    # whole 8-slot columns
     cols = -(-size // 8) * 8
     drawn = np.empty((_ROUND + 1, cols), dtype=np.uint64)
     scratch = np.empty_like(drawn)
-    up_steps = np.zeros((_ROUND, cols), dtype=bool)
+    lanes = np.zeros((2, _ROUND, cols), dtype=bool)
     n = queued = words = steps = 0  # n: walkers in the pool, in slots 0..n-1
     while True:
         new = np.arange(queued, min(queued + size - n, replicas))
@@ -486,40 +518,36 @@ def _escape_visits(
         fill = slice(n, n + len(new))  # after the walkers still walking
         rows[fill], headroom[fill], step[fill], key[fill] = new, entry, entry_step, new_keys
         n += len(new)
+        steps += entry_step * len(new)
         if not n and queued == replicas:
             return vals, words, steps
         # a round may be empty when every replica admitted so far escaped at once
-        w = drawn[:, :n].T  # lane j of slot i at [i, j]
-        _walker_words(key[:n], step[:n], w, scratch[:, :n].T)
-        words += w.size
-        _below(w[:, :_ROUND], p, out=up_steps[:, :n].T)
+        _walker_words(key[:n], step[:n], drawn[:, :n].T, scratch[:, :n].T)
+        words += (_ROUND + 1) * n
+        _below(drawn[:_ROUND, :n], p, out=lanes[0, :, :n])
+        _below(drawn[1:, :n], h, out=lanes[1, :, :n])
         # byte i of a row's word j is lane j of slot i: shifted by j and or-ed
-        # over the lanes, byte i is the byte of slot i's up-steps
-        bits = up_steps[:, : -(-n // 8) * 8].view("<u8") << _LANE_SHIFTS
-        pattern = np.bitwise_or.reduce(bits, axis=0).view(np.uint8)[:n].astype(np.intp)
+        # over the lanes, byte i is slot i's byte of up-steps and of decisions
+        bits = lanes[:, :, : -(-n // 8) * 8].view("<u8") << _LANE_SHIFTS
+        up, decide = np.bitwise_or.reduce(bits, axis=1).view(np.uint8)[:, :n]
         rise = headroom[:n]
-        code = pattern * (_ROUND + 1) + np.minimum(rise, _ROUND)
+        code = up.astype(np.intp) * (_ROUND + 1) + np.minimum(rise, _ROUND)
         code *= _ROUND + 1
         code += np.minimum(span - rise, _ROUND)
+        exit_back = (decide >> _EXIT_BIT[code]) & 1  # whether an exit returns
+        code += code
+        code += exit_back  # code2, the decided code
         e = rise - below  # tracked site hi - d is x + e, e = headroom - d
         np.clip(e, -_ROUND - 1, _ROUND + 1, out=e)  # in place: e is (distances, walkers)
         e += code * _WIDE + _ROUND + 1
-        vals[rows[:n]] += _LANDS[e].sum(axis=0)  # the pool's rows are distinct
-        used = _USED[code]
-        step[:n] += used
-        rise -= _OFFSET[code]
-        out = np.flatnonzero(used < _ROUND)  # stepped to hi + 1 at lane used[out]
-        back = _below(w[out, used[out] + 1], h)  # the decision, the next lane
-        step[out] += 2  # past the exit step and its decision
-        back, done = out[back], out[~back]
-        vals[rows[back]] += 1
-        headroom[back] = 0
-        steps += int(step[done].sum())
+        vals[rows[:n]] += _LANDS2[e].sum(axis=0)  # the pool's rows are distinct
+        walked = _STEPS2[code]
+        step[:n] += walked
+        steps += int(walked.sum())
+        rise -= _OFFSET2[code]  # -1: escaped for good, at hi + 1
         if step[:n].max(initial=0) > budget:
             raise BudgetError(f"escape not reached within {budget} steps")
-        keep = np.ones(n, dtype=bool)
-        keep[done] = False
-        walking = np.flatnonzero(keep)  # to the front of the pool, in order
+        walking = np.flatnonzero(rise >= 0)  # to the front of the pool, in order
         for a in (rows, headroom, step, key):
             a[: len(walking)] = a[walking]
         n = len(walking)

@@ -177,30 +177,37 @@ def _check_weight_limit(params: WalkParams, seed: int) -> tuple:
 
 
 def _band_and_chisq(
-    histogram: np.ndarray, replicas: int, table, level: float
-) -> tuple[bool, float]:
+    histogram: np.ndarray, replicas: int, table, level: float, band_level: float
+) -> tuple[bool, float, float]:
     """Chi-square test at `level` against the PmfTable `table`, bins
-    with expected count < 10 pooled into the tail, and a 4-sigma
-    multinomial band on each bin the chi-square keeps: a bin that
-    expects far less than one count says nothing on its own."""
+    with expected count < 10 pooled into the tail, and an exact two-sided
+    binomial band at `band_level` on each bin the chi-square keeps: a bin
+    that expects far less than one count says nothing on its own, and a
+    normal band is too narrow on the skewed bins that expect few counts.
+    Returns the verdict, the chi-square p and the least two-sided tail of
+    a kept bin."""
     from scipy import stats  # only here: importing scipy costs about 1 s
 
-    probs = np.zeros(len(histogram))
-    listed = table.support < len(histogram)
-    probs[table.support[listed]] = table.mass[listed]
+    size = max(len(histogram), int(table.support[-1]) + 1)
+    probs = np.zeros(size)
+    probs[table.support] = table.mass
+    counts = np.zeros(size)
+    counts[: len(histogram)] = histogram
     tail_p = max(1.0 - probs.sum(), 0.0)
 
-    keep = probs * replicas >= 10
-    sigma = np.sqrt(probs[keep] * (1 - probs[keep]) / replicas)
-    band_ok = bool((np.abs(histogram[keep] / replicas - probs[keep]) <= 4 * sigma).all())
+    keep = probs * replicas >= _MC_BIN_COUNT
+    obs, bin_p = counts[keep], probs[keep]
+    lower = stats.binom.cdf(obs, replicas, bin_p)
+    upper = stats.binom.sf(obs - 1, replicas, bin_p)
+    band_tail = float(np.minimum(2.0 * np.minimum(lower, upper), 1.0).min(initial=1.0))
 
-    obs = np.append(histogram[keep], histogram[~keep].sum() + 0.0)
-    exp = np.append(probs[keep], probs[~keep].sum() + tail_p) * replicas
+    obs = np.append(obs, counts[~keep].sum())
+    exp = np.append(bin_p, probs[~keep].sum() + tail_p) * replicas
     # replicas not in any retained bin fall in the pooled remainder
     obs[-1] += replicas - histogram.sum()
     chisq = float(((obs - exp) ** 2 / exp).sum())
     pvalue = float(stats.chi2.sf(chisq, df=len(obs) - 1))
-    return band_ok and pvalue > level, pvalue
+    return band_tail >= band_level and pvalue > level, pvalue, band_tail
 
 
 def _cut_table(build):
@@ -221,28 +228,33 @@ _MC_LAWS = {
     "two_point_pos:1": lambda params, k: closedform.two_point_occupation_pmf(params, 1, "pos", k),
 }
 # the chance that criterion 7 fails a correct sampler through its
-# chi-square tests: each of its laws is tested at this over their number
-# (Bonferroni), so one seed's five tests together keep this level
+# chi-square tests, and apart from that through its bands: each of its
+# laws is tested at this over their number, and each kept bin's band at
+# this over the kept bins of all the laws (Bonferroni)
 _MC_LEVEL = 0.01
+_MC_BIN_COUNT = 10  # a bin expecting fewer counts is pooled into the tail
 
 
 def _check_mc_distributions(params: WalkParams, seed: int) -> tuple:
     replicas = 1_000_000
     config = montecarlo.SimConfig(params=params, n=1, replicas=replicas, seed=seed)
-    level = _MC_LEVEL / len(_MC_LAWS)
+    tables = {name: _cut_table(lambda k: law(params, k)) for name, law in _MC_LAWS.items()}
+    bins = sum(int((t.mass * replicas >= _MC_BIN_COUNT).sum()) for t in tables.values())
+    level, band_level = _MC_LEVEL / len(_MC_LAWS), _MC_LEVEL / bins
     details = []
     all_ok = True
-    for name, law in _MC_LAWS.items():
-        table = _cut_table(lambda k: law(params, k))
+    for name, table in tables.items():
         rep = montecarlo.ensemble(config, name)
-        ok, pvalue = _band_and_chisq(rep.histogram, replicas, table, level)
+        ok, pvalue, band_tail = _band_and_chisq(rep.histogram, replicas, table, level, band_level)
         all_ok = all_ok and ok
         details.append(
-            f"{name} p={pvalue:.3g} (cut at {table.support[-1]}){'' if ok else ' FAIL'}"
+            f"{name} p={pvalue:.3g} band tail={band_tail:.3g} "
+            f"(cut at {table.support[-1]}){'' if ok else ' FAIL'}"
         )
     return all_ok, "; ".join(details), (
         f"chi-square p > {level:g} on each law ({_MC_LEVEL:g} over the {len(_MC_LAWS)}) "
-        "and 4-sigma bands on the bins expecting >= 10 counts, "
+        f"and exact two-sided binomial bands at {band_level:.3g} on the {bins} bins "
+        f"expecting >= {_MC_BIN_COUNT} counts ({_MC_LEVEL:g} over them), "
         "tables cut where the tail is < 1e-13"
     )
 

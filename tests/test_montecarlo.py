@@ -835,38 +835,47 @@ def test_escape_visits_do_not_depend_on_pool_size(monkeypatch, pool):
         assert rep.to_dict() == want.to_dict(), statistic
 
 
-def _brute_force_round(pattern, headroom, depth):
+def _brute_force_round(pattern, decisions, headroom, depth):
     """Walk the 8 steps of `pattern` one at a time from x = 0 with hi =
-    headroom and lo = -depth, reflected at lo: the steps taken before the
-    walk passes hi, how many of them land on each site x + e, -8 <= e <=
-    8, and where the walk ends when it does not pass hi."""
-    x = used = 0
-    lands = [0] * 17
+    headroom and lo = -depth, reflected at lo.  A step to hi + 1 at lane j
+    is decided by bit j of `decisions` (lane j + 1's word below h): 1
+    returns to hi, a visit there, and 0 escapes, the walk staying on hi +
+    1.  Returns the steps walked, the exit step and its decision included,
+    how many visits land on each site x + e, -9 <= e <= 9, and where the
+    walk ends."""
+    x = 0
+    lands = [0] * 19
     for j in range(8):
         x = max(x + (1 if pattern >> j & 1 else -1), -depth)
         if x > headroom:
-            break
-        used += 1
-        lands[x + 8] += 1
-    return used, lands, x
+            back = decisions >> j & 1
+            lands[headroom + 9] += back
+            return j + 2, lands, x - back
+        lands[x + 9] += 1
+    return 8, lands, x
 
 
 def test_round_tables_match_a_step_by_step_walk():
     """Every pattern, every headroom and depth 0..12 (8 and up read the
-    same entry) and every landing offset -9..9: the offsets -9 and 9 are
-    never reached within a round."""
+    same entry), decision bytes that set neither, either and both of
+    neighbouring bits, and every landing offset -9..9: the decided code
+    reads its decision from the bit of the exit's lane, and a return is a
+    visit to hi and ends the round there."""
     patterns = np.arange(256)
     for headroom in range(13):
         for depth in range(13):
             code = (patterns * 9 + min(headroom, 8)) * 9 + min(depth, 8)
-            expected = [_brute_force_round(b, headroom, depth) for b in range(256)]
-            assert mc._USED[code].tolist() == [u for u, _, _ in expected], (headroom, depth)
-            walked = [(x, c) for c, (u, _, x) in zip(code, expected) if u == 8]
-            assert [mc._OFFSET[c] for _, c in walked] == [x for x, _ in walked]
-            for e in range(-9, 10):
-                lands = mc._LANDS[code * 19 + e + 9].tolist()
-                want = [m[e + 8] if abs(e) <= 8 else 0 for _, m, _ in expected]
-                assert lands == want, (headroom, depth, e)
+            for decisions in (0x00, 0x55, 0xAA, 0xFF):
+                code2 = 2 * code + (decisions >> mc._EXIT_BIT[code] & 1)
+                expected = [_brute_force_round(u, decisions, headroom, depth) for u in patterns]
+                steps, lands, ends = zip(*expected)
+                where = (headroom, depth, decisions)
+                assert mc._STEPS2[code2].tolist() == list(steps), where
+                # the position after the round: hi + 1 exactly when escaped
+                assert mc._OFFSET2[code2].tolist() == list(ends), where
+                for e in range(-9, 10):
+                    got = mc._LANDS2[code2 * 19 + e + 9].tolist()
+                    assert got == [m[e + 9] for m in lands], (where, e)
 
 
 @pytest.mark.parametrize("p", [0.52, 0.6, 0.9, 0.999])
@@ -988,11 +997,16 @@ def test_walk_on_memory_stays_flat_until_its_budget(monkeypatch):
     assert peak < 1 << 20
 
 
-@pytest.mark.parametrize("statistic", ["ball_occupation", "two_point_pos:2", "local_time:-1"])
+@pytest.mark.parametrize(
+    "statistic",
+    ["ball_occupation", "two_point_pos:2", "local_time:-1", "two_point_pos:12", "no_return"],
+)
 def test_ensemble_words_and_steps_match_the_reference(statistic):
     """`words` and `steps` are the reference walk's counts, 9 words a
     walker-round, its 8 steps and the word after them; the histogram
-    counts its visits to the tracked sites."""
+    counts its visits to the tracked sites (for no_return, the replicas
+    that never visit 0).  At two_point_pos:12 the rounds read headroom
+    and depth clipped to 8, while a walker that exits reads its own."""
     replicas, seed, params = 3000, 13, make_params(0.6)
     config = mc.SimConfig(params=params, n=1, replicas=replicas, seed=seed)
     rep = mc.ensemble(config, statistic)
@@ -1001,6 +1015,8 @@ def test_ensemble_words_and_steps_match_the_reference(statistic):
         params, seed, np.arange(replicas), 0, 0, min(sites), max(sites)
     )
     counts = np.bincount(rows[np.isin(visited, sites)], minlength=replicas)
+    if statistic == "no_return":
+        counts = counts == 0
     assert (rep.words, rep.steps) == (words, steps)
     assert rep.to_dict()["steps"] == steps
     assert np.array_equal(rep.histogram, np.bincount(counts))
