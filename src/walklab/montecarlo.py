@@ -15,12 +15,14 @@ is truncated.  Below the lowest tracked site lo the walk visits nothing
 and surely comes back, so both escape walks are reflected there: a
 down-step from lo stays on lo and is a visit to it, which leaves the
 law of the visits to the sites >= lo unchanged.  Ensembles walk their
-replicas on the calling thread, in a pool of up to 2^14 walkers, 8 steps
-a round; each round's byte of up-steps and byte of decisions (the word
-after each step, below h) read from tables how far each walker goes,
-where it ends, whether it has escaped and its visits to the tracked
-sites, which go straight into each replica's count, so each exit is
-decided in the round that reaches it (`_escape_visits`).  A single path
+replicas on the calling thread, in a pool of up to 2^14 walkers, 8 step
+lanes a round; a walker that returns to the highest tracked site walks
+on from there with the round's next lane, so a round ends only after its
+step lanes or at an escape.  Each round's byte of up-steps and byte of
+decisions (each lane's word below h) name one lane pattern, from which
+tables read how far each walker goes, where it ends, whether it has
+escaped and its visits to the tracked sites, which go straight into each
+replica's count (`_escape_visits`).  A single path
 walks on after its horizon alone, 1023 steps a draw, tallying its visits
 by depth (`_walk_on`).  An ensemble whose replicas expect more steps in
 all than a fixed work budget, or a walk after a horizon that expects
@@ -59,6 +61,7 @@ walk.
 
 from __future__ import annotations
 
+import functools
 import math
 import numbers
 import re
@@ -69,7 +72,7 @@ import numpy as np
 from .errors import BudgetError, ValidationError, require_integers
 from .model import WalkParams
 from .closedform import excursion_mean_visits
-from .rng import BLOCK_LANES, _below, _key, _walker_words, path_step_bits
+from .rng import BLOCK_LANES, _below, _cut, _key, _walker_words, path_step_bits
 
 __all__ = [
     "SimConfig",
@@ -86,7 +89,7 @@ __all__ = [
 _POOL = 1 << 14  # walkers of an escape walk that draw their rounds together
 _PATH_BLOCKS = 16  # key blocks of path steps drawn per path_step_bits call
 _ROUND = 8  # steps a walker draws per round of an escape walk, one byte of up-steps
-_WIDE = 2 * _ROUND + 3  # landing offsets -9..9 of each decided round code in _LANDS2
+_SPAN = 2 * _ROUND + 2  # widest span whose headrooms each read their own round codes
 _WALK_LANES = 1023  # steps of a path's walk after its horizon per draw
 _BUDGET_MISS = 1e-18  # chance that a correct replica outruns its step budget
 _WORK_STEPS = 1e9  # steps that the replicas of one escape walk may expect to take in all
@@ -220,11 +223,12 @@ class EnsembleReport:
     truncation bias, only sampling error.  `words` is the number of RNG
     words the replicas drew and `steps` the number of steps they walked
     in the walk reflected at the lowest tracked site (`_escape_visits`),
-    decision steps included.  Each round of a walker draws its 8 steps
-    and the word after them, which decides an exit at the round's last
-    step, so `words` is 9 per walker and round, plus one for each replica
-    that starts above the highest tracked site and is decided on
-    admission.
+    decision steps included.  Each round of a walker draws the words of
+    its next 8 steps and the one after them, so an exit at the round's
+    last step is decided in the round, and a walker that returns walks on
+    with the round's next word; `words` is 9 per walker and round, plus
+    one for each replica that starts above the highest tracked site and
+    is decided on admission.
     """
 
     statistic: str
@@ -331,66 +335,81 @@ def _step_budget(params: WalkParams, rise: int, first_step: int) -> int:
     return budget
 
 
-def _round_tables():
-    """Tables of one 8-step round of the walk reflected at lo, decided.
+@functools.lru_cache(maxsize=64)
+def _round_tables(up_returns: bool, span: int, below: tuple):
+    """Tables of one round of the walk reflected at lo, for one order of
+    the cuts, `up_returns` = `_cut(p) <= _cut(h)` (every word below p is
+    below h too), the headrooms 0..span of one span <= _SPAN, and the
+    tracked sites hi - d, d in `below`.
 
-    A round's code is code = (u * 9 + min(hi - x, 8)) * 9 + min(x - lo,
-    8), with u the byte of its up-steps (bit j set: step j goes up).  A
+    A round reads 9 lanes: lanes 0..7 step (up when the word is below p)
+    and lanes 1..8 decide exits (a return when it is below h).  The two
+    tests are nested, so lane j falls in one of three classes, 2 - up -
+    back: 0 steps up and returns, 2 neither, and 1 either steps down and
+    returns (up_returns) or steps up and escapes.  Lane 0 only steps and
+    lane 8 only decides, so each has the classes 0 and 2 alone, digit 0
+    and 1.  With the digits of lanes 1..7 their classes, a round's
+    pattern, the sum of digit_j w_j with w_0 = 1 and w_j = 2 * 3^(j-1), is
+    one of 2 * 3^7 * 2 = 8748; each lane's digit is (1 - up) + (1 - back)
+    of its bits, so the pattern is a sum over the two bytes.  The walk
+    steps lane by lane; one that steps to hi + 1 at lane j is decided by
+    lane j + 1, and a return is a visit to hi from which the walk goes on
+    with lane j + 2, so a round ends after its 8 step lanes, or at an
+    escape.  A
     walker 8 or more below hi cannot pass it within a round, and one 8 or
-    more above lo cannot step down from it, so 8 stands for every larger
-    headroom and depth; a walker that passes hi within the round started
-    at most 7 below it, so its headroom is exact.  Let used be the steps
-    taken before the walk passes hi (8 if it does not).  A walker that
-    steps to hi + 1 at lane used is decided by lane used + 1: b = 1 when
-    that word is below h (a return), and b = 0 when it escapes.  The
-    decided code is code2 = 2 * code + b; where the round has no exit the
-    entries of b = 0 and 1 are the same.
+    more above lo cannot step down from it, so headroom and depth are
+    clipped to 8.  All patterns are walked together lane by lane: lane j
+    splits each pattern so far by its digit, the most significant yet.
+    A round's code is pattern * (span + 1) + hi - x.
 
-    _EXIT_BIT[code]  min(used, 7), the bit of the round's decision byte
-        (bit j set: lane j + 1's word is below h) that is b;
-    _STEPS2[code2]  steps walked: used, and 2 more (the exit step and its
-        decision) on an exit;
-    _OFFSET2[code2]  position after the round, relative to its start: hi
-        after a return, hi + 1 after an escape (so the headroom hi - x is
-        -1 exactly when the walker has escaped for good), and that of the
-        walk otherwise;
-    _LANDS2[code2 * 19 + e + 9]  how many of the round's visits land on x
-        + e, for -8 <= e <= 8, the visit to hi on a return included; the
-        entries at e = -9 and 9 are 0, so a site further from x reads its
-        offset clipped to -9..9.
+    up_lanes[u] + back_lanes[d]  the code's pattern times span + 1, read
+        from the round's byte of up-steps u (bit j: lane j) and of
+        decisions d (bit j: lane j + 1);
+    steps[code]  lanes used: 8, or 9 when lane 7 exits and returns, and j
+        + 2 on an escape at lane j;
+    offset[code]  position after the round, relative to its start: hi + 1
+        after an escape, so the headroom hi - x is -1 exactly then;
+    visits[code]  the round's visits to the tracked sites, every return's
+        visit to hi included.
     """
-    up = (np.arange(256)[:, None] >> np.arange(_ROUND)) & 1
-    free = np.cumsum(2 * up - 1, axis=1)
-    clipped = np.arange(_ROUND + 1)
-    # reflected at -depth: the free walk plus how far its running minimum
-    # has gone below the floor (axes: byte, depth, step)
-    floor = -clipped[:, None] - np.minimum.accumulate(free, axis=1)[:, None, :]
-    pos = free[:, None, :] + np.maximum(floor, 0)
-    # axes: byte, headroom, depth, step
-    live = np.maximum.accumulate(pos, axis=2)[:, None] <= clipped[:, None, None]
-    code = np.arange(256 * (_ROUND + 1) ** 2).reshape(256, _ROUND + 1, _ROUND + 1, 1)
-    lands = np.bincount(
-        (code * _WIDE + pos[:, None] + _ROUND + 1)[live], minlength=code.size * _WIDE
+    rise = np.arange(span + 1)  # hi - x
+    top = np.minimum(rise, _ROUND)
+    floor = -np.minimum(span - rise, _ROUND)  # lo - x
+    tracked = np.isin(np.arange(-1, span + 1), below)  # site hi - d at d + 1
+    # each round so far, from each headroom: where it is, the lanes it
+    # used (set at an escape, and at a return by lane 8), its visits, and
+    # whether it has escaped
+    x = np.zeros((1, span + 1), dtype=np.int64)
+    used = np.full(x.shape, _ROUND, dtype=np.uint8)
+    visits = np.zeros(x.shape, dtype=np.uint8)
+    gone = np.zeros(x.shape, dtype=bool)
+    for j in range(_ROUND + 1):
+        inner = 0 < j < _ROUND
+        c = np.arange(3 if inner else 2)[:, None, None] * (1 if inner else 2)  # class of each digit
+        up = (c == 0) | (c == 1) & (not up_returns)
+        back = (c == 0) | (c == 1) & up_returns
+        deciding = ~gone & (x > top)  # stepped to hi + 1 at lane j - 1
+        stepping = ~gone & ~deciding & (j < _ROUND)
+        returns, escapes = deciding & back, deciding & ~back
+        x = np.where(stepping, np.maximum(x + 2 * up - 1, floor), x - returns)
+        used = np.where(escapes | returns & (j == _ROUND), j + 1, used)
+        visits = visits + ((returns | stepping & (x <= top)) & tracked[rise - x + 1])
+        gone = gone | escapes
+        x, used, visits, gone = (a.reshape(-1, span + 1) for a in (x, used, visits, gone))
+    weights = np.array([1] + [2 * 3**j for j in range(_ROUND)])  # w_0..w_8
+    clear = (np.arange(256)[:, None] >> np.arange(_ROUND)) & 1 == 0  # bit j of each byte
+    tables = (
+        clear @ weights[:-1] * (span + 1),
+        clear @ weights[1:] * (span + 1),
+        used.ravel(),
+        x.astype(np.int8).ravel(),
+        visits.ravel(),
     )
-    used = live.sum(axis=3).ravel()
-    exits = np.flatnonzero(used < _ROUND)
-    top = code.ravel() // (_ROUND + 1) % (_ROUND + 1)  # headroom, exact on an exit
-    offset = np.repeat(pos[:, None, :, -1], _ROUND + 1, axis=1).ravel()
-    # axis 1 is b: an exit with b = 1 returns to hi, one with b = 0 escapes
-    offset = np.stack([offset, offset], axis=1)
-    offset[exits] = top[exits, None] + [1, 0]
-    steps = used + 2 * (used < _ROUND)
-    lands = np.repeat(lands.astype(np.int8).reshape(code.size, 1, _WIDE), 2, axis=1)
-    lands[exits, 1, top[exits] + _ROUND + 1] += 1
-    return (
-        np.minimum(used, _ROUND - 1).astype(np.uint8),
-        np.repeat(steps, 2).astype(np.uint8),
-        offset.astype(np.int8).ravel(),
-        lands.ravel(),
-    )
+    for a in tables:  # shared by every call that reads them from the cache
+        a.flags.writeable = False
+    return tables
 
 
-_EXIT_BIT, _STEPS2, _OFFSET2, _LANDS2 = _round_tables()
 _LANE_SHIFTS = np.arange(_ROUND, dtype=np.uint64)[:, None]
 
 
@@ -435,7 +454,8 @@ def _escape_visits(
 ) -> tuple[np.ndarray, int, int]:
     """The visits of each replica r < `replicas`, walked from 0 to the end
     of time, to the tracked sites hi - d, d in `below` (sorted, and
-    holding 0: hi is tracked).
+    holding 0: hi is tracked; over a span max(below) above _SPAN, only 0
+    and the span, else ValueError).
 
     The walk is reflected at lo = hi - max(below), the lowest tracked
     site: a down-step from lo stays on lo and is a visit to it, x_t =
@@ -456,22 +476,23 @@ def _escape_visits(
     replica, headroom hi - x, next step and stream key.  The key is made
     once, on admission (a replica admitted from above hi draws its
     decision under it first), and each round `rng._walker_words`
-    draws every walker's next `_ROUND` + 1 words under its key, its steps
-    and the word after them, into buffers made once per call.  A round's
-    up-steps (lanes 0..7 below p) and decisions (lanes 1..8 below h) are
-    packed into two bytes per walker; the byte of up-steps, the walker's
-    headroom and its depth x - lo make the round's code.  A walker that
-    steps to hi + 1 at lane j is decided by lane j + 1 of the same round,
-    bit j of its decision byte, which `_EXIT_BIT` names; that bit makes
-    the decided code, from which `_STEPS2` reads how far the walker goes,
-    `_OFFSET2` where it ends (hi after a return, hi + 1 after an escape)
-    and `_LANDS2` how many of its visits land on each tracked site, a
-    return's visit to hi included (`_round_tables`).  So every exit is
-    decided in the round that reaches it, with no pass over the exits
-    alone, and each walker starts a round on lo..hi.  Every visit goes
-    straight into its replica's count.  After each round the walkers
-    still walking move to the front of the pool, in order, and the next
-    replicas are admitted after them.
+    draws every walker's next `_ROUND` + 1 words under its key, its 8
+    step lanes and the word after them, into buffers made once per call.
+    A walker that steps to hi + 1 at lane j is decided by lane j + 1 of
+    the same round, and after a return it walks on from hi with lane j +
+    2, so a round ends only after its step lanes or at an escape, and
+    each walker starts a round on lo..hi.  A round's up-steps (lanes 0..7
+    below p) and decisions (lanes 1..8 below h) are packed into two bytes
+    per walker, which name its lane pattern; with the walker's headroom
+    they make the round's code, from which the tables of `_round_tables`
+    (one order of the cuts, one span and one tracked set, made once)
+    read how far the walker goes, where it ends (hi + 1 after an escape)
+    and its visits to the tracked sites, every return's visit to hi
+    included.  Over a span above _SPAN the headrooms 9..span - 9 share
+    one code, as they reach neither hi nor lo within a round.  Every
+    visit goes straight into its replica's count.  After each round the
+    walkers still walking move to the front of the pool, in order, and
+    the next replicas are admitted after them.
 
     Returns the per-replica counts, the words drawn, `_ROUND` + 1 per
     walker and round and one per replica admitted from above hi, and the
@@ -485,7 +506,12 @@ def _escape_visits(
     span = int(below[-1])  # hi - lo
     _check_work(params, replicas, hi, span)
     vals = np.zeros(replicas, dtype=np.int64)
-    below = np.asarray(below)[:, None]
+    far = span > _SPAN  # the headrooms 9..span - 9 read one round code
+    if far and len(below) > 2:
+        raise ValueError(f"over a span above {_SPAN} only hi and lo can be tracked, not {below}")
+    up_lanes, back_lanes, walked_by, offset, visits = _round_tables(
+        _cut(p) <= _cut(h), min(span, _SPAN), (0, _SPAN) if far else tuple(below)
+    )
     above, low = hi < 0, hi > span  # replicas start above hi, or below lo
     # headroom hi - x and step on entry: at hi, from 0 or at lo
     entry, entry_step = min(max(hi, 0), span), int(above or low)
@@ -531,20 +557,16 @@ def _escape_visits(
         bits = lanes[:, :, : -(-n // 8) * 8].view("<u8") << _LANE_SHIFTS
         up, decide = np.bitwise_or.reduce(bits, axis=1).view(np.uint8)[:, :n]
         rise = headroom[:n]
-        code = up.astype(np.intp) * (_ROUND + 1) + np.minimum(rise, _ROUND)
-        code *= _ROUND + 1
-        code += np.minimum(span - rise, _ROUND)
-        exit_back = (decide >> _EXIT_BIT[code]) & 1  # whether an exit returns
-        code += code
-        code += exit_back  # code2, the decided code
-        e = rise - below  # tracked site hi - d is x + e, e = headroom - d
-        np.clip(e, -_ROUND - 1, _ROUND + 1, out=e)  # in place: e is (distances, walkers)
-        e += code * _WIDE + _ROUND + 1
-        vals[rows[:n]] += _LANDS2[e].sum(axis=0)  # the pool's rows are distinct
-        walked = _STEPS2[code]
+        code = up_lanes[up]
+        code += back_lanes[decide]
+        code += rise
+        if far:  # the code of the same walk over the span _SPAN
+            code -= np.clip(rise - _ROUND - 1, 0, span - _SPAN)
+        vals[rows[:n]] += visits[code]  # the pool's rows are distinct
+        walked = walked_by[code]
         step[:n] += walked
         steps += int(walked.sum())
-        rise -= _OFFSET2[code]  # -1: escaped for good, at hi + 1
+        rise -= offset[code]  # -1: escaped for good, at hi + 1
         if step[:n].max(initial=0) > budget:
             raise BudgetError(f"escape not reached within {budget} steps")
         walking = np.flatnonzero(rise >= 0)  # to the front of the pool, in order

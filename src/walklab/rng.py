@@ -27,9 +27,12 @@ at so few steps per walker the per-plane work costs more than the words
 it saves (bit-sliced ensemble prototypes were 1.5-2x slower).  An escape
 decision reads the word of its step like any other step, and both escape
 walks draw one word past their steps, so every decision is in the draw
-that holds its exit: an ensemble walker draws 9 words a round, its 8
-steps and the word after them, and the walk after a path's horizon draws
-its steps under replica 0's key one word past each batch.
+that holds its exit, and after a return the walk goes on with the draw's
+next word: an ensemble walker draws 9 words a round, its 8 step lanes
+and the word after them, and the walk after a path's horizon draws its
+steps under replica 0's key one word past each batch.  A key hashes the
+seed as a Python integer, so a scalar key costs a few microseconds and
+an array of them two in-place mixes (`_key`).
 """
 
 from __future__ import annotations
@@ -52,10 +55,10 @@ _GROUP = 64  # path steps per group, one bit of each plane word
 _GROUPS = BLOCK_LANES // _GROUP  # groups per key block
 _PLANES = 53  # bits of a step's uniform; 53 * 1024 planes fit in one block
 _DENSE_PLANES = 6  # planes drawn for every group before the open ones are gathered
-_ALL = np.uint64(0xFFFFFFFFFFFFFFFF)
-_GOLDEN = np.uint64(0x9E3779B97F4A7C15)
-_M1 = np.uint64(0xBF58476D1CE4E5B9)
-_M2 = np.uint64(0x94D049BB133111EB)
+_MASK = (1 << 64) - 1
+_MIX = (0x9E3779B97F4A7C15, 0xBF58476D1CE4E5B9, 0x94D049BB133111EB)  # SplitMix64's constants
+_ALL = np.uint64(_MASK)
+_GOLDEN, _M1, _M2 = (np.uint64(c) for c in _MIX)
 _S30, _S27, _S31, _S11 = (np.uint64(s) for s in (30, 27, 31, 11))
 _U53 = np.float64(1.0 / (1 << 53))
 
@@ -84,10 +87,29 @@ def mix64(x):
     return z if z.ndim else z[()]
 
 
+def _mix_int(z: int) -> int:
+    """`mix64` of one word held in a Python integer."""
+    golden, m1, m2 = _MIX
+    z = (z + golden) & _MASK
+    z = ((z ^ z >> 30) * m1) & _MASK
+    z = ((z ^ z >> 27) * m2) & _MASK
+    return z ^ z >> 31
+
+
 def _key(seed: int, replica, block):
-    h = mix64(np.uint64(seed & 0xFFFFFFFFFFFFFFFF))
-    h = mix64(h ^ np.asarray(replica, dtype=np.uint64))
-    return mix64(h ^ np.asarray(block, dtype=np.uint64))
+    """Key mix(mix(mix(seed) ^ replica) ^ block) of each (replica, block)
+    pair, broadcast together (np.uint64 for scalars).  The seed is mixed
+    as a Python integer, and so are scalars all through; an array of
+    replicas is mixed once in place, and then with the blocks."""
+    s = _mix_int(seed & _MASK)
+    if np.ndim(replica) == 0 and np.ndim(block) == 0:
+        return np.uint64(_mix_int(_mix_int(s ^ int(replica)) ^ int(block)))
+    z = np.array(replica, dtype=np.uint64)
+    z ^= np.uint64(s)
+    _mix_inplace(z)
+    z = z ^ np.asarray(block, dtype=np.uint64)
+    _mix_inplace(z)
+    return z
 
 
 def _walker_words(keys, step, out: np.ndarray, scratch: np.ndarray | None = None) -> np.ndarray:

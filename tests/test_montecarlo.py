@@ -2,9 +2,11 @@
 
 import functools
 import hashlib
+import json
 import math
 import threading
 import tracemalloc
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -835,47 +837,74 @@ def test_escape_visits_do_not_depend_on_pool_size(monkeypatch, pool):
         assert rep.to_dict() == want.to_dict(), statistic
 
 
-def _brute_force_round(pattern, decisions, headroom, depth):
-    """Walk the 8 steps of `pattern` one at a time from x = 0 with hi =
-    headroom and lo = -depth, reflected at lo.  A step to hi + 1 at lane j
-    is decided by bit j of `decisions` (lane j + 1's word below h): 1
-    returns to hi, a visit there, and 0 escapes, the walk staying on hi +
-    1.  Returns the steps walked, the exit step and its decision included,
-    how many visits land on each site x + e, -9 <= e <= 9, and where the
-    walk ends."""
-    x = 0
-    lands = [0] * 19
-    for j in range(8):
-        x = max(x + (1 if pattern >> j & 1 else -1), -depth)
-        if x > headroom:
-            back = decisions >> j & 1
-            lands[headroom + 9] += back
-            return j + 2, lands, x - back
-        lands[x + 9] += 1
-    return 8, lands, x
+def _brute_force_rounds(ups, backs, headroom, depth):
+    """Walk one round of each row of `ups` and `backs` lane by lane from x
+    = 0 with hi = headroom and lo = -depth, reflected at lo.  ups[:, j]
+    is lane j's word below p (lanes 0..7) and backs[:, j] below h (lanes
+    1..8).  A step to hi + 1 at lane j is decided by lane j + 1: a return
+    is a visit to hi, from which the walk goes on with lane j + 2, and an
+    escape ends the round on hi + 1.  Returns the lanes used, how many
+    visits land on each site x + e, -9 <= e <= 9, and where each walk
+    ends."""
+    rows = np.arange(len(ups))
+    x = np.zeros(len(ups), dtype=np.int64)
+    used = np.full(len(ups), 8)
+    lands = np.zeros((len(ups), 19), dtype=np.int64)
+    waiting = np.zeros(len(ups), dtype=bool)  # on hi + 1, its decision at this lane
+    gone = np.zeros(len(ups), dtype=bool)
+    for j in range(9):
+        stepping = ~gone & ~waiting & (j < 8)
+        back = waiting & backs[:, j]
+        escape = waiting & ~back
+        gone |= escape
+        used[escape] = j + 1
+        used[back] = max(j + 1, 8)  # a return at lane 8 uses 9 lanes
+        x[back] = headroom
+        x[stepping] = np.maximum(x[stepping] + np.where(ups[stepping, j], 1, -1), -depth)
+        waiting = stepping & (x > headroom)
+        seen = back | stepping & ~waiting
+        lands[rows[seen], x[seen] + 9] += 1
+    return used, lands, x
 
 
 def test_round_tables_match_a_step_by_step_walk():
-    """Every pattern, every headroom and depth 0..12 (8 and up read the
-    same entry), decision bytes that set neither, either and both of
-    neighbouring bits, and every landing offset -9..9: the decided code
-    reads its decision from the bit of the exit's lane, and a return is a
-    visit to hi and ends the round there."""
-    patterns = np.arange(256)
-    for headroom in range(13):
-        for depth in range(13):
-            code = (patterns * 9 + min(headroom, 8)) * 9 + min(depth, 8)
-            for decisions in (0x00, 0x55, 0xAA, 0xFF):
-                code2 = 2 * code + (decisions >> mc._EXIT_BIT[code] & 1)
-                expected = [_brute_force_round(u, decisions, headroom, depth) for u in patterns]
-                steps, lands, ends = zip(*expected)
-                where = (headroom, depth, decisions)
-                assert mc._STEPS2[code2].tolist() == list(steps), where
-                # the position after the round: hi + 1 exactly when escaped
-                assert mc._OFFSET2[code2].tolist() == list(ends), where
-                for e in range(-9, 10):
-                    got = mc._LANDS2[code2 * 19 + e + 9].tolist()
-                    assert got == [m[e + 9] for m in lands], (where, e)
+    """Every lane pattern, every headroom and depth 0..12 (8 and up read
+    the same walk) and every landing offset -9..9, for both orders of the
+    cuts: the byte pairs whose nested tests agree with the order (each
+    up-step returns, or each return steps up) name every pattern once,
+    and a return is a visit to hi from which the round goes on.  Each
+    single tracked site reads its own landings; a span above 18 tracks
+    hi and lo through the tables of span 18, with one code for the
+    headrooms 9..span - 9."""
+    u, d = np.divmod(np.arange(1 << 16), 256)
+    lanes = np.arange(9)
+    all_ups = (u[:, None] >> np.minimum(lanes, 7) & 1).astype(bool) & (lanes < 8)
+    all_backs = (d[:, None] >> np.maximum(lanes - 1, 0) & 1).astype(bool) & (lanes > 0)
+    build = mc._round_tables.__wrapped__  # uncached: each span's tables go after use
+    for up_returns in (True, False):
+        nested = (all_ups <= all_backs) if up_returns else (all_backs <= all_ups)
+        keep = nested[:, 1:8].all(axis=1)
+        ups, backs = all_ups[keep], all_backs[keep]
+        assert len(ups) == 2 * 3**7 * 2
+        for span in range(25):
+            far = span > 18
+            sites = [(0, span)] if far else [(d,) for d in range(span + 1)]
+            tables = [build(up_returns, min(span, 18), (0, 18) if far else s) for s in sites]
+            up_lanes, back_lanes = tables[0][:2]
+            patterns = up_lanes[u[keep]] + back_lanes[d[keep]]
+            assert np.array_equal(np.sort(patterns), np.arange(len(ups)) * (min(span, 18) + 1))
+            for headroom in range(max(span - 12, 0), min(span, 12) + 1):
+                code = patterns + headroom - far * np.clip(headroom - 9, 0, span - 18)
+                depth = span - headroom
+                want_steps, lands, ends = _brute_force_rounds(ups, backs, headroom, depth)
+                for tracked, (_, _, steps, offset, visits) in zip(sites, tables):
+                    where = (up_returns, headroom, depth, tracked)
+                    assert np.array_equal(steps[code], want_steps), where
+                    # the position after the round: hi + 1 exactly when escaped
+                    assert np.array_equal(offset[code], ends), where
+                    e = [headroom - d + 9 for d in tracked if abs(headroom - d) <= 9]
+                    assert np.array_equal(visits[code], lands[:, e].sum(axis=1)), where
+                    assert not lands[:, [0, 18]].any()  # no landing 9 away
 
 
 @pytest.mark.parametrize("p", [0.52, 0.6, 0.9, 0.999])
@@ -999,14 +1028,18 @@ def test_walk_on_memory_stays_flat_until_its_budget(monkeypatch):
 
 @pytest.mark.parametrize(
     "statistic",
-    ["ball_occupation", "two_point_pos:2", "local_time:-1", "two_point_pos:12", "no_return"],
+    [
+        "ball_occupation", "two_point_pos:2", "local_time:-1", "two_point_pos:12", "no_return",
+        "two_point_neg:19", "two_point_pos:30",
+    ],
 )
 def test_ensemble_words_and_steps_match_the_reference(statistic):
     """`words` and `steps` are the reference walk's counts, 9 words a
     walker-round, its 8 steps and the word after them; the histogram
     counts its visits to the tracked sites (for no_return, the replicas
     that never visit 0).  At two_point_pos:12 the rounds read headroom
-    and depth clipped to 8, while a walker that exits reads its own."""
+    and depth clipped to 8, while a walker that exits reads its own;
+    over the spans 19 and 30 the headrooms 9..span - 9 read one code."""
     replicas, seed, params = 3000, 13, make_params(0.6)
     config = mc.SimConfig(params=params, n=1, replicas=replicas, seed=seed)
     rep = mc.ensemble(config, statistic)
@@ -1020,3 +1053,73 @@ def test_ensemble_words_and_steps_match_the_reference(statistic):
     assert (rep.words, rep.steps) == (words, steps)
     assert rep.to_dict()["steps"] == steps
     assert np.array_equal(rep.histogram, np.bincount(counts))
+
+
+_FLIP = 0.6180339887498949  # (sqrt 5 - 1) / 2, the p at which p = h
+
+
+def test_escape_visits_track_only_hi_and_lo_over_a_wide_span():
+    """Over a span above 18 the headrooms 9..span - 9 share one round code,
+    which cannot tell how far a site between them is."""
+    with pytest.raises(ValueError, match="only hi and lo"):
+        mc._escape_visits(make_params(0.6), 0, 10, 0, [0, 10, 19])
+    vals, _, _ = mc._escape_visits(make_params(0.6), 0, 10, 0, [0, 19])
+    assert len(vals) == 10
+
+
+def test_rounds_match_the_reference_where_the_cuts_change_order(monkeypatch):
+    """At (sqrt 5 - 1) / 2 and its float neighbours _cut(p) - _cut(h) goes
+    from -2 to +2, so a lane's middle class turns from a down-step that
+    returns into an up-step that escapes.  Histograms, words and steps
+    are the reference's there, on the real streams and on streams whose
+    words fall between the two cuts a quarter of the time, which only
+    the order of the cuts tells apart."""
+    ps = (np.nextafter(_FLIP, 0), _FLIP, np.nextafter(_FLIP, 1))
+    gaps = [rng._cut(p) - rng._cut(make_params(p).h) for p in ps]
+    assert gaps == [-2, 2, 5]
+    real = rng._walker_words
+
+    def between_the_cuts(cuts):
+        def words(keys, step, out, scratch=None):
+            w = real(keys, step, out, scratch)
+            top = w >> np.uint64(62)  # 0 and 1: below both cuts, 2: between them, 3: above
+            w[...] = np.select([top < 2, top == 2], [0, min(cuts) << 11], 2**64 - 1)
+            return w
+
+        return words
+
+    for p in ps:
+        params = make_params(p)
+        for patched in (False, True):
+            if patched:
+                words = between_the_cuts((rng._cut(p), rng._cut(params.h)))
+                monkeypatch.setattr(rng, "_walker_words", words)
+                monkeypatch.setattr(mc, "_walker_words", words)
+            config = mc.SimConfig(params=params, n=1, replicas=2000, seed=3)
+            for statistic in ("ball_occupation", "local_time:0"):
+                rep = mc.ensemble(config, statistic)
+                sites = mc._stat_sites(statistic)
+                rows, visited, words, steps = reference_escape(
+                    params, 3, np.arange(2000), 0, 0, min(sites), max(sites)
+                )
+                counts = np.bincount(rows[np.isin(visited, sites)], minlength=2000)
+                assert (rep.words, rep.steps) == (words, steps), (p, patched, statistic)
+                assert np.array_equal(rep.histogram, np.bincount(counts)), (p, patched, statistic)
+        monkeypatch.undo()
+
+
+def test_ensembles_match_the_recorded_ones():
+    """Each report of ensemble_lock.json (5000 replicas, seed 2024, at p in
+    {0.52, 0.6, 0.75, 0.9, 0.999}), recorded before a round walked on
+    after a return, is bit for bit the same but for `words`: the walk
+    reads the same word at each step, so only the words drawn may move,
+    and they still cover the steps walked."""
+    recorded = json.loads((Path(__file__).parent / "ensemble_lock.json").read_text())
+    assert len(recorded) == 20
+    for want in recorded:
+        p = want.pop("p")
+        config = mc.SimConfig(params=make_params(p), n=1, replicas=want["replicas"], seed=2024)
+        got = mc.ensemble(config, want["statistic"]).to_dict()
+        words = got.pop("words")
+        assert got == want, (p, want["statistic"])
+        assert words >= got["steps"]

@@ -111,7 +111,7 @@ def test_path_step_bits_exact_at_the_cut():
 def test_path_step_bits_draw_few_words(monkeypatch):
     """About 7.5 words per 64 steps: 6 planes for every group, then only
     the planes of groups with a step still open (the count includes the
-    34 mixes that make the 16 block keys)."""
+    33 mixes that make the 16 block keys)."""
     mixed = []
     mix = rng._mix_inplace
     monkeypatch.setattr(rng, "_mix_inplace", lambda z: (mixed.append(z.size), mix(z)))
@@ -159,3 +159,24 @@ def test_keyed_words_match_counter_words():
     assert np.array_equal(out, want)
     t = (steps[:, None] + np.arange(9)).astype(np.uint64)
     assert np.array_equal(want, rng.mix64(keys[:, None] ^ t))
+
+
+def test_key_is_the_chain_of_three_mixes():
+    """`_key(seed, r, b)` is mix64(mix64(mix64(seed mod 2^64) ^ r) ^ b), a
+    np.uint64 for scalars and an array of the broadcast shape otherwise."""
+    cases = [
+        (0, 0),
+        (5, 3),
+        (np.uint64(2**64 - 1), 0),
+        (np.arange(100, dtype=np.uint64), 0),
+        (0, np.arange(16, dtype=np.uint64)),
+        (np.arange(4, dtype=np.uint64)[:, None], np.arange(3, dtype=np.uint64)),
+    ]
+    for seed in (0, 7, 2**64 - 1, -1):
+        mixed_seed = rng.mix64(np.uint64(seed % 2**64))
+        for replica, block in cases:
+            r, b = (np.asarray(v, dtype=np.uint64) for v in (replica, block))
+            want = rng.mix64(rng.mix64(mixed_seed ^ r) ^ b)
+            got = rng._key(seed, replica, block)
+            assert type(got) is type(want) and np.shape(got) == np.shape(want)
+            assert np.array_equal(got, want), (seed, replica, block)
